@@ -114,7 +114,7 @@ def _dump_json(doc, path) -> None:
         fh.write("\n")
 
 
-def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, ensemble) -> dict:
+def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, n_qubits) -> dict:
     panel = {
         "epsilon": epsilon,
         "delta": delta,
@@ -122,10 +122,9 @@ def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, en
         "global_av_theorem": sample_size(d, n_outcomes, epsilon, delta, "global", "av", "theorem"),
         "global_av_proof": sample_size(d, n_outcomes, epsilon, delta, "global", "av", "proof"),
     }
-    if ensemble.kind == "local":
-        n = ensemble.n_qubits
-        panel["local_op"] = sample_size(d, n_outcomes, epsilon, delta, "local", "op", n_qubits=n)
-        panel["local_av"] = sample_size(d, n_outcomes, epsilon, delta, "local", "av", n_qubits=n)
+    if n_qubits is not None:
+        panel["local_op"] = sample_size(d, n_outcomes, epsilon, delta, "local", "op", n_qubits=n_qubits)
+        panel["local_av"] = sample_size(d, n_outcomes, epsilon, delta, "local", "av", n_qubits=n_qubits)
     return panel
 
 
@@ -134,7 +133,8 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
 
     Writes ``estimated_povm.json`` and ``report.json`` (plus ``counts.csv``
     when simulating) under the config's output directory and returns the
-    report dict.
+    report dict. Ingested counts must carry the config's ensemble hash and
+    match the ensemble and the target in shape; both are checked before any work.
     """
     target, ensemble = config.build()
     out_dir = Path(config.out_dir)
@@ -147,7 +147,9 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
         table, meta = load_counts(counts_path)
         expected = spec_hash(config.ensemble_spec)
         recorded = meta.get("ensemble_spec_sha256")
-        if recorded is not None and recorded != expected:
+        if recorded is None:
+            raise ValueError("counts sidecar has no ensemble_spec_sha256; cannot check the ensemble")
+        if recorded != expected:
             raise ValueError(
                 "counts file was produced for a different ensemble spec "
                 f"(sidecar hash {recorded[:12]}..., config hash {expected[:12]}...)"
@@ -156,19 +158,25 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             raise ValueError(
                 f"counts table has {table.n_states} states, ensemble has {ensemble.size}"
             )
+        if table.n_outcomes != target.outcomes:
+            raise ValueError(
+                f"counts table has {table.n_outcomes} outcomes, target POVM has {target.outcomes}"
+            )
 
     raw = lse_estimate(table, ensemble)
     estimated, diagnostics = project_onto_povms(raw, config.projection)
     save_povm(estimated, out_dir / "estimated_povm.json")
 
     surrogates = distances.upper_surrogates(target, estimated)
+    op = distances.d_op(target, estimated)
     bern = bernstein_diagnostics(target, ensemble, range(target.outcomes))
     report = {
         "shots": table.n_shots,
         "seed": config.seed,
         "ensemble_spec_sha256": spec_hash(config.ensemble_spec),
         "distances": {
-            "d_op": distances.d_op_exact(target, estimated).value,
+            "d_op": op.value,
+            "d_op_kind": op.kind,
             "d_av": distances.d_av(target, estimated).value,
             "frob_sum": surrogates.frob_sum,
             "spec_sum": surrogates.spec_sum,
@@ -186,7 +194,7 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             "sigma2_bound": bern.sigma2_bound,
         },
         "sample_size": _sample_size_panel(
-            target.dim, target.outcomes, config.epsilon, config.delta, ensemble
+            target.dim, target.outcomes, config.epsilon, config.delta, ensemble.n_qubits
         ),
     }
     _dump_json(report, out_dir / "report.json")
@@ -290,14 +298,9 @@ def _cmd_distance(args) -> int:
     first = load_povm(args.povm_a)
     second = load_povm(args.povm_b)
     surrogates = distances.upper_surrogates(first, second)
-    if first.outcomes <= distances.MAX_EXACT_OUTCOMES:
-        op = distances.d_op_exact(first, second)
-        op_doc = {"kind": op.kind, "value": op.value, "witness": list(op.witness or ())}
-    else:
-        op = distances.d_op_lower(first, second, seed=args.seed or 0)
-        op_doc = {"kind": op.kind, "value": op.value, "witness": list(op.witness or ())}
+    op = distances.d_op(first, second, seed=args.seed or 0)
     doc = {
-        "d_op": op_doc,
+        "d_op": {"kind": op.kind, "value": op.value, "witness": list(op.witness or ())},
         "d_av": distances.d_av(first, second).value,
         "frob_sum": surrogates.frob_sum,
         "spec_sum": surrogates.spec_sum,
@@ -330,26 +333,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    doc = {
-        "dim": args.dim,
-        "outcomes": args.outcomes,
-        "epsilon": args.epsilon,
-        "delta": args.delta,
-        "global_op": sample_size(args.dim, args.outcomes, args.epsilon, args.delta, "global", "op"),
-        "global_av_theorem": sample_size(
-            args.dim, args.outcomes, args.epsilon, args.delta, "global", "av", "theorem"
-        ),
-        "global_av_proof": sample_size(
-            args.dim, args.outcomes, args.epsilon, args.delta, "global", "av", "proof"
-        ),
-    }
-    if args.n_qubits is not None:
-        doc["local_op"] = sample_size(
-            args.dim, args.outcomes, args.epsilon, args.delta, "local", "op", n_qubits=args.n_qubits
-        )
-        doc["local_av"] = sample_size(
-            args.dim, args.outcomes, args.epsilon, args.delta, "local", "av", n_qubits=args.n_qubits
-        )
+    panel = _sample_size_panel(args.dim, args.outcomes, args.epsilon, args.delta, args.n_qubits)
+    doc = {"dim": args.dim, "outcomes": args.outcomes, **panel}
     print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 

@@ -119,6 +119,14 @@ def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
     return DistanceReport(best, "op_lower", witness)
 
 
+def d_op(e, f, seed: int = 0) -> DistanceReport:
+    """Operational distance: exact up to ``MAX_EXACT_OUTCOMES`` outcomes, else
+    the seeded :func:`d_op_lower`; the report's ``kind`` says which."""
+    if _as_element_stack(e).shape[0] <= MAX_EXACT_OUTCOMES:
+        return d_op_exact(e, f)
+    return d_op_lower(e, f, seed=seed)
+
+
 def d_av(e, f) -> DistanceReport:
     """Average-case distance sqrt((1/2d) sum_j (||D_j||_F^2 + tr(D_j)^2)).
 

@@ -9,6 +9,11 @@ Two ensemble kinds are supported:
   states. The M = m^n product states are enumerated lazily by multi-index;
   the dual frame operator factorizes as a Kronecker product of per-qubit
   operators ``6|psi><psi| - 2*I``.
+
+A global ensemble is the case n = 1, q = d of a product of n factors
+``q(q+1)|psi><psi| - q*I`` over a base of m states on C^q. :func:`frame_sum`
+and its transpose :func:`frame_traces` contract a factor stack against all
+M = m^n probe states at once.
 """
 
 from __future__ import annotations
@@ -87,13 +92,25 @@ class ProbeEnsemble:
     @property
     def size(self) -> int:
         """Number of probe states M (m^n for local ensembles)."""
-        if self.kind == "local":
-            return len(self.states) ** self.n_qubits
-        return len(self.states)
+        return len(self.states) ** self.n_factors
 
     @property
     def base_size(self) -> int:
         return len(self.states)
+
+    @property
+    def n_factors(self) -> int:
+        """Tensor factors of each probe state: n_qubits (local) or 1 (global)."""
+        return self.n_qubits if self.kind == "local" else 1
+
+    def projector_factors(self) -> np.ndarray:
+        """(m, q, q) stack of the base projectors ``|psi><psi|``."""
+        return np.einsum("ia,ib->iab", self.states, self.states.conj())
+
+    def dual_factors(self) -> np.ndarray:
+        """(m, q, q) stack ``q(q+1)|psi><psi| - q*I``, the dual frame factors."""
+        q = self.states.shape[1]
+        return q * (q + 1) * self.projector_factors() - q * np.eye(q)
 
     def multi_index(self, index: int) -> tuple[int, ...]:
         """Per-qubit base indices of flat state ``index`` (first qubit first)."""
@@ -294,11 +311,43 @@ def build_ensemble(spec: dict) -> ProbeEnsemble:
     return ensemble
 
 
+def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:
+    """``sum_i w[j, i] (x)_k factors[i_k]`` for every row j of an (L, m^n) array.
+
+    The flat index i enumerates multi-indices (i_1, ..., i_n) with the first
+    factor most significant, as :meth:`ProbeEnsemble.multi_index` does, and
+    the Kronecker product puts the first factor first, as
+    :func:`frame_operator` does. Runs n tensordots; returns (L, q^n, q^n).
+    """
+    m, q, _ = factors.shape
+    rows = weights.shape[0]
+    out = np.reshape(weights, (rows,) + (m,) * n)
+    for _ in range(n):  # contract i_k; axes become (rows, i_k+1.., a_1, b_1, .., a_k, b_k)
+        out = np.tensordot(out, factors, axes=([1], [0]))
+    order = (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2))
+    return out.transpose(order).reshape(rows, q**n, q**n)
+
+
+def frame_traces(operators, factors: np.ndarray, n: int) -> np.ndarray:
+    """``tr(A_j (x)_k factors[i_k])`` for every A_j of an (L, q^n, q^n) stack.
+
+    The transpose of :func:`frame_sum`, with the same index order. Operators
+    and factors are Hermitian, so the traces are real; returns (L, m^n).
+    """
+    m, q, _ = factors.shape
+    rows = operators.shape[0]
+    out = np.reshape(operators, (rows,) + (q,) * (2 * n))
+    for k in range(n):  # contract (a_k, b_k); axes become (rows, a_k+1.., b_k+1.., i_1, .., i_k)
+        out = np.tensordot(out, factors, axes=([1, 1 + n - k], [2, 1]))
+    return out.reshape(rows, m**n).real
+
+
 def frame_operator(ensemble: ProbeEnsemble, index) -> np.ndarray:
     """Dual frame operator nu_i making sum_i p_i nu_i reproduce any effect.
 
     Global kind: ``d(d+1)|psi_i><psi_i| - d*I``. Local kind: Kronecker product
-    over qubits of ``6|psi><psi| - 2*I``.
+    over qubits of ``6|psi><psi| - 2*I``. Builds one operator at a time; the
+    pipeline contracts all of them at once through :func:`frame_sum`.
     """
     d = ensemble.dim
     if ensemble.kind == "global":
@@ -350,6 +399,4 @@ def design_check(ensemble: ProbeEnsemble) -> float:
     over a full Hermitian operator basis; local ensembles are checked on their
     single-qubit base (d = 2, m states).
     """
-    if ensemble.kind == "local":
-        return _design_deviation(ensemble.states, 2)
-    return _design_deviation(ensemble.states, ensemble.dim)
+    return _design_deviation(ensemble.states, ensemble.states.shape[1])

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for Hermitian matrices.
 
-Thin, validating wrappers around LAPACK (via numpy) plus the PSD projection
-used by the POVM solver. All inputs are square complex ndarrays; callers are
-expected to hermitize with :func:`hermitize` before using the eigenvalue-based
-operations.
+Thin, validating wrappers around LAPACK (via numpy) plus a dimension-capped
+Kronecker product for the one-operator-at-a-time frame oracle. All inputs are
+square complex ndarrays; callers are expected to hermitize with
+:func:`hermitize` before using the eigenvalue-based operations.
 """
 
 from __future__ import annotations
@@ -79,18 +79,10 @@ def matrix_norm(a, kind: str) -> float:
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
 
 
-def psd_project(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Frobenius-nearest positive semidefinite matrix: clip negative eigenvalues."""
-    eig = herm_eig(a, tol)
-    clipped = np.maximum(eig.eigenvalues, 0.0)
-    v = eig.eigenvectors
-    return (v * clipped) @ v.conj().T
-
-
 def kron(a, b, max_dim: int = KRON_DIM_CAP) -> np.ndarray:
     """Kronecker product with a cap on the resulting dimension.
 
-    The cap (default 256) bounds memory in product-ensemble code paths.
+    The cap (default 256) bounds memory in :func:`frames.frame_operator`.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)

@@ -3,7 +3,7 @@
 The reconstruction pipeline is:
 
 1. :func:`simulate_shots` draws probe states uniformly and samples outcomes
-   through the Born rule, producing a sparse :class:`FrequencyTable`;
+   through the Born rule, producing a dense :class:`FrequencyTable`;
 2. :func:`lse_estimate` applies the dual-frame inversion
    ``E_hat_j = sum_i f_ij nu_i`` (exact on expectation values);
 3. :func:`project_onto_povms` returns the nearest physical POVM under the
@@ -25,137 +25,103 @@ import numpy as np
 
 from . import linalg
 from ._rng import make_rng
-from .frames import ProbeEnsemble, frame_operator
-from .povm import Povm, RawEstimate, born, coarse_grain
-
-ENUMERATION_CAP = 100_000  # largest ensemble we fully enumerate
+# frame_operator and born are not called here; the benchmark's tracer wraps them on this module.
+from .frames import ProbeEnsemble, frame_operator, frame_sum, frame_traces  # noqa: F401
+from .povm import Povm, RawEstimate, born, coarse_grain  # noqa: F401
 
 PROJECTION_METRICS = ("frobenius", "dav")
 
 
 class FrequencyTable:
-    """Sparse outcome counts from N shots over an M-state ensemble.
+    """Outcome counts from N shots over an M-state ensemble.
 
-    ``counts`` maps (state_index, outcome_index) to a positive integer; cells
-    never observed are absent. Relative frequencies are counts divided by the
-    total shot number N, so the whole table sums to one and each cell is an
-    unbiased estimate of ``<psi_i|E_j|psi_i> / M``.
+    ``counts`` is a read-only dense (M, L) int64 array; cell (i, j) counts
+    the shots on probe state i that gave outcome j. Relative frequencies are
+    counts divided by the total shot number N, so the whole table sums to one
+    and each cell is an unbiased estimate of ``<psi_i|E_j|psi_i> / M``.
     """
 
-    def __init__(self, n_states: int, n_outcomes: int, n_shots: int, counts: dict):
+    def __init__(self, counts, n_shots: int):
         if n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        total = 0
-        clean = {}
-        for (i, j), c in counts.items():
-            i, j, c = int(i), int(j), int(c)
-            if not (0 <= i < n_states and 0 <= j < n_outcomes):
-                raise ValueError(f"cell ({i}, {j}) outside {n_states} x {n_outcomes}")
-            if c < 0:
-                raise ValueError("counts must be nonnegative")
-            if c:
-                clean[(i, j)] = c
-                total += c
+        counts = np.array(counts)
+        if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"counts must be a 2-d integer array, got {counts.dtype} {counts.shape}")
+        if np.any(counts < 0) or np.any(counts > n_shots):  # bounded cells keep the int64 sum exact
+            raise ValueError(f"counts must lie in [0, n_shots = {n_shots}]")
+        total = int(counts.sum())
         if total != n_shots:
             raise ValueError(f"counts sum to {total}, expected n_shots = {n_shots}")
-        self.n_states = n_states
-        self.n_outcomes = n_outcomes
-        self.n_shots = n_shots
-        self.counts = clean
+        self.counts = counts.astype(np.int64, copy=False)
+        self.counts.flags.writeable = False
+        self.n_states, self.n_outcomes = (int(k) for k in counts.shape)
+        self.n_shots = int(n_shots)
 
-    def frequencies(self) -> dict:
-        """Relative frequencies counts/N (sums to 1 over the whole table)."""
-        n = self.n_shots
-        return {cell: c / n for cell, c in self.counts.items()}
-
-    def dense_counts(self) -> np.ndarray:
-        """Counts as a dense (M, L) array; only for enumerable ensembles."""
-        if self.n_states * self.n_outcomes > ENUMERATION_CAP:
-            raise ValueError("table too large to densify")
-        out = np.zeros((self.n_states, self.n_outcomes), dtype=np.int64)
-        for (i, j), c in self.counts.items():
-            out[i, j] = c
-        return out
+    def frequencies(self) -> np.ndarray:
+        """Relative frequencies counts/N as an (M, L) array summing to 1."""
+        return self.counts / self.n_shots
 
     def __repr__(self):
         return (
             f"FrequencyTable(M={self.n_states}, L={self.n_outcomes}, "
-            f"N={self.n_shots}, cells={len(self.counts)})"
+            f"N={self.n_shots}, cells={np.count_nonzero(self.counts)})"
         )
+
+
+def _probabilities(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
+    """Born probabilities ``<psi_i|E_j|psi_i>`` as an (M, L) array.
+
+    Tiny negative values from validation slack are clipped to zero and each
+    row is renormalized, as :func:`povm.born` does, so rows feed a sampler.
+    """
+    if povm.dim != ensemble.dim:
+        raise ValueError(f"POVM dim {povm.dim} != ensemble dim {ensemble.dim}")
+    probs = frame_traces(povm.elements, ensemble.projector_factors(), ensemble.n_factors).T
+    probs = np.clip(probs, 0.0, 1.0)
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> FrequencyTable:
     """Sample N shots: a uniform probe state, then a Born-rule outcome.
 
-    Deterministic given ``seed`` (Philox stream); shots landing on the same
-    probe state are drawn as one multinomial, which is distributionally
-    identical to per-shot sampling and never materializes product ensembles.
+    Deterministic given ``seed`` (Philox stream): one draw of N probe
+    indices, then one multinomial per observed state in ascending order,
+    which is distributionally identical to per-shot sampling.
     """
-    if povm.dim != ensemble.dim:
-        raise ValueError(f"POVM dim {povm.dim} != ensemble dim {ensemble.dim}")
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
+    probs = _probabilities(povm, ensemble)
     rng = make_rng(seed)
-    indices = rng.integers(0, ensemble.size, size=n_shots)
-    unique, per_state = np.unique(indices, return_counts=True)
-    counts = {}
-    for i, c in zip(unique, per_state):
-        probs = born(povm, ensemble.state(int(i)))
-        drawn = rng.multinomial(int(c), probs)
-        for j, cj in enumerate(drawn):
-            if cj:
-                counts[(int(i), j)] = int(cj)
-    return FrequencyTable(ensemble.size, povm.outcomes, n_shots, counts)
+    per_state = np.bincount(rng.integers(0, ensemble.size, size=n_shots), minlength=ensemble.size)
+    observed = np.flatnonzero(per_state)
+    counts = np.zeros(probs.shape, dtype=np.int64)
+    counts[observed] = rng.multinomial(per_state[observed], probs[observed])
+    return FrequencyTable(counts, n_shots)
 
 
-def exact_frequencies(povm: Povm, ensemble: ProbeEnsemble) -> dict:
-    """Expected frequencies ``<psi_i|E_j|psi_i> / M`` for every cell.
+def exact_frequencies(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
+    """Expected frequencies ``<psi_i|E_j|psi_i> / M`` as an (M, L) array.
 
     Substituting these for measured frequencies makes the least-squares
-    estimator reproduce the POVM exactly. Requires an enumerable ensemble.
+    estimator reproduce the POVM exactly.
     """
-    if povm.dim != ensemble.dim:
-        raise ValueError("dimension mismatch")
-    m = ensemble.size
-    if m * povm.outcomes > ENUMERATION_CAP:
-        raise ValueError(f"ensemble too large to enumerate ({m} states)")
-    freqs = {}
-    for i in range(m):
-        probs = born(povm, ensemble.state(i))
-        for j, p in enumerate(probs):
-            if p:
-                freqs[(i, j)] = p / m
-    return freqs
+    return _probabilities(povm, ensemble) / ensemble.size
 
 
-def lse_estimate(frequencies, ensemble: ProbeEnsemble, n_outcomes: int | None = None) -> RawEstimate:
+def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate:
     """Closed-form least-squares estimator ``E_hat_j = sum_i f_ij nu_i``.
 
-    ``frequencies`` is a :class:`FrequencyTable` or a sparse mapping
-    ``(state_index, outcome_index) -> frequency`` (pass ``n_outcomes`` if the
-    largest outcome index may be unobserved). Only observed cells are
-    touched; each dual frame operator is built once per observed state.
+    ``frequencies`` is a :class:`FrequencyTable` or an (M, L) array of
+    relative frequencies; all M dual frame operators are contracted at once.
     """
     if isinstance(frequencies, FrequencyTable):
-        if frequencies.n_states != ensemble.size:
-            raise ValueError(
-                f"table has {frequencies.n_states} states, ensemble has {ensemble.size}"
-            )
-        n_outcomes = frequencies.n_outcomes
-        cells = frequencies.frequencies()
-    else:
-        cells = dict(frequencies)
-        if n_outcomes is None:
-            n_outcomes = max(j for _, j in cells) + 1
-    d = ensemble.dim
-    by_state: dict[int, list] = {}
-    for (i, j), f in cells.items():
-        by_state.setdefault(int(i), []).append((int(j), float(f)))
-    elements = np.zeros((n_outcomes, d, d), dtype=complex)
-    for i, row in by_state.items():
-        nu = frame_operator(ensemble, i)
-        for j, f in row:
-            elements[j] += f * nu
+        frequencies = frequencies.frequencies()
+    freqs = np.asarray(frequencies, dtype=float)
+    if freqs.ndim != 2 or freqs.shape[0] != ensemble.size:
+        raise ValueError(
+            f"frequencies have shape {freqs.shape}, ensemble has {ensemble.size} states"
+        )
+    elements = frame_sum(freqs.T, ensemble.dual_factors(), ensemble.n_factors)
     return RawEstimate(linalg.hermitize(elements))
 
 
@@ -349,25 +315,20 @@ def bernstein_diagnostics(povm: Povm, ensemble: ProbeEnsemble, subset) -> Bernst
     ``||sum_i p_i nu_i^2 - F^2||`` with ``p_i = <psi_i|F|psi_i>/M`` and F the
     coarse-grained effect. Both are reported shot-free (multiply by 1/N for
     the per-shot quantities) and are certified not to exceed the closed-form
-    bounds d^2 and d^3 + d^2 (global) or 4^n and 10^n (local).
+    bounds d^2 and d^3 + d^2 (global) or 4^n and 10^n (local). Since
+    ``||(x)_k A_k|| = prod_k ||A_k||``, ``k_emp`` is the largest dual factor
+    norm to the power n.
     """
     if povm.dim != ensemble.dim:
         raise ValueError("dimension mismatch")
-    m = ensemble.size
-    if m > ENUMERATION_CAP:
-        raise ValueError("ensemble too large to enumerate for diagnostics")
+    n = ensemble.n_factors
     effect = coarse_grain(povm, subset)
-    k_emp = 0.0
-    second_moment = np.zeros_like(effect)
-    for i in range(m):
-        nu = frame_operator(ensemble, i)
-        psi = ensemble.state(i)
-        p_i = float((psi.conj() @ effect @ psi).real) / m
-        k_emp = max(k_emp, linalg.matrix_norm(nu, "spectral"))
-        second_moment += p_i * (nu @ nu)
+    dual = ensemble.dual_factors()
+    k_emp = float(np.max(np.abs(np.linalg.eigvalsh(dual)))) ** n
+    p = frame_traces(effect[None], ensemble.projector_factors(), n) / ensemble.size
+    second_moment = frame_sum(p, dual @ dual, n)[0]
     sigma2_emp = linalg.matrix_norm(linalg.hermitize(second_moment - effect @ effect), "spectral")
     if ensemble.kind == "local":
-        n = ensemble.n_qubits
         k_bound, sigma2_bound = float(4**n), float(10**n)
     else:
         d = ensemble.dim
@@ -389,16 +350,18 @@ def spec_hash(spec: dict) -> str:
 def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) -> None:
     """Write counts as CSV plus a `<path>.meta.json` sidecar.
 
-    The CSV has header ``state_index,outcome_index,count`` with rows sorted
-    by cell; the sidecar records M, L, N and, when given, the ensemble spec
-    and its hash so ingestion can verify compatibility.
+    The CSV has header ``state_index,outcome_index,count`` and one row per
+    nonzero cell in row-major order; the sidecar records M, L, N and, when
+    given, the ensemble spec and its hash so ingestion can verify
+    compatibility.
     """
     path = str(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["state_index", "outcome_index", "count"])
-        for (i, j) in sorted(table.counts):
-            writer.writerow([i, j, table.counts[(i, j)]])
+        states, outcomes = np.nonzero(table.counts)
+        cells = table.counts[states, outcomes]
+        writer.writerows(zip(states.tolist(), outcomes.tolist(), cells.tolist()))
     meta = {
         "n_states": table.n_states,
         "n_outcomes": table.n_outcomes,
@@ -413,11 +376,12 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
 
 
 def load_counts(path) -> tuple[FrequencyTable, dict]:
-    """Read a counts CSV and its sidecar; returns (table, metadata)."""
+    """Read a counts CSV and its sidecar; returns (table, metadata). Repeated cells add up."""
     path = str(path)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
-    counts = {}
+    n_states, n_outcomes = meta["n_states"], meta["n_outcomes"]
+    counts = np.zeros((n_states, n_outcomes), dtype=np.int64)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -425,6 +389,7 @@ def load_counts(path) -> tuple[FrequencyTable, dict]:
             raise ValueError(f"unexpected counts header: {header}")
         for row in reader:
             i, j, c = int(row[0]), int(row[1]), int(row[2])
-            counts[(i, j)] = counts.get((i, j), 0) + c
-    table = FrequencyTable(meta["n_states"], meta["n_outcomes"], meta["n_shots"], counts)
-    return table, meta
+            if not (0 <= i < n_states and 0 <= j < n_outcomes):
+                raise ValueError(f"cell ({i}, {j}) outside {n_states} x {n_outcomes}")
+            counts[i, j] += c
+    return FrequencyTable(counts, meta["n_shots"]), meta

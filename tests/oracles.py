@@ -51,7 +51,3 @@ def random_hermitian(d, rng, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (a + a.conj().T) / 2
 
-
-def random_psd(d, rng, scale=1.0):
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return scale * (a @ a.conj().T)

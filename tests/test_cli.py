@@ -84,6 +84,47 @@ def test_reconstruct_from_counts_and_hash_check(tmp_path):
     assert code == 1
 
 
+def _assert_rejected_before_work(code, capsys, out_dir):
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError"
+    assert not (out_dir / "estimated_povm.json").exists()
+    return record["error"]["message"]
+
+
+def test_from_counts_requires_sidecar_hash(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    counts = tmp_path / "run" / "counts.csv"
+    sidecar = counts.parent / "counts.csv.meta.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["ensemble_spec"], meta["ensemble_spec_sha256"]
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    out = tmp_path / "ingest"
+    code = cli.main(["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out", str(out)])
+    assert "ensemble_spec_sha256" in _assert_rejected_before_work(code, capsys, out)
+
+
+def test_from_counts_rejects_outcome_mismatch(tmp_path, capsys):
+    path = write_config(tmp_path)  # a two-outcome target
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    counts = tmp_path / "run" / "counts.csv"
+    other = write_config(tmp_path, povm={"kind": "random", "dim": 2, "outcomes": 3, "seed": 1})
+    capsys.readouterr()
+    out = tmp_path / "ingest"
+    code = cli.main(["reconstruct", "--config", str(other), "--from-counts", str(counts), "--out", str(out)])
+    assert "outcomes" in _assert_rejected_before_work(code, capsys, out)
+
+
+def test_reconstruct_beyond_exact_outcome_cap(tmp_path, capsys):
+    path = write_config(tmp_path, povm={"kind": "random", "dim": 2, "outcomes": 25, "seed": 3}, shots=20000)
+    assert cli.main(["reconstruct", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["distances"]["d_op_kind"] == "op_lower"
+    assert report["distances"]["d_op"] <= report["distances"]["spec_sum"]
+
+
 def test_seed_and_shot_overrides(tmp_path):
     path = write_config(tmp_path)
     config = load_config(path, {"seed": 9, "shots": 123})

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from povmtomo import frames
+from povmtomo import frames, povm
 from oracles import random_hermitian
 
 
@@ -168,3 +168,35 @@ def test_local_product_states_match_multi_index():
     psi = ensemble.state(7)  # multi-index (1, 1) -> |1> x |1>
     assert ensemble.multi_index(7) == (1, 1)
     np.testing.assert_allclose(psi, [0, 0, 0, 1], atol=1e-14)
+
+
+KERNEL_ENSEMBLES = [
+    *(pytest.param(lambda n=n: frames.pauli6_product(n), id=f"pauli6-n{n}") for n in (1, 2, 3)),
+    *(pytest.param(lambda n=n: frames.sic_qubit_product(n), id=f"sicprod-n{n}") for n in (1, 2)),
+    *(pytest.param(lambda d=d: frames.mub_ensemble(d), id=f"mub-d{d}") for d in (2, 3, 5)),
+    pytest.param(lambda: frames.explicit_ensemble(frames.stabilizer_states(2)), id="stabilizer-d4"),
+    pytest.param(frames.sic_qubit_ensemble, id="sic_qubit"),
+]
+
+
+@pytest.mark.parametrize("make_ensemble", KERNEL_ENSEMBLES)
+def test_frame_kernels_match_oracles(make_ensemble):
+    ensemble = make_ensemble()
+    n, m = ensemble.n_factors, ensemble.size
+    rng = np.random.default_rng(m)
+    weights = rng.uniform(-1.0, 1.0, size=(3, m)) / m
+    nus = [frames.frame_operator(ensemble, i) for i in range(m)]
+    expected = np.einsum("ji,iab->jab", weights, np.array(nus))
+    got = frames.frame_sum(weights, ensemble.dual_factors(), n)
+    assert np.max(np.abs(got - expected)) < 1e-10
+
+    target = povm.random_povm(ensemble.dim, 3, (m, 1))
+    born = np.array([povm.born(target, ensemble.state(i)) for i in range(m)]).T
+    traces = frames.frame_traces(target.elements, ensemble.projector_factors(), n)
+    assert np.max(np.abs(traces - born)) < 1e-10
+
+    # the transpose on general Hermitian operators: tr(A_j nu_i)
+    ops = np.array([random_hermitian(ensemble.dim, rng) for _ in range(2)])
+    expected = np.array([[np.trace(a @ nu).real for nu in nus] for a in ops])
+    got = frames.frame_traces(ops, ensemble.dual_factors(), n)
+    assert np.max(np.abs(got - expected)) < 1e-10

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmtomo import linalg
-from oracles import random_hermitian, random_psd
+from oracles import random_hermitian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -61,52 +61,6 @@ def test_norm_ordering():
             trace = linalg.matrix_norm(a, "trace")
             assert spectral <= frobenius + 1e-12
             assert frobenius <= trace + 1e-12
-
-
-def test_psd_project_clips_eigenvalues():
-    out = linalg.psd_project(np.diag([1.0, -1.0]).astype(complex))
-    np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-14)
-
-
-def test_psd_project_fixed_point_and_idempotent():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        psd = random_psd(3, rng)
-        np.testing.assert_allclose(linalg.psd_project(psd), psd, atol=1e-10)
-        a = random_hermitian(4, rng)
-        once = linalg.psd_project(a)
-        twice = linalg.psd_project(once)
-        assert np.linalg.norm(twice - once) <= 1e-10
-
-
-def test_psd_project_is_nearest_psd():
-    # dominance over independently sampled PSD candidates, 2x2
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = random_hermitian(2, rng)
-        projected = linalg.psd_project(a)
-        best = np.linalg.norm(a - projected)
-        for _ in range(500):
-            candidate = random_psd(2, rng, scale=rng.uniform(0.01, 2.0))
-            assert np.linalg.norm(a - candidate) >= best - 1e-12
-
-
-def test_psd_project_grid_oracle_2x2():
-    # dense grid over the PSD parameterization [[x, c],[conj(c), y]]
-    a = np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.6]])
-    projected = linalg.psd_project(a)
-    best = np.linalg.norm(a - projected)
-    grid = np.linspace(0, 1.5, 28)
-    cs = np.linspace(-0.8, 0.8, 23)
-    for x in grid:
-        for y in grid:
-            cap = np.sqrt(x * y)
-            for cr in cs:
-                for ci in cs:
-                    if cr * cr + ci * ci > cap * cap:
-                        continue
-                    candidate = np.array([[x, cr + 1j * ci], [cr - 1j * ci, y]])
-                    assert np.linalg.norm(a - candidate) >= best - 1e-9
 
 
 def test_kron_basics():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -18,14 +19,23 @@ from oracles import simplex_project
 
 
 def test_frequency_table_invariants():
-    table = FrequencyTable(4, 2, 10, {(0, 0): 4, (1, 1): 6})
-    assert sum(table.frequencies().values()) == pytest.approx(1.0, abs=1e-12)
+    counts = np.zeros((4, 2), dtype=np.int64)
+    counts[0, 0], counts[1, 1] = 4, 6
+    table = FrequencyTable(counts, 10)
+    assert (table.n_states, table.n_outcomes) == (4, 2)
+    assert table.frequencies().sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        FrequencyTable(4, 2, 10, {(0, 0): 4})  # counts don't sum to N
+        table.counts[0, 0] = 5  # the table is read-only
+    counts[0, 0] = 0
     with pytest.raises(ValueError):
-        FrequencyTable(4, 2, 10, {(0, 0): 11, (5, 0): -1})
+        FrequencyTable(counts, 10)  # counts don't sum to N
+    counts[0, 0], counts[3, 0] = 11, -1
     with pytest.raises(ValueError):
-        FrequencyTable(4, 2, 10, {(4, 0): 10})  # state index out of range
+        FrequencyTable(counts, 10)  # negative count
+    with pytest.raises(ValueError):
+        FrequencyTable(np.array([[2**62, 2**62], [2**62, 2**62 + 1]]), 1)  # int64 sum wraps to 1
+    with pytest.raises(ValueError):
+        FrequencyTable(np.full((4, 2), 1.25), 10)  # not integer counts
 
 
 def test_simulate_deterministic_branch():
@@ -33,9 +43,9 @@ def test_simulate_deterministic_branch():
     ensemble = frames.pauli6_product(1)
     table = simulate_shots(comp, ensemble, 5000, 3)
     # probe 0 is |0> and can only produce outcome 0; probe 1 is |1> -> outcome 1
-    assert (0, 1) not in table.counts
-    assert (1, 0) not in table.counts
-    assert sum(table.frequencies().values()) == pytest.approx(1.0, abs=1e-12)
+    assert table.counts[0, 1] == 0
+    assert table.counts[1, 0] == 0
+    assert table.frequencies().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simulate_binomial_concentration():
@@ -43,7 +53,7 @@ def test_simulate_binomial_concentration():
     ensemble = frames.pauli6_product(1)
     n_shots = 100_000
     table = simulate_shots(flat, ensemble, n_shots, 12)
-    dense = table.dense_counts()
+    dense = table.counts
     stderr = 0.5 / math.sqrt(n_shots)
     for j in (0, 1):
         freq = dense[:, j].sum() / n_shots
@@ -55,9 +65,9 @@ def test_simulate_is_deterministic():
     ensemble = frames.pauli6_product(1)
     a = simulate_shots(target, ensemble, 2000, 99)
     b = simulate_shots(target, ensemble, 2000, 99)
-    assert a.counts == b.counts
+    assert np.array_equal(a.counts, b.counts)
     c = simulate_shots(target, ensemble, 2000, 100)
-    assert a.counts != c.counts
+    assert not np.array_equal(a.counts, c.counts)
 
 
 def test_simulate_dimension_mismatch():
@@ -92,7 +102,9 @@ def test_lse_elements_sum_to_identity_on_exact_input():
 
 def test_lse_single_cell():
     ensemble = frames.pauli6_product(1)
-    raw = lse_estimate({(2, 1): 1.0}, ensemble, n_outcomes=3)
+    freqs = np.zeros((6, 3))
+    freqs[2, 1] = 1.0
+    raw = lse_estimate(freqs, ensemble)
     nu = frames.frame_operator(ensemble, 2)
     np.testing.assert_allclose(raw.elements[1], nu, atol=1e-12)
     np.testing.assert_allclose(raw.elements[0], 0, atol=1e-12)
@@ -101,7 +113,7 @@ def test_lse_single_cell():
 
 def test_lse_shape_mismatch():
     ensemble = frames.pauli6_product(1)
-    table = FrequencyTable(4, 2, 4, {(0, 0): 4})
+    table = FrequencyTable(np.array([[4, 0], [0, 0], [0, 0], [0, 0]]), 4)  # 4 states, M = 6
     with pytest.raises(ValueError):
         lse_estimate(table, ensemble)
 
@@ -313,9 +325,39 @@ def test_counts_roundtrip(tmp_path):
     path = tmp_path / "counts.csv"
     tomography.save_counts(table, path, ensemble_spec=spec)
     loaded, meta = tomography.load_counts(path)
-    assert loaded.counts == table.counts
+    assert np.array_equal(loaded.counts, table.counts)
     assert loaded.n_shots == table.n_shots
     assert meta["ensemble_spec_sha256"] == tomography.spec_hash(spec)
+
+
+def test_load_counts_checks_cells(tmp_path):
+    path = tmp_path / "counts.csv"
+    meta = {"n_states": 4, "n_outcomes": 2, "n_shots": 10}
+    (tmp_path / "counts.csv.meta.json").write_text(json.dumps(meta))
+    path.write_text("state_index,outcome_index,count\n0,0,4\n1,1,5\n1,1,1\n")
+    table, _ = tomography.load_counts(path)
+    assert table.counts.tolist() == [[4, 0], [0, 6], [0, 0], [0, 0]]  # repeated cells add up
+    path.write_text("state_index,outcome_index,count\n0,0,4\n4,0,6\n")
+    with pytest.raises(ValueError, match="outside"):
+        tomography.load_counts(path)  # state index out of range
+    path.write_text("state_index,outcome_index,count\n0,0,4\n1,2,6\n")
+    with pytest.raises(ValueError, match="outside"):
+        tomography.load_counts(path)  # outcome index out of range
+
+
+def test_seven_qubit_pipeline():
+    # M = 6**7 = 279,936 probe states, contracted without enumerating them
+    ensemble = frames.pauli6_product(7)
+    target = povm.random_povm(128, 3, 7)
+    table = simulate_shots(target, ensemble, 20_000, 7)
+    assert table.counts.shape == (6**7, 3)
+    assert table.counts.sum() == 20_000
+    raw = lse_estimate(table, ensemble)
+    # tr(nu_i) = 2**n for every probe, so the estimate's total trace is d
+    assert np.trace(raw.elements.sum(axis=0)).real == pytest.approx(128, rel=1e-12)
+    report = bernstein_diagnostics(target, ensemble, [0])
+    assert report.k_emp == pytest.approx(4**7, rel=1e-12)
+    assert report.sigma2_emp <= 10**7
 
 
 def test_monotone_error_decay():
