@@ -225,6 +225,11 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> ScalingResult:
     if trials < 5:
         raise ValueError("need >= 5 trials per shot count")
     target, ensemble = config.build()
+    if target.outcomes > distances.MAX_EXACT_OUTCOMES:
+        raise ValueError(
+            f"scaling needs the exact d_op, which is capped at "
+            f"{distances.MAX_EXACT_OUTCOMES} outcomes; the target has {target.outcomes}"
+        )
     rows = []
     medians_op, medians_av = [], []
     for n_index, n_shots in enumerate(n_list):
@@ -340,6 +345,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_packing(args) -> int:
+    header = ["kind", "dim", "outcomes", "epsilon", "members", "seed", "min_pairwise", "threshold", "ok"]
     rows = []
     for seed_offset in range(args.seeds):
         family = packing_lab.build_packing(
@@ -347,41 +353,26 @@ def _cmd_packing(args) -> int:
         )
         report = packing_lab.verify_separation(family)
         rows.append(
-            {
-                "kind": args.kind,
-                "dim": args.dim,
-                "outcomes": args.outcomes,
-                "epsilon": args.epsilon,
-                "members": args.members,
-                "seed": seed_offset,
-                "min_pairwise": report.min_pairwise,
-                "threshold": report.threshold,
-                "ok": report.ok,
-            }
+            [
+                args.kind,
+                args.dim,
+                args.outcomes,
+                args.epsilon,
+                args.members,
+                seed_offset,
+                repr(report.min_pairwise),
+                repr(report.threshold),
+                int(report.ok),
+            ]
         )
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         with open(out_dir / "packing.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["kind", "dim", "outcomes", "epsilon", "members", "seed", "min_pairwise", "threshold", "ok"]
-            )
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["kind"],
-                        row["dim"],
-                        row["outcomes"],
-                        row["epsilon"],
-                        row["members"],
-                        row["seed"],
-                        repr(row["min_pairwise"]),
-                        repr(row["threshold"]),
-                        int(row["ok"]),
-                    ]
-                )
-    n_ok = sum(row["ok"] for row in rows)
+            writer.writerow(header)
+            writer.writerows(rows)
+    n_ok = sum(row[-1] for row in rows)
     print(json.dumps({"ok_seeds": n_ok, "total_seeds": len(rows)}))
     return 0 if n_ok == len(rows) else 1
 

@@ -25,6 +25,7 @@ from ._rng import make_rng
 from .povm import Povm, _as_element_stack
 
 MAX_EXACT_OUTCOMES = 24
+SUBSET_CHUNK_ELEMENTS = 1 << 16  # matrix entries per stacked eigenvalue solve in d_op_exact
 
 
 @dataclass(frozen=True)
@@ -50,36 +51,40 @@ def _deltas(e, f) -> tuple[np.ndarray, bool]:
     return linalg.hermitize(a - b), both_valid
 
 
+def _subset_norms(bits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Spectral norm of sum_j bits[k, j] D_j for every row k of a 0/1 matrix."""
+    n_bits, d = bits.shape[1], deltas.shape[1]
+    totals = (bits @ deltas[:n_bits].reshape(n_bits, d * d)).reshape(-1, d, d)
+    return linalg.matrix_norm(linalg.hermitize(totals), "spectral")
+
+
 def d_op_exact(e, f) -> DistanceReport:
     """Operational distance: max over outcome subsets of the grouped-effect gap.
 
     For valid POVM pairs the effect differences sum to zero, so a subset and
     its complement give equal norms; enumeration then covers only the 2^(L-1)
     subsets excluding the last outcome. Raw estimates are enumerated in full.
+    Subsets are taken in Gray-code order, ``SUBSET_CHUNK_ELEMENTS // d^2`` at
+    a time; the witness is the first subset in that order to reach the
+    maximum.
     """
     deltas, both_valid = _deltas(e, f)
-    n_outcomes = deltas.shape[0]
+    n_outcomes, d, _ = deltas.shape
     if n_outcomes > MAX_EXACT_OUTCOMES:
         raise ValueError(
             f"L = {n_outcomes} exceeds the exact-enumeration cap "
             f"{MAX_EXACT_OUTCOMES}; use d_op_lower"
         )
     n_bits = n_outcomes - 1 if both_valid else n_outcomes
+    rows = max(1, SUBSET_CHUNK_ELEMENTS // (d * d))
     best, witness = 0.0, ()
-    running = np.zeros(deltas.shape[1:], dtype=complex)
-    prev_gray = 0
-    for k in range(1, 2**n_bits):
-        gray = k ^ (k >> 1)
-        flipped = (gray ^ prev_gray).bit_length() - 1
-        if gray & (1 << flipped):
-            running = running + deltas[flipped]
-        else:
-            running = running - deltas[flipped]
-        prev_gray = gray
-        value = linalg.matrix_norm(linalg.hermitize(running), "spectral")
-        if value > best:
-            best = value
-            witness = tuple(j for j in range(n_outcomes) if gray & (1 << j))
+    for start in range(1, 2**n_bits, rows):
+        k = np.arange(start, min(start + rows, 2**n_bits))
+        bits = ((k ^ (k >> 1))[:, None] >> np.arange(n_bits)) & 1
+        norms = _subset_norms(bits, deltas)
+        top = int(np.argmax(norms))
+        if norms[top] > best:
+            best, witness = float(norms[top]), tuple(np.flatnonzero(bits[top]).tolist())
     return DistanceReport(best, "op_exact", witness)
 
 
@@ -96,27 +101,17 @@ def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
     n_outcomes = deltas.shape[0]
     rng = make_rng(seed)
 
-    candidates = {(j,) for j in range(n_outcomes)}
-    for k in range(n_outcomes):
-        eigenvalues, eigenvectors = np.linalg.eigh(deltas[k])
-        top = eigenvectors[:, int(np.argmax(np.abs(eigenvalues)))]
-        scores = np.einsum("k,jkl,l->j", top.conj(), deltas, top).real
-        aligned = tuple(j for j in range(n_outcomes) if scores[j] > 0)
-        if aligned:
-            candidates.add(aligned)
-    for _ in range(n_subsets):
-        bits = rng.integers(0, 2, size=n_outcomes)
-        subset = tuple(j for j in range(n_outcomes) if bits[j])
-        if subset:
-            candidates.add(subset)
-
-    best, witness = 0.0, ()
-    for subset in sorted(candidates):
-        total = deltas[list(subset)].sum(axis=0)
-        value = linalg.matrix_norm(linalg.hermitize(total), "spectral")
-        if value > best:
-            best, witness = value, subset
-    return DistanceReport(best, "op_lower", witness)
+    eigenvalues, eigenvectors = np.linalg.eigh(deltas)
+    top_index = np.argmax(np.abs(eigenvalues), axis=-1)[:, None, None]
+    top = np.take_along_axis(eigenvectors, top_index, axis=-1)[..., 0]
+    aligned = np.einsum("ka,jab,kb->kj", top.conj(), deltas, top).real > 0
+    random_bits = rng.integers(0, 2, size=(n_subsets, n_outcomes)) > 0
+    family = np.concatenate([np.eye(n_outcomes, dtype=bool), aligned, random_bits])
+    subsets = sorted({tuple(np.flatnonzero(row).tolist()) for row in family} - {()})
+    bits = np.array([np.isin(np.arange(n_outcomes), subset) for subset in subsets])
+    norms = _subset_norms(bits, deltas)
+    top = int(np.argmax(norms))
+    return DistanceReport(float(norms[top]), "op_lower", subsets[top] if norms[top] > 0.0 else ())
 
 
 def d_op(e, f, seed: int = 0) -> DistanceReport:
@@ -137,16 +132,14 @@ def d_av(e, f) -> DistanceReport:
     """
     deltas, _ = _deltas(e, f)
     d = deltas.shape[1]
-    total = sum(
-        float(np.linalg.norm(delta)) ** 2 + float(np.trace(delta).real) ** 2
-        for delta in deltas
-    )
+    traces = np.trace(deltas, axis1=1, axis2=2).real
+    total = np.sum(linalg.matrix_norm(deltas, "frobenius") ** 2 + traces**2)
     return DistanceReport(float(np.sqrt(total / (2 * d))), "av", None)
 
 
 def upper_surrogates(e, f) -> UpperSurrogates:
     """Per-element norm sums; the spectral sum always dominates d_op."""
     deltas, _ = _deltas(e, f)
-    frob_sum = sum(float(np.linalg.norm(delta)) for delta in deltas)
-    spec_sum = sum(linalg.matrix_norm(delta, "spectral") for delta in deltas)
+    frob_sum = np.sum(linalg.matrix_norm(deltas, "frobenius"))
+    spec_sum = np.sum(linalg.matrix_norm(deltas, "spectral"))
     return UpperSurrogates(float(frob_sum), float(spec_sum))

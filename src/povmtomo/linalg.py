@@ -1,14 +1,13 @@
 """Dense complex linear algebra for Hermitian matrices.
 
-Thin, validating wrappers around LAPACK (via numpy) plus a dimension-capped
-Kronecker product for the one-operator-at-a-time frame oracle. All inputs are
-square complex ndarrays; callers are expected to hermitize with
-:func:`hermitize` before using the eigenvalue-based operations.
+Validating norms that take one square matrix or a (..., d, d) stack of them
+and make one stacked LAPACK call (via numpy), plus a dimension-capped
+Kronecker product for the one-operator-at-a-time frame oracle. Callers are
+expected to hermitize with :func:`hermitize` before using the
+eigenvalue-based norms.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,14 +15,6 @@ HERMITICITY_TOL = 1e-9
 KRON_DIM_CAP = 256
 
 NORM_KINDS = ("spectral", "frobenius", "trace")
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition V diag(w) V^dagger with eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -42,8 +33,14 @@ def require_square(a) -> np.ndarray:
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    a = require_square(a)
-    deviation = np.linalg.norm(a - a.conj().T)
+    """A finite square matrix, or a (..., d, d) stack of them, each with
+    ``||A - A^dagger||_F <= tol``."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix has non-finite entries")
+    deviation = float(np.max(np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)), initial=0.0))
     if deviation > tol:
         raise ValueError(
             f"matrix is not Hermitian: ||A - A^dagger||_F = {deviation:.3e} exceeds {tol:.1e}"
@@ -51,32 +48,22 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     return a
 
 
-def herm_eig(a, tol: float = HERMITICITY_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Rejects non-square input and input whose anti-Hermitian part exceeds
-    ``tol`` in Frobenius norm.
-    """
-    a = require_hermitian(a, tol)
-    eigenvalues, eigenvectors = np.linalg.eigh(hermitize(a))
-    return HermitianEig(eigenvalues, eigenvectors)
-
-
-def matrix_norm(a, kind: str) -> float:
+def matrix_norm(a, kind: str) -> float | np.ndarray:
     """Matrix norm: ``spectral`` (max |eigenvalue|), ``frobenius``, or ``trace``.
 
-    The spectral and trace kinds are eigenvalue-based and require Hermitian
-    input; the Frobenius norm is entrywise and accepts any matrix.
+    A (d, d) input gives a float; a (..., d, d) stack gives one norm per
+    matrix, from one stacked eigenvalue solve. The spectral and trace kinds
+    are eigenvalue-based and require each matrix to be Hermitian; the
+    Frobenius norm is entrywise and accepts any matrix.
     """
     if kind == "frobenius":
-        return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-    if kind == "spectral":
-        w = herm_eig(a).eigenvalues
-        return float(np.max(np.abs(w)))
-    if kind == "trace":
-        w = herm_eig(a).eigenvalues
-        return float(np.sum(np.abs(w)))
-    raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+        value = np.linalg.norm(np.asarray(a, dtype=complex), axis=(-2, -1))
+    elif kind in ("spectral", "trace"):
+        w = np.abs(np.linalg.eigvalsh(hermitize(require_hermitian(a))))
+        value = w.max(axis=-1) if kind == "spectral" else w.sum(axis=-1)
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+    return float(value) if value.ndim == 0 else value
 
 
 def kron(a, b, max_dim: int = KRON_DIM_CAP) -> np.ndarray:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from ._rng import haar_isometry, make_rng
 from .distances import d_av, d_op_exact
 from .povm import Povm, leading_projector, packing_av_povm, packing_op_povm
@@ -59,10 +60,6 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return haar_isometry(d, d, make_rng(seed))
-
-
-def _trace_norm(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2))))
 
 
 def build_packing(
@@ -112,10 +109,8 @@ def build_packing(
             n_draws += 1
             u = haar_isometry(d, d, rng)
             candidate = u @ projector @ u.conj().T
-            if any(
-                _trace_norm(candidate - other) / d < TRACE_NORM_THRESHOLD
-                for other in rotated
-            ):
+            gaps = linalg.matrix_norm(candidate - np.reshape(rotated, (-1, d, d)), "trace") / d
+            if np.any(gaps < TRACE_NORM_THRESHOLD):
                 n_rejected += 1
                 continue
             rotated.append(candidate)

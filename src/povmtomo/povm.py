@@ -50,9 +50,7 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
     ``||sum_j E_j - I||_F <= tol``. The report is returned either way.
     """
     arr = _as_element_stack(candidate)
-    min_eig = min(
-        float(np.linalg.eigvalsh(linalg.hermitize(e))[0]) for e in arr
-    )
+    min_eig = float(np.linalg.eigvalsh(linalg.hermitize(arr))[:, 0].min())
     residual = float(np.linalg.norm(arr.sum(axis=0) - np.eye(arr.shape[1])))
     return ValidationReport(min_eig >= -tol and residual <= tol, min_eig, residual)
 
@@ -87,11 +85,7 @@ class RawEstimate:
     """An unconstrained tuple of Hermitian matrices (no positivity required)."""
 
     def __init__(self, elements, tol: float = RAW_HERMITICITY_TOL):
-        arr = _as_element_stack(elements).copy()
-        for e in arr:
-            dev = float(np.linalg.norm(e - e.conj().T))
-            if dev > tol:
-                raise ValueError(f"raw element is not Hermitian: deviation {dev:.3e}")
+        arr = linalg.require_hermitian(_as_element_stack(elements), tol).copy()
         arr.flags.writeable = False
         self.elements = arr
         self.outcomes = arr.shape[0]

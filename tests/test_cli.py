@@ -125,6 +125,19 @@ def test_reconstruct_beyond_exact_outcome_cap(tmp_path, capsys):
     assert report["distances"]["d_op"] <= report["distances"]["spec_sum"]
 
 
+def test_scaling_beyond_exact_outcome_cap_fails_before_work(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, povm={"kind": "random", "dim": 2, "outcomes": 25, "seed": 3})
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_shots", lambda *args: simulated.append(args))
+    out = tmp_path / "scal"
+    code = cli.main(["scaling", "--config", str(path), "--n-list", "100,200,400", "--trials", "5", "--out", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError" and "24" in record["error"]["message"]
+    assert not (out / "scaling.csv").exists()
+    assert simulated == []
+
+
 def test_seed_and_shot_overrides(tmp_path):
     path = write_config(tmp_path)
     config = load_config(path, {"seed": 9, "shots": 123})
@@ -250,9 +263,14 @@ def test_packing_command(tmp_path, capsys):
         ]
     )
     assert code == 0
-    lines = (tmp_path / "packing.csv").read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("kind,dim,outcomes")
+    lines = (tmp_path / "packing.csv").read_bytes().decode().split("\r\n")
+    assert lines[0] == "kind,dim,outcomes,epsilon,members,seed,min_pairwise,threshold,ok"
+    assert lines[3:] == [""]
+    for seed, line in enumerate(lines[1:3]):
+        fields = line.split(",")
+        assert fields[:6] == ["op", "4", "2", "0.4", "4", str(seed)]
+        assert fields[6] == repr(float(fields[6])) and float(fields[6]) >= 0.05
+        assert fields[7:] == ["0.05", "1"]
 
 
 def test_cli_error_record(tmp_path, capsys):

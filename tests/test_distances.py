@@ -42,7 +42,7 @@ def test_depolarized_distances_are_half_p():
         assert d_av(comp, noisy).value == pytest.approx(p / 2, abs=1e-9)
 
 
-def test_exact_matches_full_enumeration_oracle():
+def test_exact_matches_full_enumeration_oracle(monkeypatch):
     rng = np.random.default_rng(17)
     for trial in range(20):
         d = int(rng.choice([2, 3]))
@@ -51,6 +51,14 @@ def test_exact_matches_full_enumeration_oracle():
         f = random_povm(d, n_outcomes, (71, trial))
         expected = subset_enumeration_d_op(e.elements, f.elements)
         assert d_op_exact(e, f).value == pytest.approx(expected, abs=1e-12)
+    # 31 subsets in chunks of 4 rows: the maximum must survive chunk boundaries
+    e = random_povm(3, 6, (70, 20))
+    f = random_povm(3, 6, (71, 20))
+    whole = d_op_exact(e, f)
+    monkeypatch.setattr(distances, "SUBSET_CHUNK_ELEMENTS", 4 * 3 * 3)
+    chunked = d_op_exact(e, f)
+    assert chunked.value == pytest.approx(subset_enumeration_d_op(e.elements, f.elements), abs=1e-12)
+    assert chunked.value == whole.value and chunked.witness == whole.witness
 
 
 def test_witness_achieves_the_maximum():

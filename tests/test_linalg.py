@@ -7,40 +7,22 @@ from oracles import random_hermitian
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
-def test_herm_eig_diagonal():
-    eig = linalg.herm_eig(np.diag([2.0, -1.0]).astype(complex))
-    np.testing.assert_allclose(eig.eigenvalues, [-1.0, 2.0])
-
-
-def test_herm_eig_pauli_x():
-    eig = linalg.herm_eig(PAULI_X)
-    np.testing.assert_allclose(eig.eigenvalues, [-1.0, 1.0], atol=1e-14)
-    # eigenvectors are (|0> -+ |1>)/sqrt2 up to phase
-    for col, sign in zip(eig.eigenvectors.T, (-1, 1)):
-        ratio = col[1] / col[0]
-        np.testing.assert_allclose(ratio, sign, atol=1e-12)
-
-
-def test_herm_eig_reconstruction_and_unitarity():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 4, 8):
-        for _ in range(30):
-            a = random_hermitian(d, rng)
-            eig = linalg.herm_eig(a)
-            v = eig.eigenvectors
-            np.testing.assert_allclose(v.conj().T @ v, np.eye(d), atol=1e-10)
-            recon = (v * eig.eigenvalues) @ v.conj().T
-            assert np.linalg.norm(recon - a) <= 1e-9
-            assert np.all(np.diff(eig.eigenvalues) >= -1e-12)
-
-
-def test_herm_eig_rejects_bad_input():
-    with pytest.raises(ValueError):
-        linalg.herm_eig(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        linalg.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        linalg.herm_eig(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+def test_matrix_norm_rejects_bad_input():
+    good = np.stack([PAULI_X, np.eye(2, dtype=complex)])
+    for bad in (
+        np.ones((2, 3)),
+        np.array([[0, 1], [0, 0]], dtype=complex),
+        np.array([[np.nan, 0], [0, 1]], dtype=complex),
+    ):
+        with pytest.raises(ValueError):
+            linalg.matrix_norm(bad, "spectral")
+    for bad in (
+        np.ones((3, 2, 3)),
+        np.concatenate([good, [[[0, 1], [0, 0]]]]),
+        np.concatenate([good, [[[np.nan, 0], [0, 1]]]]),
+    ):
+        with pytest.raises(ValueError):
+            linalg.matrix_norm(bad, "trace")
 
 
 def test_matrix_norm_values():
@@ -49,6 +31,16 @@ def test_matrix_norm_values():
     assert linalg.matrix_norm(np.eye(3, dtype=complex), "frobenius") == pytest.approx(np.sqrt(3))
     with pytest.raises(ValueError):
         linalg.matrix_norm(PAULI_X, "nuclear")
+
+
+def test_matrix_norm_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(13)
+    stack = np.array([random_hermitian(3, rng) for _ in range(12)]).reshape(3, 4, 3, 3)
+    for kind in linalg.NORM_KINDS:
+        norms = linalg.matrix_norm(stack, kind)
+        assert norms.shape == (3, 4)
+        expected = [linalg.matrix_norm(a, kind) for a in stack.reshape(12, 3, 3)]
+        np.testing.assert_allclose(norms.ravel(), expected, rtol=1e-14)
 
 
 def test_norm_ordering():

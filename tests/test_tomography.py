@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from povmtomo import frames, povm, tomography
 from povmtomo.tomography import (
@@ -206,6 +209,62 @@ def test_projection_matches_sdp_oracle(metric):
         assert np.max(np.abs(projected.elements - reference)) < 2e-5
 
 
+PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def hermitian_stacks(draw, count):
+    """``count`` Hermitian (L, d, d) stacks of one drawn shape, entries in [-2, 2]."""
+    n_outcomes, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    parts = draw(hnp.arrays(np.float64, (count, 2, n_outcomes, d, d), elements=st.floats(-2, 2)))
+    stacks = parts[:, 0] + 1j * parts[:, 1]
+    return (stacks + stacks.conj().swapaxes(-1, -2)) / 2
+
+
+def metric_inner(x, y, metric):
+    """The inner product whose norm the projection in ``metric`` minimizes."""
+    value = np.sum((x.conj() * y).real)
+    if metric == "dav":
+        value += np.sum(np.trace(x, axis1=1, axis2=2).real * np.trace(y, axis1=1, axis2=2).real)
+    return value
+
+
+def project(raw, metric):
+    return project_onto_povms(raw, ProjectionOptions(metric=metric))[0].elements
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+@PROPERTY_SETTINGS
+@given(stacks=hermitian_stacks(1))
+def test_projection_is_idempotent(metric, stacks):
+    once = project(stacks[0], metric)
+    np.testing.assert_allclose(project(once, metric), once, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+@PROPERTY_SETTINGS
+@given(stacks=hermitian_stacks(2))
+def test_projection_is_non_expansive(metric, stacks):
+    a, b = stacks
+    gap = project(a, metric) - project(b, metric)
+    assert metric_inner(gap, gap, metric) ** 0.5 <= metric_inner(a - b, a - b, metric) ** 0.5 + 1e-8
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+@PROPERTY_SETTINGS
+@given(stacks=hermitian_stacks(1), seed=st.integers(0, 2**16))
+def test_projection_variational_inequality(metric, stacks, seed):
+    # <A - P(A), Y - P(A)> <= 0 for every Y in the convex set of valid POVMs;
+    # Y ranges over the vertices {E_k = I, E_j = 0 else} and random POVMs
+    a = stacks[0]
+    projected = project(a, metric)
+    n_outcomes, d, _ = a.shape
+    vertices = np.eye(n_outcomes)[:, :, None, None] * np.eye(d)
+    randoms = [povm.random_povm(d, n_outcomes, (seed, k)).elements for k in range(4)]
+    for y in [*vertices, *randoms]:
+        assert metric_inner(a - projected, y - projected, metric) <= 1e-8
+
+
 def test_psd_step_dav_properties():
     rng = np.random.default_rng(31)
     for _ in range(200):
@@ -358,6 +417,15 @@ def test_seven_qubit_pipeline():
     report = bernstein_diagnostics(target, ensemble, [0])
     assert report.k_emp == pytest.approx(4**7, rel=1e-12)
     assert report.sigma2_emp <= 10**7
+
+
+def test_bernstein_nine_qubits_at_the_k_bound():
+    # k_emp = 4.000000000000002**9 sits about 1e-9 above 4**9: the bound check must allow it
+    proj = povm.leading_projector(512)
+    target = povm.Povm(np.stack([proj, np.eye(512) - proj]))
+    report = bernstein_diagnostics(target, frames.pauli6_product(9), [0])
+    assert report.k_emp == pytest.approx(4**9, rel=1e-12)
+    assert report.sigma2_emp <= report.sigma2_bound
 
 
 def test_monotone_error_decay():
