@@ -93,11 +93,13 @@ def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
 
     Evaluates all singletons, one greedy subset per outcome (the outcomes
     whose effect gap is positive along the top eigendirection of that
-    outcome's gap), and ``n_subsets`` uniformly random subsets.
+    outcome's gap), and ``n_subsets`` uniformly random subsets. For valid POVM
+    pairs each subset holding the last outcome is replaced by its complement,
+    as in :func:`d_op_exact`, so the witness never contains it.
     """
     if n_subsets < 1:
         raise ValueError("n_subsets must be >= 1")
-    deltas, _ = _deltas(e, f)
+    deltas, both_valid = _deltas(e, f)
     n_outcomes = deltas.shape[0]
     rng = make_rng(seed)
 
@@ -107,7 +109,9 @@ def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
     aligned = np.einsum("ka,jab,kb->kj", top.conj(), deltas, top).real > 0
     random_bits = rng.integers(0, 2, size=(n_subsets, n_outcomes)) > 0
     family = np.concatenate([np.eye(n_outcomes, dtype=bool), aligned, random_bits])
-    subsets = sorted({tuple(np.flatnonzero(row).tolist()) for row in family} - {()})
+    if both_valid:  # a subset and its complement give equal norms: keep the one without outcome L - 1
+        family ^= family[:, -1:]
+    subsets = sorted({tuple(np.flatnonzero(row).tolist()) for row in family})  # () has norm 0
     bits = np.array([np.isin(np.arange(n_outcomes), subset) for subset in subsets])
     norms = _subset_norms(bits, deltas)
     top = int(np.argmax(norms))

@@ -148,30 +148,16 @@ class ProjectionDiagnostics:
     converged: bool
 
 
-def _psd_step_dav(w: np.ndarray) -> np.ndarray:
-    # For each row w of a (..., d) array, minimize
-    # sum_k (z_k - w_k)^2 + (sum_k (z_k - w_k))^2 over z >= 0.
-    # The solution keeps a top segment of the sorted eigenvalues shifted by a
-    # common offset s and zeroes the rest; build all d + 1 segment sizes and
-    # keep the first feasible candidate with the smallest objective.
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    ws = np.take_along_axis(w, order, axis=-1)
-    d = ws.shape[-1]
-    suffix = np.cumsum(ws[..., ::-1], axis=-1)[..., ::-1]  # suffix[..., m] = sum ws[..., m:]
-    suffix = np.concatenate([suffix, np.zeros(ws.shape[:-1] + (1,))], axis=-1)
-    s = -suffix / (1 + np.arange(d + 1))
-    kept = np.arange(d) < np.arange(d + 1)[:, None]  # (segment size m, index k): k < m
-    z = np.where(kept, ws[..., None, :] - s[..., None], 0.0)
-    feasible = np.ones(s.shape, dtype=bool)
-    feasible[..., 1:] = ws - s[..., 1:] >= -1e-12  # smallest kept value of each segment
-    z = np.maximum(z, 0.0)
-    diff = z - ws[..., None, :]
-    # a stacked (1, d) @ (d, 1) product rounds exactly as the BLAS dot of one row
-    objective = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] + diff.sum(axis=-1) ** 2
-    best = np.argmin(np.where(feasible, objective, np.inf), axis=-1)
-    out = np.empty_like(ws)
-    np.put_along_axis(out, order, np.take_along_axis(z, best[..., None, None], axis=-2)[..., 0, :], axis=-1)
-    return out
+def _dav_shift(eigenvalues: np.ndarray) -> np.ndarray:
+    # For each row w of a (..., d) array, z = max(w - S, 0) minimizes
+    # sum_k (z_k - w_k)^2 + (sum_k (z_k - w_k))^2 over z >= 0 (KKT, with
+    # S = sum_k (z_k - w_k)), where S is the root of g(S) = S + sum_k min(w_k, S).
+    # g is strictly increasing and lies below each linear piece
+    # (1 + m) S + (sum of the d - m smallest w_k), so S is the largest root of those pieces.
+    d = eigenvalues.shape[-1]
+    smallest = np.cumsum(np.sort(eigenvalues, axis=-1), axis=-1)  # sum of the k + 1 smallest
+    sums = np.concatenate([np.zeros(eigenvalues.shape[:-1] + (1,)), smallest], axis=-1)
+    return np.max(-sums / np.arange(d + 1, 0, -1), axis=-1, keepdims=True)
 
 
 def project_onto_povms(raw, options: ProjectionOptions | None = None):
@@ -180,12 +166,13 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
     Runs Dykstra's algorithm (correction-variable form) between the product
     of PSD cones and the affine set {sum_j Z_j = I, Z_j Hermitian}. With the
     ``frobenius`` metric this minimizes ``sum_j ||raw_j - Z_j||_F^2``; with
-    ``dav`` it minimizes ``sum_j (||raw_j - Z_j||_F^2 + tr(raw_j - Z_j)^2)``,
-    whose PSD-cone step solves a coupled eigenvalue clip. The affine-step
-    projection coincides for both metrics.
+    ``dav`` it minimizes ``sum_j (||raw_j - Z_j||_F^2 + tr(raw_j - Z_j)^2)``.
+    Both PSD-cone steps are one shifted eigenvalue clip ``max(lambda - S, 0)``,
+    with S = 0 for ``frobenius`` and S from :func:`_dav_shift` for ``dav``;
+    the affine-step projection coincides for both metrics.
 
-    Returns ``(Povm, ProjectionDiagnostics)``; if the iteration cap is hit
-    the best iterate is returned flagged as non-converged.
+    Returns ``(Povm, ProjectionDiagnostics)``. Raises ``RuntimeError`` if the
+    iteration cap is hit before both tolerances are met.
     """
     opts = options or ProjectionOptions()
     arr = (raw if isinstance(raw, (Povm, RawEstimate)) else RawEstimate(raw)).elements.copy()
@@ -195,15 +182,12 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
     x = arr
     p_corr = np.zeros_like(arr)
     q_corr = np.zeros_like(arr)
-    psd_iterate = x
-    iterations = 0
-    converged = False
-    while iterations < opts.max_iterations:
-        iterations += 1
+    for iterations in range(1, opts.max_iterations + 1):
         # PSD cones with correction: one eigendecomposition of the whole stack
         w_in = x + p_corr
         eigenvalues, eigenvectors = np.linalg.eigh(linalg.hermitize(w_in))
-        clipped = np.maximum(eigenvalues, 0.0) if opts.metric == "frobenius" else _psd_step_dav(eigenvalues)
+        shift = 0.0 if opts.metric == "frobenius" else _dav_shift(eigenvalues)
+        clipped = np.maximum(eigenvalues - shift, 0.0)
         psd_iterate = (eigenvectors * clipped[:, None, :]) @ eigenvectors.conj().swapaxes(-1, -2)
         p_corr = w_in - psd_iterate
         # affine set with correction
@@ -215,12 +199,12 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
         x = x_next
         residual = float(np.linalg.norm(psd_iterate.sum(axis=0) - eye))
         if step <= opts.tol_step and residual <= opts.tol_feasibility:
-            converged = True
-            break
-    residual = float(np.linalg.norm(psd_iterate.sum(axis=0) - eye))
-    diagnostics = ProjectionDiagnostics(iterations, residual, converged)
-    tol = 1e-6 if converged else max(1e-6, 10 * residual)
-    return Povm(linalg.hermitize(psd_iterate), tol=tol), diagnostics
+            return Povm(psd_iterate, tol=1e-6), ProjectionDiagnostics(iterations, residual, True)
+    raise RuntimeError(
+        f"projection hit max_iterations = {opts.max_iterations} after {iterations} iterations "
+        f"with residual {residual:.3e} (tol_feasibility {opts.tol_feasibility:.1e}, "
+        f"last step {step:.3e}, tol_step {opts.tol_step:.1e})"
+    )
 
 
 def sample_size(
@@ -365,7 +349,10 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
 
 
 def load_counts(path) -> tuple[FrequencyTable, dict]:
-    """Read a counts CSV and its sidecar; returns (table, metadata). Repeated cells add up."""
+    """Read a counts CSV and its sidecar; returns (table, metadata).
+
+    Repeated cells add up; a negative count is rejected before it can cancel one.
+    """
     path = str(path)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
@@ -380,5 +367,7 @@ def load_counts(path) -> tuple[FrequencyTable, dict]:
             i, j, c = int(row[0]), int(row[1]), int(row[2])
             if not (0 <= i < n_states and 0 <= j < n_outcomes):
                 raise ValueError(f"cell ({i}, {j}) outside {n_states} x {n_outcomes}")
+            if c < 0:
+                raise ValueError(f"row {i},{j},{c}: negative count")
             counts[i, j] += c
     return FrequencyTable(counts, meta["n_shots"]), meta

@@ -24,6 +24,34 @@ def simplex_project(v):
     return np.maximum(v + shift, 0.0)
 
 
+def dav_clip_by_segments(w):
+    """Minimize sum_k (z_k - w_k)^2 + (sum_k (z_k - w_k))^2 over z >= 0, row-wise.
+
+    Segment scan over a (..., d) array: the solution keeps a top segment of
+    the sorted entries shifted by a common offset s and zeroes the rest, so
+    build all d + 1 segment sizes m (s = -(sum of the d - m smallest) / (1 + m))
+    and keep the first feasible candidate with the smallest objective.
+    """
+    w = np.asarray(w, dtype=float)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    ws = np.take_along_axis(w, order, axis=-1)
+    d = ws.shape[-1]
+    suffix = np.cumsum(ws[..., ::-1], axis=-1)[..., ::-1]  # suffix[..., m] = sum ws[..., m:]
+    suffix = np.concatenate([suffix, np.zeros(ws.shape[:-1] + (1,))], axis=-1)
+    s = -suffix / (1 + np.arange(d + 1))
+    kept = np.arange(d) < np.arange(d + 1)[:, None]  # (segment size m, index k): k < m
+    z = np.where(kept, ws[..., None, :] - s[..., None], 0.0)
+    feasible = np.ones(s.shape, dtype=bool)
+    feasible[..., 1:] = ws - s[..., 1:] >= -1e-12  # smallest kept value of each segment
+    z = np.maximum(z, 0.0)
+    diff = z - ws[..., None, :]
+    objective = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0] + diff.sum(axis=-1) ** 2
+    best = np.argmin(np.where(feasible, objective, np.inf), axis=-1)
+    out = np.empty_like(ws)
+    np.put_along_axis(out, order, np.take_along_axis(z, best[..., None, None], axis=-2)[..., 0, :], axis=-1)
+    return out
+
+
 def subset_enumeration_d_op(e_elements, f_elements):
     """Operational distance by explicit full power-set enumeration."""
     deltas = np.asarray(e_elements) - np.asarray(f_elements)

@@ -273,6 +273,16 @@ def test_packing_command(tmp_path, capsys):
         assert fields[7:] == ["0.05", "1"]
 
 
+def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path, shots=200, projection={"metric": "frobenius", "max_iterations": 1})
+    code = cli.main(["reconstruct", "--config", str(path)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "RuntimeError"
+    assert "max_iterations = 1" in record["error"]["message"]
+    assert not (tmp_path / "run" / "estimated_povm.json").exists()
+
+
 def test_cli_error_record(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = cli.main(["reconstruct", "--config", str(missing)])

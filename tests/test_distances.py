@@ -122,6 +122,19 @@ def test_lower_bound_never_exceeds_exact():
         assert lower <= exact + 1e-12
 
 
+def test_lower_bound_witness_excludes_last_outcome_on_valid_pairs():
+    # a subset and its complement tie for valid pairs, so only the one without L - 1 is kept
+    for trial in range(20):
+        n_outcomes = 2 + trial % 8
+        e = random_povm(2 + trial % 3, n_outcomes, (140, trial))
+        f = random_povm(2 + trial % 3, n_outcomes, (141, trial))
+        report = d_op_lower(e, f, n_subsets=16, seed=trial)
+        assert n_outcomes - 1 not in report.witness
+        grouped = povm.coarse_grain(e, report.witness) - povm.coarse_grain(f, report.witness)
+        value = np.max(np.abs(np.linalg.eigvalsh((grouped + grouped.conj().T) / 2)))
+        assert value == pytest.approx(report.value, abs=1e-12)
+
+
 def test_lower_bound_catches_packing_witness():
     proj = povm.leading_projector(4)
     u = haar_unitary(4, 130)

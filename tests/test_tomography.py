@@ -18,7 +18,7 @@ from povmtomo.tomography import (
     sample_size,
     simulate_shots,
 )
-from oracles import simplex_project
+from oracles import dav_clip_by_segments, simplex_project
 
 
 def test_frequency_table_invariants():
@@ -265,33 +265,36 @@ def test_projection_variational_inequality(metric, stacks, seed):
         assert metric_inner(a - projected, y - projected, metric) <= 1e-8
 
 
-def test_psd_step_dav_properties():
+def test_dav_clip_certificate():
+    # max(w - S, 0) with S = _dav_shift(w) equals the segment-scan oracle bit for
+    # bit and meets the KKT conditions of min sum (z - w)^2 + (sum (z - w))^2, z >= 0
     rng = np.random.default_rng(31)
-    for _ in range(200):
-        d = int(rng.integers(1, 7))
-        w = rng.normal(0, 1, size=d)
-        z = tomography._psd_step_dav(w)
+    inputs = [rng.normal(size=5)]  # 1-d input
+    for trial in range(400):
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)))
+        if trial % 3 == 0:
+            w = rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0], size=shape)  # ties and zeros
+        else:
+            w = rng.normal(size=shape) * 10.0 ** rng.uniform(-12, 3)
+        inputs.append(w)
+    for w in inputs:
+        z = np.maximum(w - tomography._dav_shift(w), 0.0)
+        assert np.array_equal(z, dav_clip_by_segments(w))
+        shift = (z - w).sum(axis=-1, keepdims=True)
+        tol = 1e-12 * w.shape[-1] * (1 + np.max(np.abs(w)))
         assert np.all(z >= 0)
-
-        def objective(candidate):
-            diff = candidate - w
-            return diff @ diff + diff.sum() ** 2
-
-        best = objective(z)
-        # dominance over random feasible candidates near and far
-        for _ in range(60):
-            candidate = np.maximum(z + rng.normal(0, rng.uniform(0.01, 1.0), size=d), 0)
-            assert objective(candidate) >= best - 1e-10
-        # frobenius clip is feasible, so it must not beat the dedicated step
-        assert objective(np.maximum(w, 0)) >= best - 1e-12
+        assert np.all(np.abs(np.where(z > 0, z - (w - shift), 0.0)) <= tol)
+        assert np.all(np.where(z > 0, 0.0, w - shift) <= tol)
+    # the dav projection strictly beats the frobenius one in its own objective
+    raw = np.array([np.diag([0.9, 0.6, -0.4]), np.diag([0.5, -0.3, 0.2]), np.diag([-0.2, 0.1, 0.7])])
+    dav, frob = project(raw, "dav"), project(raw, "frobenius")
+    assert metric_inner(raw - dav, raw - dav, "dav") < metric_inner(raw - frob, raw - frob, "dav") - 1e-3
 
 
 def test_projection_iteration_cap_flagged():
     raw = np.array([np.diag([2.0, -1.0]).astype(complex), np.diag([-1.0, 2.0]).astype(complex)])
-    projected, diagnostics = project_onto_povms(raw, ProjectionOptions(max_iterations=2))
-    assert not diagnostics.converged
-    assert diagnostics.iterations == 2
-    assert projected.outcomes == 2
+    with pytest.raises(RuntimeError, match=r"max_iterations = 2 after 2 iterations with residual"):
+        project_onto_povms(raw, ProjectionOptions(max_iterations=2))
 
 
 def test_sample_size_pinned_values():
@@ -402,6 +405,9 @@ def test_load_counts_checks_cells(tmp_path):
     path.write_text("state_index,outcome_index,count\n0,0,4\n1,2,6\n")
     with pytest.raises(ValueError, match="outside"):
         tomography.load_counts(path)  # outcome index out of range
+    path.write_text("state_index,outcome_index,count\n0,0,7\n1,1,6\n0,0,-3\n")
+    with pytest.raises(ValueError, match="row 0,0,-3: negative count"):
+        tomography.load_counts(path)  # a negative row cancelling a repeated one still sums to N
 
 
 def test_seven_qubit_pipeline():
