@@ -186,6 +186,7 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             "iterations": diagnostics.iterations,
             "final_residual": diagnostics.final_residual,
             "converged": diagnostics.converged,
+            "duality_gap": diagnostics.duality_gap,
         },
         "bernstein": {
             "k_emp": bern.k_emp,

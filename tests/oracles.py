@@ -79,3 +79,39 @@ def random_hermitian(d, rng, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (a + a.conj().T) / 2
 
+
+
+def dykstra_projection(raw, metric="frobenius", tol_feasibility=1e-9, tol_step=1e-10, max_iterations=10000):
+    """Metric projection onto the POVMs by Dykstra's alternating projections.
+
+    Correction-variable form between the product of PSD cones and the affine
+    set {sum_j Z_j = I}. The PSD step of each effect keeps its eigenvectors
+    and replaces the eigenvalues w by the nearest nonnegative vector: in the
+    Euclidean norm (``frobenius``) or in sum (z - w)^2 + (sum (z - w))^2
+    (``dav``, by :func:`dav_clip_by_segments`). The affine projection is the
+    same in both metrics. Returns ``(effects, iterations)``.
+    """
+    x = np.array(raw, dtype=complex)
+    n_outcomes, d, _ = x.shape
+    eye = np.eye(d)
+    p_corr = np.zeros_like(x)
+    q_corr = np.zeros_like(x)
+    for iterations in range(1, max_iterations + 1):
+        w_in = x + p_corr
+        eigenvalues, eigenvectors = np.linalg.eigh((w_in + w_in.conj().swapaxes(-1, -2)) / 2)
+        if metric == "frobenius":
+            clipped = np.maximum(eigenvalues, 0.0)
+        else:
+            clipped = dav_clip_by_segments(eigenvalues)
+        psd_iterate = (eigenvectors * clipped[:, None, :]) @ eigenvectors.conj().swapaxes(-1, -2)
+        p_corr = w_in - psd_iterate
+        w_in = psd_iterate + q_corr
+        w_in = (w_in + w_in.conj().swapaxes(-1, -2)) / 2
+        x_next = w_in - (w_in.sum(axis=0) - eye) / n_outcomes
+        q_corr = psd_iterate + q_corr - x_next
+        step = float(np.sqrt(np.sum(np.abs(x_next - x) ** 2)))
+        x = x_next
+        residual = float(np.linalg.norm(psd_iterate.sum(axis=0) - eye))
+        if step <= tol_step and residual <= tol_feasibility:
+            return psd_iterate, iterations
+    raise RuntimeError(f"Dykstra reference hit max_iterations = {max_iterations}")

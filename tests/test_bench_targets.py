@@ -1,18 +1,51 @@
-"""The traced benchmark wraps pipeline functions by (module, attribute) name."""
+"""The benchmark wraps pipeline functions by (module, attribute) name and reads
+solver fields from their results and from report.json."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from povmtomo import cli
+from povmtomo.tomography import project_onto_povms
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
-def test_traced_attributes_resolve():
+@pytest.fixture(scope="module")
+def spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_attributes_resolve(spans):
     missing = [
         f"{module.__name__}.{attr}"
         for module, attr, _, _ in spans.TARGETS
         if not callable(getattr(module, attr, None))
     ]
     assert not missing, f"bench/spans.py wraps attributes that do not exist: {missing}"
+
+
+def test_solver_fields_the_benchmark_reads(spans, tmp_path):
+    # spans._solver reads diagnostics.iterations and diagnostics.converged from
+    # project_onto_povms; run.py reads report["solver"]["converged"]
+    raw = np.array([np.diag([0.7, -0.1]), np.diag([0.4, 1.2])])
+    fields = spans._solver((raw,), {}, project_onto_povms(raw))
+    assert fields["converged"] == 1 and fields["iterations"] >= 1
+    config = {
+        "povm": {"kind": "computational", "dim": 2},
+        "ensemble": {"kind": "pauli6_product", "n_qubits": 1},
+        "shots": 500,
+        "seed": 3,
+        "projection": {"metric": "dav"},
+        "outputs": {"dir": str(tmp_path / "op")},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert cli.main(["reconstruct", "--config", str(tmp_path / "config.json")]) == 0
+    report = json.loads((tmp_path / "op" / "report.json").read_text())
+    assert report["solver"]["converged"] is True

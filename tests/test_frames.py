@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from povmtomo import frames, povm
 from oracles import random_hermitian
@@ -200,3 +202,31 @@ def test_frame_kernels_match_oracles(make_ensemble):
     expected = np.array([[np.trace(a @ nu).real for nu in nus] for a in ops])
     got = frames.frame_traces(ops, ensemble.dual_factors(), n)
     assert np.max(np.abs(got - expected)) < 1e-10
+
+
+ADJOINT_ENSEMBLES = {
+    "pauli6 n=1": frames.pauli6_product(1),
+    "pauli6 n=2": frames.pauli6_product(2),
+    "sic n=2": frames.sic_qubit_product(2),
+    "mub d=3": frames.mub_ensemble(3),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(ADJOINT_ENSEMBLES)),
+    dual=st.booleans(),
+    n_rows=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_frame_traces_is_the_adjoint_of_frame_sum(name, dual, n_rows, seed):
+    # <W, frame_traces(A)> = sum_j tr(A_j frame_sum(W)_j) for Hermitian A_j and real W
+    ensemble = ADJOINT_ENSEMBLES[name]
+    factors = ensemble.dual_factors() if dual else ensemble.projector_factors()
+    n = ensemble.n_factors
+    rng = np.random.default_rng(seed)
+    operators = np.array([random_hermitian(ensemble.dim, rng) for _ in range(n_rows)])
+    weights = rng.normal(size=(n_rows, ensemble.size))
+    lhs = np.sum(weights * frames.frame_traces(operators, factors, n))
+    rhs = np.einsum("jab,jba->", operators, frames.frame_sum(weights, factors, n)).real
+    assert abs(lhs - rhs) <= 1e-10 * (1 + np.sum(np.abs(weights)) * np.max(np.abs(operators)))

@@ -18,7 +18,7 @@ from povmtomo.tomography import (
     sample_size,
     simulate_shots,
 )
-from oracles import dav_clip_by_segments, simplex_project
+from oracles import dav_clip_by_segments, dykstra_projection, random_hermitian, simplex_project
 
 
 def test_frequency_table_invariants():
@@ -112,6 +112,36 @@ def test_lse_single_cell():
     np.testing.assert_allclose(raw.elements[1], nu, atol=1e-12)
     np.testing.assert_allclose(raw.elements[0], 0, atol=1e-12)
     np.testing.assert_allclose(raw.elements[2], 0, atol=1e-12)
+
+
+LSE_ENSEMBLES = {
+    "mub d=2": frames.mub_ensemble(2),
+    "mub d=3": frames.mub_ensemble(3),
+    "pauli6 n=1": frames.pauli6_product(1),
+    "pauli6 n=2": frames.pauli6_product(2),
+    "sic n=2": frames.sic_qubit_product(2),
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(LSE_ENSEMBLES)),
+    n_outcomes=st.integers(2, 4),
+    coefficients=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    seed=st.integers(0, 2**16),
+)
+def test_lse_is_linear_and_exact_on_expected_frequencies(name, n_outcomes, coefficients, seed):
+    ensemble = LSE_ENSEMBLES[name]
+    rng = np.random.default_rng(seed)
+    f, g = rng.uniform(size=(2, ensemble.size, n_outcomes)) / ensemble.size
+    a, b = coefficients
+    combined = lse_estimate(a * f + b * g, ensemble).elements
+    separate = a * lse_estimate(f, ensemble).elements + b * lse_estimate(g, ensemble).elements
+    scale = ensemble.dim**2 * (1 + abs(a) + abs(b))
+    np.testing.assert_allclose(combined, separate, rtol=0, atol=1e-12 * scale)
+    target = povm.random_povm(ensemble.dim, n_outcomes, seed)
+    raw = lse_estimate(exact_frequencies(target, ensemble), ensemble)
+    np.testing.assert_allclose(raw.elements, target.elements, rtol=0, atol=1e-10)
 
 
 def test_lse_shape_mismatch():
@@ -293,8 +323,95 @@ def test_dav_clip_certificate():
 
 def test_projection_iteration_cap_flagged():
     raw = np.array([np.diag([2.0, -1.0]).astype(complex), np.diag([-1.0, 2.0]).astype(complex)])
-    with pytest.raises(RuntimeError, match=r"max_iterations = 2 after 2 iterations with residual"):
-        project_onto_povms(raw, ProjectionOptions(max_iterations=2))
+    with pytest.raises(RuntimeError, match=r"max_iterations = 1 after 1 iterations with residual"):
+        project_onto_povms(raw, ProjectionOptions(max_iterations=1))
+
+
+def _lse(target, ensemble, shots, seed):
+    return lse_estimate(simulate_shots(target, ensemble, shots, seed), ensemble)
+
+
+def hard_projection_inputs():
+    """LSE outputs whose projections are rank-deficient or far from the raw estimate."""
+    mub7, mub3, pauli6 = frames.mub_ensemble(7), frames.mub_ensemble(3), frames.pauli6_product(1)
+    for seed in range(3):
+        for shots in (5000, 200):
+            yield _lse(povm.computational_povm(7), mub7, shots, seed)
+        yield _lse(povm.random_povm(3, 12, seed), mub3, 1000, seed)
+        yield _lse(povm.computational_povm(2), pauli6, 50, seed)
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_projection_hard_cases_match_dykstra(metric, monkeypatch):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    for raw in hard_projection_inputs():
+        calls.clear()
+        projected, diagnostics = project_onto_povms(raw, ProjectionOptions(metric=metric))
+        assert diagnostics.iterations <= 10
+        assert len(calls) <= 12  # stacked eigendecompositions, line search included
+        reference, _ = dykstra_projection(raw.elements, metric)
+        assert np.max(np.abs(projected.elements - reference)) <= 1e-8
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_projection_stops_on_the_primal_step(metric):
+    # meeting tol_feasibility is not enough: the solver also waits for a Newton
+    # step that moves Z by at most tol_step, which a loose tol_step skips
+    raw = next(hard_projection_inputs())
+    _, tight = project_onto_povms(raw, ProjectionOptions(metric=metric))
+    _, loose = project_onto_povms(raw, ProjectionOptions(metric=metric, tol_step=10.0))
+    assert tight.iterations > loose.iterations
+
+
+def _random_raw_stacks(rng):
+    for _ in range(20):
+        d, n_outcomes = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+        stack = np.array([random_hermitian(d, rng, float(rng.uniform(0.1, 2))) for _ in range(n_outcomes)])
+        yield stack + float(rng.uniform(-1, 1)) * np.eye(d)
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_projection_duality_gap_certificate(metric):
+    # primal objective minus dual value, from the definitions: an optimality
+    # certificate that needs no SDP solver
+    inputs = [*_random_raw_stacks(np.random.default_rng(41)), *(raw.elements for raw in hard_projection_inputs())]
+    for raw in inputs:
+        projected, diagnostics = project_onto_povms(raw, ProjectionOptions(metric=metric))
+        primal = 0.5 * metric_inner(raw - projected.elements, raw - projected.elements, metric)
+        assert abs(diagnostics.duality_gap) <= 1e-9 * (1 + primal)
+        assert diagnostics.final_residual <= ProjectionOptions().tol_feasibility
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_projection_hessian_matches_finite_differences(metric):
+    # away from eigenvalue ties the generalized Jacobian of the dual gradient is
+    # its derivative; the inputs reach both the top-k and the bottom-k product
+    rng = np.random.default_rng(43)
+    for d, n_outcomes, scale in ((3, 4, 1.0), (6, 3, 1.0), (5, 5, 0.3), (4, 2, 2.0)):
+        for bias in (-0.8, 0.0, 0.8):
+            raw = np.array([random_hermitian(d, rng, scale) + bias * np.eye(d) for _ in range(n_outcomes)])
+            lam, h = random_hermitian(d, rng, 0.3), random_hermitian(d, rng)
+            eps = 1e-6
+            plus = tomography._DualPoint(raw, lam + eps * h, metric).gradient
+            minus = tomography._DualPoint(raw, lam - eps * h, metric).gradient
+            hessian = tomography._DualPoint(raw, lam, metric).hessian(metric, 0.0)
+            np.testing.assert_allclose(hessian(h), (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
+
+
+def test_projection_validates_at_the_package_tolerance():
+    raw = _lse(povm.computational_povm(7), frames.mub_ensemble(7), 200, 0)
+    projected, _ = project_onto_povms(raw)
+    assert projected.tol == povm.POVM_TOL
+    assert povm.validate(projected, povm.POVM_TOL).ok
+    loose, _ = project_onto_povms(raw, ProjectionOptions(tol_feasibility=1e-6))
+    assert loose.tol == 1e-6
 
 
 def test_sample_size_pinned_values():
