@@ -1,9 +1,9 @@
 """Seed handling for reproducible sampling.
 
 All randomness in the package flows through Philox (counter-based) bit
-generators keyed by ``SeedSequence([seed, *stream])``, so a given
-``(seed, stream...)`` tuple reproduces the same draws bit-for-bit across
-platforms and processes for a fixed numpy version.
+generators keyed by ``SeedSequence(seed)``, so a given seed or seed tuple
+reproduces the same draws bit-for-bit across platforms and processes for a
+fixed numpy version.
 """
 
 from __future__ import annotations
@@ -11,24 +11,22 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed, *stream: int) -> np.random.Generator:
-    """Return a Philox generator for the stream ``(seed, *stream)``.
+def make_rng(seed) -> np.random.Generator:
+    """Return a Philox generator keyed by ``seed``.
 
-    ``seed`` is a nonnegative integer or a tuple of them; extra stream ids
-    derive independent sub-streams (e.g. one per scaling trial) without
-    consuming state from the parent stream. Generators pass through untouched.
+    ``seed`` is a nonnegative integer or a tuple of them; a tuple such as
+    ``(seed, trial)`` derives an independent sub-stream (e.g. one per scaling
+    trial) without consuming state from the parent stream. Generators pass
+    through untouched.
     """
     if isinstance(seed, np.random.Generator):
-        if stream:
-            raise ValueError("cannot derive a sub-stream from a Generator; pass an integer seed")
         return seed
     if isinstance(seed, (tuple, list)):
         entropy = [int(s) for s in seed]
     else:
         entropy = [int(seed)]
-    entropy.extend(int(s) for s in stream)
     if any(s < 0 for s in entropy):
-        raise ValueError("seeds and stream ids must be nonnegative integers")
+        raise ValueError("seeds must be nonnegative integers")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

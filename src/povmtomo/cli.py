@@ -67,14 +67,20 @@ class ExperimentConfig:
         shots = int(doc["shots"])
         if shots < 1:
             raise ValueError("shots must be >= 1")
+        epsilon = float(doc.get("epsilon", 0.1))
+        delta = float(doc.get("delta", 0.05))
+        if not epsilon > 0:
+            raise ValueError("epsilon must be positive")
+        if not 0 < delta < 1:
+            raise ValueError("delta must lie in (0, 1)")
         return cls(
             povm_spec=doc["povm"],
             ensemble_spec=doc["ensemble"],
             shots=shots,
             seed=int(doc["seed"]),
             projection=projection,
-            epsilon=float(doc.get("epsilon", 0.1)),
-            delta=float(doc.get("delta", 0.05)),
+            epsilon=epsilon,
+            delta=delta,
             out_dir=outputs.get("dir", "."),
         )
 

@@ -1,19 +1,15 @@
 """Informationally complete probe ensembles and their dual frame operators.
 
-Two ensemble kinds are supported:
+Every ensemble is n tensor factors over one base of m states on C^q that
+form a projective 2-design. Its M = m^n probe states are the products of
+base states, and the dual frame operator of a probe state is the Kronecker
+product of the factors ``q(q+1)|psi><psi| - q*I``. Two kinds exist:
 
-* ``global``: an explicit list of M states on C^d whose rank-one projectors
-  average to a projective 2-design. The dual frame operator of state i is
-  ``d(d+1)|psi_i><psi_i| - d*I``.
-* ``local``: an n-fold tensor product of one single-qubit 2-design base of m
-  states. The M = m^n product states are enumerated lazily by multi-index;
-  the dual frame operator factorizes as a Kronecker product of per-qubit
-  operators ``6|psi><psi| - 2*I``.
+* ``global``: n = 1, q = d, an explicit list of M states on C^d.
+* ``local``: n qubits, q = 2, one single-qubit base.
 
-A global ensemble is the case n = 1, q = d of a product of n factors
-``q(q+1)|psi><psi| - q*I`` over a base of m states on C^q. :func:`frame_sum`
-and its transpose :func:`frame_traces` contract a factor stack against all
-M = m^n probe states at once.
+:func:`frame_sum` and its transpose :func:`frame_traces` contract a factor
+stack against all M probe states at once.
 """
 
 from __future__ import annotations
@@ -60,9 +56,8 @@ SIC_QUBIT_STATES = np.array(
 class ProbeEnsemble:
     """A probe-state family with declared design structure.
 
-    ``states`` holds the M explicit states (global kind, shape (M, d)) or the
-    per-qubit base of m states (local kind, shape (m, 2)); local product
-    states are materialized on demand through :meth:`state`.
+    ``states`` holds the base of m states: the M explicit states (global
+    kind, shape (M, d)) or the single-qubit base (local kind, shape (m, 2)).
     """
 
     kind: str  # "global" | "local"
@@ -95,10 +90,6 @@ class ProbeEnsemble:
         return len(self.states) ** self.n_factors
 
     @property
-    def base_size(self) -> int:
-        return len(self.states)
-
-    @property
     def n_factors(self) -> int:
         """Tensor factors of each probe state: n_qubits (local) or 1 (global)."""
         return self.n_qubits if self.kind == "local" else 1
@@ -111,36 +102,6 @@ class ProbeEnsemble:
         """(m, q, q) stack ``q(q+1)|psi><psi| - q*I``, the dual frame factors."""
         q = self.states.shape[1]
         return q * (q + 1) * self.projector_factors() - q * np.eye(q)
-
-    def multi_index(self, index: int) -> tuple[int, ...]:
-        """Per-qubit base indices of flat state ``index`` (first qubit first)."""
-        if self.kind != "local":
-            raise ValueError("multi_index is only defined for local ensembles")
-        return tuple(int(k) for k in np.unravel_index(index, (self.base_size,) * self.n_qubits))
-
-    def state(self, index) -> np.ndarray:
-        """The probe state at ``index`` (flat int, or multi-index for local kind)."""
-        if self.kind == "global":
-            index = int(index)
-            if not 0 <= index < self.size:
-                raise IndexError(f"state index {index} out of range [0, {self.size})")
-            return self.states[index]
-        idx = self._as_multi_index(index)
-        psi = self.states[idx[0]]
-        for k in idx[1:]:
-            psi = np.kron(psi, self.states[k])
-        return psi
-
-    def _as_multi_index(self, index) -> tuple[int, ...]:
-        if np.isscalar(index) or isinstance(index, (int, np.integer)):
-            index = int(index)
-            if not 0 <= index < self.size:
-                raise IndexError(f"state index {index} out of range [0, {self.size})")
-            return self.multi_index(index)
-        idx = tuple(int(k) for k in index)
-        if len(idx) != self.n_qubits or any(not 0 <= k < self.base_size for k in idx):
-            raise IndexError(f"invalid multi-index {idx}")
-        return idx
 
 
 def _is_prime(n: int) -> bool:
@@ -173,80 +134,37 @@ def mub_states(d: int) -> np.ndarray:
 def stabilizer_states(n_qubits: int) -> np.ndarray:
     """All pure stabilizer states on n qubits (a projective 2-design).
 
-    Enumerates the maximal abelian subgroups of the Pauli group (mod phases)
-    and extracts the rank-one joint eigenprojectors for every sign pattern.
+    The orbit of |0...0> under the Clifford generators H_k, S_k and CNOT_kl
+    (Aaronson and Gottesman, PRA 70, 052328 (2004)), closed breadth first.
+    Each state is kept once up to global phase: its first nonzero amplitude
+    is made real and positive, and its rounded amplitudes are the key.
     Exponential in n; intended for small systems (n <= 3).
     """
     if not 1 <= n_qubits <= 3:
         raise ValueError("stabilizer_states supports 1 <= n_qubits <= 3")
-    n = n_qubits
-    d = 2**n
-    eye2 = np.eye(2, dtype=complex)
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-
-    def pauli(xz) -> np.ndarray:
-        x, z = xz
-        out = np.array([[1.0 + 0j]])
-        for xk, zk in zip(x, z):
-            if xk and zk:
-                factor = 1j * sx @ sz
-            elif xk:
-                factor = sx
-            elif zk:
-                factor = sz
-            else:
-                factor = eye2
-            out = np.kron(out, factor)
-        return out
-
-    def symplectic_commute(p, q) -> bool:
-        (x1, z1), (x2, z2) = p, q
-        s = sum(a * b for a, b in zip(x1, z2)) + sum(a * b for a, b in zip(z1, x2))
-        return s % 2 == 0
-
-    def product(p, q):
-        (x1, z1), (x2, z2) = p, q
-        return (
-            tuple((a + b) % 2 for a, b in zip(x1, x2)),
-            tuple((a + b) % 2 for a, b in zip(z1, z2)),
-        )
-
-    nontrivial = [
-        (bits[:n], bits[n:])
-        for bits in itertools.product((0, 1), repeat=2 * n)
-        if any(bits)
+    n, d = n_qubits, 2**n_qubits
+    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 most significant
+    hadamard = np.array([[1, 1], [1, -1]]) * _SQ2
+    gates = [np.kron(np.kron(np.eye(2**k), hadamard), np.eye(2 ** (n - 1 - k))) for k in range(n)]
+    gates += [np.diag(np.where(bits[:, k], 1j, 1)) for k in range(n)]
+    gates += [
+        np.eye(d)[np.arange(d) ^ (bits[:, k] << (n - 1 - l))]
+        for k, l in itertools.permutations(range(n), 2)
     ]
+    gates = np.array(gates, dtype=complex)
 
-    # Maximal abelian subgroups (mod phases) as GF(2) spans of commuting tuples.
-    groups: set[frozenset] = set()
-    for gens in itertools.combinations(nontrivial, n):
-        if not all(symplectic_commute(p, q) for p, q in itertools.combinations(gens, 2)):
-            continue
-        members = {((0,) * n, (0,) * n)}
-        for g in gens:
-            members |= {product(m, g) for m in members}
-        if len(members) == 2**n:
-            groups.add(frozenset(members - {((0,) * n, (0,) * n)}))
-
-    states = []
-    for group in sorted(groups, key=lambda g: tuple(sorted(g))):
-        gens = []
-        span = {((0,) * n, (0,) * n)}
-        for member in sorted(group):
-            if member not in span:
-                gens.append(member)
-                span |= {product(m, member) for m in span}
-            if len(gens) == n:
-                break
-        mats = [pauli(g) for g in gens]
-        for signs in itertools.product((1, -1), repeat=n):
-            proj = np.eye(d, dtype=complex)
-            for s, g in zip(signs, mats):
-                proj = proj @ (np.eye(d) + s * g) / 2
-            w, v = np.linalg.eigh(linalg.hermitize(proj))
-            if w[-1] > 0.5:
-                states.append(v[:, -1])
+    states, seen = [], set()
+    candidates = np.eye(d, dtype=complex)[:1]
+    while len(candidates):
+        lead = candidates[np.arange(len(candidates)), np.argmax(np.abs(candidates) > 1e-9, axis=1)]
+        new = []
+        for psi in candidates * (lead.conj() / np.abs(lead))[:, None]:
+            key = (np.round(psi, 8) + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
+            if key not in seen:
+                seen.add(key)
+                new.append(psi)
+        states += new
+        candidates = np.einsum("gab,fb->fga", gates, np.reshape(new, (-1, d))).reshape(-1, d)
     return np.array(states)
 
 
@@ -315,7 +233,7 @@ def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:
     """``sum_i w[j, i] (x)_k factors[i_k]`` for every row j of an (L, m^n) array.
 
     The flat index i enumerates multi-indices (i_1, ..., i_n) with the first
-    factor most significant, as :meth:`ProbeEnsemble.multi_index` does, and
+    factor most significant, as :func:`numpy.unravel_index` does, and
     the Kronecker product puts the first factor first, as
     :func:`frame_operator` does. Runs n tensordots; returns (L, q^n, q^n).
     """
@@ -342,61 +260,36 @@ def frame_traces(operators, factors: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(rows, m**n).real
 
 
-def frame_operator(ensemble: ProbeEnsemble, index) -> np.ndarray:
+def frame_operator(ensemble: ProbeEnsemble, index: int) -> np.ndarray:
     """Dual frame operator nu_i making sum_i p_i nu_i reproduce any effect.
 
-    Global kind: ``d(d+1)|psi_i><psi_i| - d*I``. Local kind: Kronecker product
-    over qubits of ``6|psi><psi| - 2*I``. Builds one operator at a time; the
-    pipeline contracts all of them at once through :func:`frame_sum`.
+    The Kronecker product of the dual factors at the multi-index of the flat
+    ``index``, first factor first, as :func:`frame_sum` orders them; for a
+    global ensemble this is ``d(d+1)|psi_i><psi_i| - d*I``. Builds one
+    operator at a time; the pipeline contracts all of them through
+    :func:`frame_sum`.
     """
-    d = ensemble.dim
-    if ensemble.kind == "global":
-        psi = ensemble.state(index)
-        return d * (d + 1) * np.outer(psi, psi.conj()) - d * np.eye(d)
-    idx = ensemble._as_multi_index(index)
-    out = np.array([[1.0 + 0j]])
-    for k in idx:
-        psi = ensemble.states[k]
-        out = linalg.kron(out, 6 * np.outer(psi, psi.conj()) - 2 * np.eye(2))
+    index = int(index)
+    if not 0 <= index < ensemble.size:
+        raise IndexError(f"state index {index} out of range [0, {ensemble.size})")
+    factors = ensemble.dual_factors()
+    out = np.ones((1, 1), dtype=complex)
+    for k in np.unravel_index(index, (len(factors),) * ensemble.n_factors):
+        out = linalg.kron(out, factors[k])
     return out
 
 
-def hermitian_basis(d: int) -> list[np.ndarray]:
-    """Identity plus the d^2 - 1 generalized Gell-Mann matrices."""
-    mats = [np.eye(d, dtype=complex)]
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1
-            mats.append(m)
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        m[np.arange(l), np.arange(l)] = 1
-        m[l, l] = -l
-        mats.append(m * np.sqrt(2.0 / (l * (l + 1))))
-    return mats
-
-
-def _design_deviation(states: np.ndarray, d: int) -> float:
-    m = len(states)
-    deviation = 0.0
-    for x in hermitian_basis(d):
-        expectations = np.einsum("ik,kl,il->i", states.conj(), x, states)
-        acc = np.einsum("i,im,in->mn", expectations, states, states.conj()) / m
-        target = (x + np.trace(x) * np.eye(d)) / (d * (d + 1))
-        deviation = max(deviation, float(np.linalg.norm(acc - target)))
-    return deviation
-
-
 def design_check(ensemble: ProbeEnsemble) -> float:
-    """Max deviation of the ensemble from the 2-design averaging identity.
+    """Frobenius deviation of the base's second moment from a 2-design's.
 
-    Checks ``(1/M) sum_i <psi_i|X|psi_i> |psi_i><psi_i| = (X + tr(X) I)/(d(d+1))``
-    over a full Hermitian operator basis; local ensembles are checked on their
-    single-qubit base (d = 2, m states).
+    Returns ``||(1/m) sum_i (|psi_i><psi_i|)^(x)2 - (I + SWAP)/(q(q+1))||_F``,
+    which vanishes exactly for a projective 2-design (Gross, Audenaert and
+    Eisert, J. Math. Phys. 48, 052104 (2007)) and grows linearly with a
+    perturbation of the states. Local ensembles are checked on their
+    single-qubit base.
     """
-    return _design_deviation(ensemble.states, ensemble.states.shape[1])
+    m, q = ensemble.states.shape
+    pairs = np.einsum("ia,ib->iab", ensemble.states, ensemble.states).reshape(m, q * q)
+    swap = np.eye(q * q).reshape(q, q, q, q).transpose(0, 1, 3, 2).reshape(q * q, q * q)
+    moment = pairs.T @ pairs.conj() / m
+    return float(np.linalg.norm(moment - (np.eye(q * q) + swap) / (q * (q + 1))))

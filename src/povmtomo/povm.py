@@ -202,7 +202,7 @@ def build_povm(spec: dict) -> Povm:
     if kind == "computational":
         povm = computational_povm(int(spec.pop("dim")))
     elif kind == "rotated":
-        povm = rotated_povm(_matrix_from_pairs(spec.pop("unitary")))
+        povm = rotated_povm(_complex_from_pairs(spec.pop("unitary"), 2))
     elif kind == "sic_qubit":
         povm = sic_qubit_povm()
     elif kind == "depolarized":
@@ -211,13 +211,13 @@ def build_povm(spec: dict) -> Povm:
         povm = random_povm(int(spec.pop("dim")), int(spec.pop("outcomes")), int(spec.pop("seed")))
     elif kind == "packing_op":
         povm = packing_op_povm(
-            _matrix_from_pairs(spec.pop("unitary")),
+            _complex_from_pairs(spec.pop("unitary"), 2),
             float(spec.pop("epsilon")),
             int(spec.pop("flat_outcomes")),
         )
     elif kind == "packing_av":
         povm = packing_av_povm(
-            [_matrix_from_pairs(u) for u in spec.pop("unitaries")],
+            [_complex_from_pairs(u, 2) for u in spec.pop("unitaries")],
             float(spec.pop("epsilon")),
         )
     else:
@@ -314,9 +314,7 @@ def save_povm(povm, path) -> None:
     doc = {
         "dim": int(arr.shape[1]),
         "outcomes": int(arr.shape[0]),
-        "elements": [
-            [[[float(x.real), float(x.imag)] for x in row] for row in e] for e in arr
-        ],
+        "elements": np.stack([arr.real, arr.imag], axis=-1).tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -327,7 +325,7 @@ def read_povm_file(path) -> np.ndarray:
     """Read the element stack from a POVM file without validating it."""
     with open(path) as fh:
         doc = json.load(fh)
-    arr = _matrix_stack_from_pairs(doc["elements"])
+    arr = _complex_from_pairs(doc["elements"], 3)
     if arr.shape != (doc["outcomes"], doc["dim"], doc["dim"]):
         raise ValueError(f"POVM file is inconsistent: {arr.shape} vs header")
     return arr
@@ -338,15 +336,9 @@ def load_povm(path, tol: float = POVM_TOL) -> Povm:
     return Povm(read_povm_file(path), tol=tol)
 
 
-def _matrix_from_pairs(pairs) -> np.ndarray:
+def _complex_from_pairs(pairs, ndim: int) -> np.ndarray:
+    """Complex array with ``ndim`` axes from the nested [re, im] pairs of a file or spec."""
     arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("expected a matrix of [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def _matrix_stack_from_pairs(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 4 or arr.shape[3] != 2:
-        raise ValueError("expected a stack of matrices of [re, im] pairs")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        raise ValueError(f"expected a {ndim}-axis array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

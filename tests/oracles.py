@@ -80,6 +80,19 @@ def random_hermitian(d, rng, scale=1.0):
     return scale * (a + a.conj().T) / 2
 
 
+def product_state(ensemble, index):
+    """Probe state ``index`` of an ensemble, built as a Kronecker product of base states.
+
+    The flat index is read in base m = len(ensemble.states) with the first
+    factor as the most significant digit.
+    """
+    m, n = len(ensemble.states), ensemble.n_factors
+    psi = np.ones(1, dtype=complex)
+    for position in range(n - 1, -1, -1):
+        psi = np.kron(psi, ensemble.states[index // m**position % m])
+    return psi
+
+
 
 def dykstra_projection(raw, metric="frobenius", tol_feasibility=1e-9, tol_step=1e-10, max_iterations=10000):
     """Metric projection onto the POVMs by Dykstra's alternating projections.

@@ -1,6 +1,9 @@
-"""The benchmark wraps pipeline functions by (module, attribute) name and reads
-solver fields from their results and from report.json."""
+"""The benchmark wraps pipeline functions by (module, attribute) name, imports
+package names inside its setup and check paths, and reads solver fields from
+their results and from report.json."""
 
+import ast
+import importlib
 import importlib.util
 import json
 from pathlib import Path
@@ -12,6 +15,7 @@ from povmtomo import cli
 from povmtomo.tomography import project_onto_povms
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+RUN = SPANS.with_name("run.py")
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,22 @@ def test_traced_attributes_resolve(spans):
         if not callable(getattr(module, attr, None))
     ]
     assert not missing, f"bench/spans.py wraps attributes that do not exist: {missing}"
+
+
+def test_benchmark_imports_resolve():
+    # run.py imports inside the functions that build inputs and check outputs,
+    # so a removed name would only fail once the benchmark runs
+    imported, missing = [], []
+    for node in ast.walk(ast.parse(RUN.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "povmtomo":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                name = f"{node.module}.{alias.name}"
+                imported.append(name)
+                if not hasattr(module, alias.name) and importlib.util.find_spec(name) is None:
+                    missing.append(name)
+    assert "povmtomo.frames.build_ensemble" in imported
+    assert not missing, f"bench/run.py imports names the package does not define: {missing}"
 
 
 def test_solver_fields_the_benchmark_reads(spans, tmp_path):

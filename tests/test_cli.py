@@ -283,6 +283,17 @@ def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "run" / "estimated_povm.json").exists()
 
 
+@pytest.mark.parametrize("bad", [{"delta": 2}, {"delta": 0}, {"epsilon": 0}, {"epsilon": -0.1}])
+def test_reconstruct_rejects_bad_epsilon_delta_before_writing(tmp_path, capsys, bad):
+    path = write_config(tmp_path, **bad)
+    code = cli.main(["reconstruct", "--config", str(path)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError"
+    assert next(iter(bad)) in record["error"]["message"]
+    assert not any((tmp_path / "run").glob("*"))
+
+
 def test_cli_error_record(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     code = cli.main(["reconstruct", "--config", str(missing)])

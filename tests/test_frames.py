@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmtomo import frames, povm
-from oracles import random_hermitian
+from oracles import product_state, random_hermitian
 
 
 def overlaps(states):
@@ -58,10 +58,8 @@ def test_frame_operator_global_qubit():
 
 def test_frame_operator_local_two_qubits():
     ensemble = frames.pauli6_product(2)
-    nu = frames.frame_operator(ensemble, (0, 0))  # |00>
+    nu = frames.frame_operator(ensemble, 0)  # |00>
     np.testing.assert_allclose(nu, np.diag([16.0, -8.0, -8.0, 4.0]), atol=1e-12)
-    # flat index 0 is the same multi-index
-    np.testing.assert_allclose(frames.frame_operator(ensemble, 0), nu, atol=1e-12)
 
 
 def test_frame_operator_trace_identity():
@@ -75,6 +73,10 @@ def test_frame_operator_index_out_of_range():
     ensemble = frames.mub_ensemble(2)
     with pytest.raises(IndexError):
         frames.frame_operator(ensemble, 6)
+    with pytest.raises(IndexError):
+        frames.frame_operator(ensemble, -1)
+    with pytest.raises(IndexError):
+        frames.frame_operator(frames.pauli6_product(2), 36)
 
 
 def test_design_check_values():
@@ -82,6 +84,17 @@ def test_design_check_values():
     assert frames.design_check(frames.mub_ensemble(5)) < 1e-12
     incomplete = frames.ProbeEnsemble("global", 2, np.eye(2, dtype=complex))
     assert frames.design_check(incomplete) > 1e-2
+
+
+def test_design_check_is_linear_in_a_perturbation():
+    # a squared measure (e.g. the frame potential) would read ~1e-12 here
+    rng = np.random.default_rng(5)
+    states = frames.mub_states(5)
+    states = states + 1e-6 * (rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    assert 1e-7 < frames.design_check(frames.ProbeEnsemble("global", 5, states)) < 1e-5
+    with pytest.raises(ValueError, match="2-design"):
+        frames.explicit_ensemble(states)
 
 
 def test_explicit_ensemble_rejects_non_design():
@@ -92,11 +105,18 @@ def test_explicit_ensemble_rejects_non_design():
 
 
 def test_stabilizer_states_are_designs():
-    for n in (1, 2):
+    for n, count in ((1, 6), (2, 60), (3, 1080)):
         states = frames.stabilizer_states(n)
-        assert len(states) == (6 if n == 1 else 60)
-        ensemble = frames.explicit_ensemble(states)
-        assert frames.design_check(ensemble) < 1e-12
+        assert len(states) == count
+        overlaps = np.abs(states.conj() @ states.T)
+        np.fill_diagonal(overlaps, 0.0)
+        assert np.max(overlaps) < 1 - 1e-6  # pairwise distinct up to global phase
+        # a stabilizer state has |<psi|P|psi>| = 1 on exactly 2^n Pauli strings and 0 on the rest
+        _, sigma = povm.pauli_strings(n)
+        expectations = np.abs(np.einsum("ia,pab,ib->ip", states.conj(), sigma * np.sqrt(2**n), states))
+        assert np.all((expectations < 1e-9) | (np.abs(expectations - 1) < 1e-9))
+        assert np.all(np.sum(expectations > 0.5, axis=1) == 2**n)
+        assert frames.design_check(frames.explicit_ensemble(states)) < 1e-12
 
 
 def frame_inversion_error(ensemble, x):
@@ -104,7 +124,7 @@ def frame_inversion_error(ensemble, x):
     m = ensemble.size
     acc = np.zeros_like(x)
     for i in range(m):
-        psi = ensemble.state(i)
+        psi = product_state(ensemble, i)
         acc = acc + (psi.conj() @ x @ psi).real / m * frames.frame_operator(ensemble, i)
     return np.linalg.norm(acc - x)
 
@@ -167,9 +187,11 @@ def test_build_ensemble_dispatch_and_strict_keys():
 
 def test_local_product_states_match_multi_index():
     ensemble = frames.pauli6_product(2)
-    psi = ensemble.state(7)  # multi-index (1, 1) -> |1> x |1>
-    assert ensemble.multi_index(7) == (1, 1)
+    psi = product_state(ensemble, 7)  # multi-index (1, 1) -> |1> x |1>
     np.testing.assert_allclose(psi, [0, 0, 0, 1], atol=1e-14)
+    # (6|1><1| - 2I) x (6|1><1| - 2I)
+    nu = frames.frame_operator(ensemble, 7)
+    np.testing.assert_allclose(nu, np.diag([4.0, -8.0, -8.0, 16.0]), atol=1e-12)
 
 
 KERNEL_ENSEMBLES = [
@@ -193,7 +215,7 @@ def test_frame_kernels_match_oracles(make_ensemble):
     assert np.max(np.abs(got - expected)) < 1e-10
 
     target = povm.random_povm(ensemble.dim, 3, (m, 1))
-    born = np.array([povm.born(target, ensemble.state(i)) for i in range(m)]).T
+    born = np.array([povm.born(target, product_state(ensemble, i)) for i in range(m)]).T
     traces = frames.frame_traces(target.elements, ensemble.projector_factors(), n)
     assert np.max(np.abs(traces - born)) < 1e-10
 
