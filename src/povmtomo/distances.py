@@ -3,8 +3,15 @@
 The worst-case (operational) distance is the maximum spectral norm of a
 coarse-grained effect difference over all outcome subsets; it is computed
 exactly by enumeration up to a subset cap, with a randomized lower bound for
-larger outcome counts. The average-case distance is the closed-form
-root-mean-square expression over effect differences and their traces.
+larger outcome counts. The exact enumeration forms every subset sum D_S but
+bounds before it verifies: with m = tr(D_S)/d and s^2 = ||D_S - m I||_F^2 / d,
+||D_S|| <= |m| + s sqrt(d-1) (Wolkowicz and Styan), and ``eigvalsh`` runs only
+on subsets whose bound is not below the running maximum minus a slack of
+16 d^2 eps max ||D_S||_F (the bound's rounding plus eigvalsh's backward
+error). The value and the witness (the first subset in Gray-code order to
+reach the maximum) are those of evaluating every subset. The average-case
+distance is the closed-form root-mean-square expression over effect
+differences and their traces.
 
 With D_j the effect differences and dp_j(psi) = <psi|D_j|psi>, the Haar second
 moment gives d_av^2 = (d+1)/2 * E_psi sum_j dp_j(psi)^2. For valid POVM pairs
@@ -42,20 +49,49 @@ class UpperSurrogates:
 
 
 def _deltas(e, f) -> tuple[np.ndarray, bool]:
-    """Effect differences and whether both inputs are validated POVMs."""
+    """Finite effect differences and whether both inputs are validated POVMs."""
     a = _as_element_stack(e)
     b = _as_element_stack(f)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     both_valid = isinstance(e, Povm) and isinstance(f, Povm)
-    return linalg.hermitize(a - b), both_valid
+    deltas = a - b
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("matrix has non-finite entries")
+    return linalg.hermitize(deltas), both_valid
 
 
-def _subset_norms(bits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Spectral norm of sum_j bits[k, j] D_j for every row k of a 0/1 matrix."""
+def _subset_sums(bits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Hermitian sums sum_j bits[k, j] D_j, one (d, d) matrix per row k of a 0/1 matrix."""
     n_bits, d = bits.shape[1], deltas.shape[1]
-    totals = (bits @ deltas[:n_bits].reshape(n_bits, d * d)).reshape(-1, d, d)
-    return linalg.matrix_norm(linalg.hermitize(totals), "spectral")
+    return linalg.hermitize((bits @ deltas[:n_bits].reshape(n_bits, d * d)).reshape(-1, d, d))
+
+
+def _spectral_bounds(sums: np.ndarray) -> tuple[np.ndarray, float]:
+    """Trace bounds on the spectral norms of a Hermitian (n, d, d) stack, and their slack.
+
+    With m = tr(A)/d and s^2 = ||A - m I||_F^2 / d, every eigenvalue lies in
+    [m - s sqrt(d-1), m + s sqrt(d-1)] (Wolkowicz and Styan, "Bounds for
+    eigenvalues using traces", 1980), so ||A|| <= |m| + s sqrt(d-1); equality
+    holds for the spectrum (m + (d-1)t, m - t, ..., m - t). s^2 is summed from
+    the centred entries, so the bound carries O(d^2 eps ||A||_F) rounding and
+    no cancellation. The slack 16 d^2 eps max ||A||_F covers that rounding
+    plus eigvalsh's backward error (LAPACK: p(d) eps ||A||, p modest in d):
+    a matrix whose computed bound is below x - slack has a computed spectral
+    norm below x. Non-finite input, or a square that overflows, gives a NaN
+    or inf bound or slack, which never proves anything.
+    """
+    n, d, _ = sums.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = sums.reshape(n, d * d).copy()
+        diagonal = centred[:, :: d + 1]
+        m = diagonal.real.sum(axis=1) / d
+        diagonal -= m[:, None]
+        flat = centred.view(float)
+        s2 = np.einsum("ij,ij->i", flat, flat) / d
+        bounds = np.abs(m) + np.sqrt((d - 1) * s2)
+        frobenius_max = np.sqrt(d * np.max(s2 + m * m))
+    return bounds, float(16 * d * d * np.finfo(float).eps * frobenius_max)
 
 
 def d_op_exact(e, f) -> DistanceReport:
@@ -67,6 +103,14 @@ def d_op_exact(e, f) -> DistanceReport:
     Subsets are taken in Gray-code order, ``SUBSET_CHUNK_ELEMENTS // d^2`` at
     a time; the witness is the first subset in that order to reach the
     maximum.
+
+    Bound, then verify: every subset sum of a chunk is formed, and
+    :func:`_spectral_bounds` gives each one a trace bound |m| + s sqrt(d-1).
+    Exact spectral norms are taken in descending-bound order, in blocks of 8,
+    64, 512, ... (a stacked call's fixed cost exceeds eight small
+    eigensolves), until the next bound is below the running maximum minus the
+    bound's slack. Every subset left out then has a computed norm below that
+    maximum, so the value and witness are those of evaluating every subset.
     """
     deltas, both_valid = _deltas(e, f)
     n_outcomes, d, _ = deltas.shape
@@ -81,7 +125,16 @@ def d_op_exact(e, f) -> DistanceReport:
     for start in range(1, 2**n_bits, rows):
         k = np.arange(start, min(start + rows, 2**n_bits))
         bits = ((k ^ (k >> 1))[:, None] >> np.arange(n_bits)) & 1
-        norms = _subset_norms(bits, deltas)
+        sums = _subset_sums(bits, deltas)
+        bounds, slack = _spectral_bounds(sums)
+        order = np.argsort(bounds)[::-1]  # descending, NaN first
+        norms = np.full(len(k), -np.inf)
+        floor, done, block = best, 0, 8
+        while done < len(k) and not bounds[order[done]] < floor - slack:
+            picked = order[done : done + block]
+            norms[picked] = linalg.matrix_norm(sums[picked], "spectral")
+            floor = max(floor, float(np.max(norms[picked])))
+            done, block = done + block, 8 * block
         top = int(np.argmax(norms))
         if norms[top] > best:
             best, witness = float(norms[top]), tuple(np.flatnonzero(bits[top]).tolist())
@@ -113,7 +166,7 @@ def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
         family ^= family[:, -1:]
     subsets = sorted({tuple(np.flatnonzero(row).tolist()) for row in family})  # () has norm 0
     bits = np.array([np.isin(np.arange(n_outcomes), subset) for subset in subsets])
-    norms = _subset_norms(bits, deltas)
+    norms = linalg.matrix_norm(_subset_sums(bits, deltas), "spectral")
     top = int(np.argmax(norms))
     return DistanceReport(float(norms[top]), "op_lower", subsets[top] if norms[top] > 0.0 else ())
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -492,17 +493,24 @@ def load_counts(path) -> tuple[FrequencyTable, dict]:
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
     n_states, n_outcomes = meta["n_states"], meta["n_outcomes"]
-    counts = np.zeros((n_states, n_outcomes), dtype=np.int64)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         if header != ["state_index", "outcome_index", "count"]:
             raise ValueError(f"unexpected counts header: {header}")
-        for row in reader:
-            i, j, c = int(row[0]), int(row[1]), int(row[2])
-            if not (0 <= i < n_states and 0 <= j < n_outcomes):
-                raise ValueError(f"cell ({i}, {j}) outside {n_states} x {n_outcomes}")
-            if c < 0:
-                raise ValueError(f"row {i},{j},{c}: negative count")
-            counts[i, j] += c
-    return FrequencyTable(counts, meta["n_shots"]), meta
+        body = fh.read()
+    if body.strip():  # np.loadtxt warns on empty input
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+    else:
+        rows = np.empty((0, 3), dtype=np.int64)
+    if rows.shape[1] != 3:
+        raise ValueError(f"counts rows have {rows.shape[1]} fields, expected 3")
+    states, outcomes, cells = rows.T
+    bad = (states < 0) | (states >= n_states) | (outcomes < 0) | (outcomes >= n_outcomes) | (cells < 0)
+    if bad.any():  # name the first bad row in file order
+        i, j, c = rows[np.argmax(bad)].tolist()
+        if not (0 <= i < n_states and 0 <= j < n_outcomes):
+            raise ValueError(f"cell ({i}, {j}) outside {n_states} x {n_outcomes}")
+        raise ValueError(f"row {i},{j},{c}: negative count")
+    counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
+    np.add.at(counts, states * n_outcomes + outcomes, cells)
+    return FrequencyTable(counts.reshape(n_states, n_outcomes), meta["n_shots"]), meta

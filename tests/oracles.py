@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from povmtomo import distances, linalg
+
 
 def simplex_project(v):
     """Euclidean projection of a real vector onto {z >= 0, sum z = 1}.
@@ -63,6 +65,30 @@ def subset_enumeration_d_op(e_elements, f_elements):
             total = (total + total.conj().T) / 2
             best = max(best, float(np.max(np.abs(np.linalg.eigvalsh(total)))))
     return best
+
+
+def gray_code_d_op(e, f):
+    """Bit-for-bit reference for ``distances.d_op_exact``: every subset's norm.
+
+    The enumeration ``d_op_exact`` made before it bounded subsets: chunks of
+    ``distances.SUBSET_CHUNK_ELEMENTS // d^2`` Gray-code subsets, each chunk's
+    sums in one matmul and every spectral norm in one stacked ``eigvalsh``;
+    the witness is the first subset in Gray-code order to reach the maximum.
+    """
+    deltas, both_valid = distances._deltas(e, f)
+    n_outcomes, d, _ = deltas.shape
+    n_bits = n_outcomes - 1 if both_valid else n_outcomes
+    rows = max(1, distances.SUBSET_CHUNK_ELEMENTS // (d * d))
+    best, witness = 0.0, ()
+    for start in range(1, 2**n_bits, rows):
+        k = np.arange(start, min(start + rows, 2**n_bits))
+        bits = ((k ^ (k >> 1))[:, None] >> np.arange(n_bits)) & 1
+        totals = (bits @ deltas[:n_bits].reshape(n_bits, d * d)).reshape(-1, d, d)
+        norms = linalg.matrix_norm(linalg.hermitize(totals), "spectral")
+        top = int(np.argmax(norms))
+        if norms[top] > best:
+            best, witness = float(norms[top]), tuple(np.flatnonzero(bits[top]).tolist())
+    return distances.DistanceReport(best, "op_exact", witness)
 
 
 def definition_d_av(e_elements, f_elements):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from povmtomo import distances, povm
+from povmtomo import distances, linalg, povm
 from povmtomo.distances import d_av, d_op_exact, d_op_lower, upper_surrogates
 from povmtomo.packing_lab import haar_unitary
 from povmtomo.povm import RawEstimate, computational_povm, depolarized, random_povm, rotated_povm
-from oracles import definition_d_av, subset_enumeration_d_op
+from oracles import definition_d_av, gray_code_d_op, random_hermitian, subset_enumeration_d_op
 
 Z_VS_X = 0.7071067811865476
 
@@ -210,3 +212,89 @@ def test_shape_mismatch_and_cap():
     big = RawEstimate(np.zeros((25, 2, 2), dtype=complex))
     with pytest.raises(ValueError):
         d_op_exact(big, big)
+
+
+def bit_identity_cases():
+    """Input pairs for which d_op_exact must match the Gray-code oracle bit for bit."""
+    cases = [
+        (random_povm(d, n_outcomes, (180, d, n_outcomes)), random_povm(d, n_outcomes, (181, d, n_outcomes)))
+        for d in (2, 3, 4)
+        for n_outcomes in (2, 3, 6, 9)
+    ]
+    rng = np.random.default_rng(182)
+    for d, n_outcomes in ((2, 5), (3, 7), (4, 4)):  # raw stacks: full enumeration
+        raw = [RawEstimate(np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])) for _ in range(2)]
+        cases.append(tuple(raw))
+    e = random_povm(3, 6, 183)
+    cases.append((e, e))  # all-zero deltas: every bound is 0 and nothing can be pruned
+    weights = np.array([[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]])
+    e, f = (povm.Povm(w[:, None, None] * np.eye(3)) for w in weights)
+    cases.append((e, f))  # identity-proportional deltas: s = 0 and the bound is the norm
+    e = random_povm(3, 5, 184)
+    cases.append((e, povm.Povm(e.elements[[1, 0, 2, 3, 4]])))  # D_1 = -D_0, the rest 0: tied maxima
+    cases.append((random_povm(2, 16, 185), random_povm(2, 16, 186)))  # 2^15 subsets: two chunks
+    return cases
+
+
+def test_exact_is_bit_identical_to_gray_code_oracle(monkeypatch):
+    for e, f in bit_identity_cases():
+        assert d_op_exact(e, f) == gray_code_d_op(e, f)
+    # chunks of 36 // d^2 rows (4 at d = 3): the running maximum is carried across chunks
+    monkeypatch.setattr(distances, "SUBSET_CHUNK_ELEMENTS", 4 * 3 * 3)
+    for e, f in bit_identity_cases()[:-1]:
+        assert d_op_exact(e, f) == gray_code_d_op(e, f)
+
+
+def test_exact_prunes_most_subsets(monkeypatch):
+    evaluated = []
+    norm = linalg.matrix_norm
+
+    def counting_norm(a, kind):
+        evaluated.append(len(a))
+        return norm(a, kind)
+
+    monkeypatch.setattr(linalg, "matrix_norm", counting_norm)
+    for trial in range(5):
+        evaluated.clear()
+        d_op_exact(random_povm(3, 12, (187, trial)), random_povm(3, 12, (188, trial)))
+        assert sum(evaluated) <= 2047 // 10
+
+
+def test_exact_rejects_non_finite_effects():
+    base = random_povm(3, 4, 189).elements
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        effects = base.copy()
+        effects[2, 1, 1] = bad
+        for distance in (d_op_exact, d_op_lower, d_av, upper_surrogates):
+            with pytest.raises(ValueError, match="non-finite"):
+                distance(effects, base)
+    # finite subset sums whose squared entries overflow: their bounds are inf and are never pruned
+    rng = np.random.default_rng(190)
+    huge = 1e160 * np.array([random_hermitian(3, rng) for _ in range(4)])
+    report = d_op_exact(huge, np.zeros_like(huge))
+    assert report == gray_code_d_op(huge, np.zeros_like(huge)) and report.value > 1e159
+
+
+@settings(max_examples=60)
+@given(
+    d=st.integers(1, 8),
+    exponent=st.floats(-8, 8),
+    spread=st.floats(-12, 0),
+    seed=st.integers(0, 2**16),
+)
+def test_trace_bound_on_the_spectral_norm(d, exponent, spread, seed):
+    # ||A|| <= |m| + s sqrt(d-1) within the slack, with equality on (m + (d-1)t, m - t, ..., m - t);
+    # t/m down to 1e-12 needs s^2 free of cancellation
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    stack = np.array([random_hermitian(d, rng, scale) for _ in range(5)])
+    bounds, slack = distances._spectral_bounds(stack)
+    assert np.all(np.max(np.abs(np.linalg.eigvalsh(stack)), axis=1) <= bounds + slack)
+    m = scale * rng.uniform(0.5, 1)
+    t = m * 10.0**spread
+    spectrum = np.full(d, m - t)
+    spectrum[0] = m + (d - 1) * t
+    u = haar_unitary(d, seed)
+    tight = linalg.hermitize((u * spectrum) @ u.conj().T)[None]
+    bounds, slack = distances._spectral_bounds(tight)
+    assert abs(bounds[0] - np.max(np.abs(np.linalg.eigvalsh(tight)))) <= slack

@@ -234,7 +234,7 @@ ADJOINT_ENSEMBLES = {
 }
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     name=st.sampled_from(sorted(ADJOINT_ENSEMBLES)),
     dual=st.booleans(),

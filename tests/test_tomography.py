@@ -123,7 +123,7 @@ LSE_ENSEMBLES = {
 }
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(
     name=st.sampled_from(sorted(LSE_ENSEMBLES)),
     n_outcomes=st.integers(2, 4),
@@ -239,7 +239,7 @@ def test_projection_matches_sdp_oracle(metric):
         assert np.max(np.abs(projected.elements - reference)) < 2e-5
 
 
-PROPERTY_SETTINGS = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=50)
 
 
 @st.composite
@@ -525,6 +525,21 @@ def test_load_counts_checks_cells(tmp_path):
     path.write_text("state_index,outcome_index,count\n0,0,7\n1,1,6\n0,0,-3\n")
     with pytest.raises(ValueError, match="row 0,0,-3: negative count"):
         tomography.load_counts(path)  # a negative row cancelling a repeated one still sums to N
+    path.write_text("state_index,outcome_index,count\r\n")
+    with pytest.raises(ValueError, match="counts sum to 0, expected n_shots = 10"):
+        tomography.load_counts(path)  # header only: no rows, and no warning from the parser
+    path.write_text("state,outcome,count\n0,0,10\n")
+    with pytest.raises(ValueError, match="unexpected counts header"):
+        tomography.load_counts(path)
+    for body, message in [
+        ("0,0,4.5\n1,1,5.5\n", "could not convert"),
+        ("0,0,4\n1,1\n", "number of columns changed"),
+        ("0,0\n1,1\n", "2 fields, expected 3"),
+        ("0,0,4,1\n1,1,6,0\n", "4 fields, expected 3"),
+    ]:
+        path.write_text("state_index,outcome_index,count\n" + body)
+        with pytest.raises(ValueError, match=message):
+            tomography.load_counts(path)  # non-integer, short or long rows
 
 
 def test_seven_qubit_pipeline():
