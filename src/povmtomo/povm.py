@@ -36,10 +36,12 @@ def _as_element_stack(elements) -> np.ndarray:
     if isinstance(elements, (Povm, RawEstimate)):
         return elements.elements
     arr = np.asarray(elements, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValueError(f"expected an (L, d, d) stack of effects, got shape {arr.shape}")
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
+        raise ValueError(f"expected an (L, d, d) stack of effects with d >= 1, got shape {arr.shape}")
     if arr.shape[0] < 1:
         raise ValueError("a POVM needs at least one effect")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix has non-finite entries")
     return arr
 
 
@@ -308,17 +310,29 @@ def measurement_channel(ideal: Povm, estimated: Povm) -> np.ndarray:
     return left.T @ right
 
 
+def _povm_file_template(n_outcomes: int, d: int) -> str:
+    """The text of ``json.dump(doc, sort_keys=True, indent=2)`` plus a newline, with
+    ``%d`` for ``dim`` and ``outcomes`` and ``%r`` for each float of ``elements``."""
+    pair = "        [\n          %r,\n          %r\n        ]"
+    row = "      [\n" + ",\n".join([pair] * d) + "\n      ]"
+    matrix = "    [\n" + ",\n".join([row] * d) + "\n    ]"
+    elements = "[\n" + ",\n".join([matrix] * n_outcomes) + "\n  ]"
+    return '{\n  "dim": %d,\n  "elements": ' + elements + ',\n  "outcomes": %d\n}\n'
+
+
 def save_povm(povm, path) -> None:
-    """Write a POVM (or raw estimate) as JSON with exact float round-trip."""
+    """Write a POVM (or raw estimate) as JSON with exact float round-trip.
+
+    The file is ``json.dump(..., sort_keys=True, indent=2)`` of ``dim``,
+    ``elements`` (nested ``[re, im]`` pairs) and ``outcomes``, byte for byte;
+    ``%r`` of a finite float is the shortest round-trip repr that ``json``
+    writes, and :func:`_as_element_stack` rejects non-finite entries.
+    """
     arr = _as_element_stack(povm)
-    doc = {
-        "dim": int(arr.shape[1]),
-        "outcomes": int(arr.shape[0]),
-        "elements": np.stack([arr.real, arr.imag], axis=-1).tolist(),
-    }
+    n_outcomes, d, _ = arr.shape
+    values = np.stack([arr.real, arr.imag], axis=-1).ravel().tolist()
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_povm_file_template(n_outcomes, d) % (d, *values, n_outcomes))
 
 
 def read_povm_file(path) -> np.ndarray:

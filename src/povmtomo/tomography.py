@@ -15,7 +15,6 @@ live here as well.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -85,15 +84,17 @@ def _probabilities(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
 def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> FrequencyTable:
     """Sample N shots: a uniform probe state, then a Born-rule outcome.
 
-    Deterministic given ``seed`` (Philox stream): one draw of N probe
-    indices, then one multinomial per observed state in ascending order,
-    which is distributionally identical to per-shot sampling.
+    Deterministic given ``seed`` (Philox stream): one multinomial draw of the
+    N shots over the M probe states with probabilities ``1/M`` (O(M) time and
+    memory, whatever N), then one multinomial per observed state in
+    ascending order. This equals per-shot sampling in distribution, up to
+    the rounding of 1/M to a float.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
     probs = _probabilities(povm, ensemble)
     rng = make_rng(seed)
-    per_state = np.bincount(rng.integers(0, ensemble.size, size=n_shots), minlength=ensemble.size)
+    per_state = rng.multinomial(n_shots, np.full(ensemble.size, 1.0 / ensemble.size))
     observed = np.flatnonzero(per_state)
     counts = np.zeros(probs.shape, dtype=np.int64)
     counts[observed] = rng.multinomial(per_state[observed], probs[observed])
@@ -460,17 +461,16 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
     """Write counts as CSV plus a `<path>.meta.json` sidecar.
 
     The CSV has header ``state_index,outcome_index,count`` and one row per
-    nonzero cell in row-major order; the sidecar records M, L, N and, when
-    given, the ensemble spec and its hash so ingestion can verify
-    compatibility.
+    nonzero cell in row-major order, with CRLF line ends; the sidecar
+    records M, L, N and, when given, the ensemble spec and its hash so
+    ingestion can verify compatibility.
     """
     path = str(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state_index", "outcome_index", "count"])
-        states, outcomes = np.nonzero(table.counts)
-        cells = table.counts[states, outcomes]
-        writer.writerows(zip(states.tolist(), outcomes.tolist(), cells.tolist()))
+    states, outcomes = np.nonzero(table.counts)
+    rows = np.stack([states, outcomes, table.counts[states, outcomes]], axis=1)
+    with open(path, "wb") as fh:
+        fh.write(b"state_index,outcome_index,count\r\n")
+        fh.write(b"%d,%d,%d\r\n" * len(rows) % tuple(rows.ravel().tolist()))
     meta = {
         "n_states": table.n_states,
         "n_outcomes": table.n_outcomes,

@@ -5,11 +5,15 @@ brute-force enumeration, direct formula evaluation) rather than reusing the
 code paths under test.
 """
 
+import csv
 import itertools
+import json
 
 import numpy as np
 
 from povmtomo import distances, linalg
+from povmtomo.povm import _as_element_stack
+from povmtomo.tomography import spec_hash
 
 
 def simplex_project(v):
@@ -118,6 +122,40 @@ def product_state(ensemble, index):
         psi = np.kron(psi, ensemble.states[index // m**position % m])
     return psi
 
+
+def json_save_povm(povm, path) -> None:
+    """Byte reference for ``povm.save_povm``: ``json.dump`` of the document with ``indent=2``."""
+    arr = _as_element_stack(povm)
+    doc = {
+        "dim": int(arr.shape[1]),
+        "outcomes": int(arr.shape[0]),
+        "elements": np.stack([arr.real, arr.imag], axis=-1).tolist(),
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def csv_save_counts(table, path, ensemble_spec=None) -> None:
+    """Byte reference for ``tomography.save_counts``: the counts rows through ``csv.writer``."""
+    path = str(path)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["state_index", "outcome_index", "count"])
+        states, outcomes = np.nonzero(table.counts)
+        cells = table.counts[states, outcomes]
+        writer.writerows(zip(states.tolist(), outcomes.tolist(), cells.tolist()))
+    meta = {
+        "n_states": table.n_states,
+        "n_outcomes": table.n_outcomes,
+        "n_shots": table.n_shots,
+    }
+    if ensemble_spec is not None:
+        meta["ensemble_spec"] = ensemble_spec
+        meta["ensemble_spec_sha256"] = spec_hash(ensemble_spec)
+    with open(path + ".meta.json", "w") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def dykstra_projection(raw, metric="frobenius", tol_feasibility=1e-9, tol_step=1e-10, max_iterations=10000):

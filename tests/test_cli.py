@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from povmtomo import cli, povm
+from povmtomo import cli, povm, tomography
 from povmtomo.cli import ExperimentConfig, load_config, run_reconstruction, run_scaling
 
 
@@ -274,8 +274,20 @@ def test_packing_command(tmp_path, capsys):
 
 
 def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys):
-    path = write_config(tmp_path, shots=200, projection={"metric": "frobenius", "max_iterations": 1})
-    code = cli.main(["reconstruct", "--config", str(path)])
+    path = write_config(tmp_path, projection={"metric": "frobenius", "max_iterations": 1})
+    config = load_config(path)
+    # 100 shots on each Pauli-6 state: +1 eigenstates of Z, X and Y give outcome 0, -1 eigenstates outcome 1
+    counts = tmp_path / "counts.csv"
+    counts.write_text("state_index,outcome_index,count\n" + "".join(f"{i},{i % 2},100\n" for i in range(6)))
+    meta = {"n_states": 6, "n_outcomes": 2, "n_shots": 600, "ensemble_spec": config.ensemble_spec,
+            "ensemble_spec_sha256": tomography.spec_hash(config.ensemble_spec)}
+    (tmp_path / "counts.csv.meta.json").write_text(json.dumps(meta))
+    # premise: equal per-state totals make the raw effects sum to I, so the projection starts at
+    # the raw LSE itself; one of its effects is not PSD, so one Newton step cannot stop there
+    raw = tomography.lse_estimate(tomography.load_counts(counts)[0], config.build()[1]).elements
+    assert np.allclose(raw.sum(axis=0), np.eye(2), rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(raw).min() < -0.1
+    code = cli.main(["reconstruct", "--config", str(path), "--from-counts", str(counts)])
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "RuntimeError"

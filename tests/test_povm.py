@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from povmtomo import distances, povm
 from povmtomo.packing_lab import haar_unitary
+from oracles import json_save_povm
 
 
 def test_computational_povm():
@@ -194,6 +197,49 @@ def test_povm_file_roundtrip_exact(tmp_path):
     path2 = tmp_path / "povm2.json"
     povm.save_povm(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e22, -1e22, 1 / 3,
+                  0.1, 1e-7, 1.7976931348623157e308, 123456789012345678.0)
+
+
+@settings(max_examples=60)
+@given(
+    n_outcomes=st.integers(1, 6),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-30, 30),
+    specials=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(SPECIAL_FLOATS)), max_size=16),
+)
+@example(n_outcomes=1, d=1, seed=0, exponent=0, specials=[(0, -0.0), (1, 5e-324)])
+@example(n_outcomes=6, d=8, seed=1, exponent=0, specials=list(enumerate(SPECIAL_FLOATS)))
+def test_povm_file_matches_json_dump(tmp_path_factory, n_outcomes, d, seed, exponent, specials):
+    values = np.random.default_rng(seed).normal(size=2 * n_outcomes * d * d) * 10.0**exponent
+    for position, value in specials:
+        values[position % values.size] = value
+    stack = values[0::2] + 1j * values[1::2]
+    stack = stack.reshape(n_outcomes, d, d)
+    folder = tmp_path_factory.mktemp("povm")
+    povm.save_povm(stack, folder / "template.json")
+    json_save_povm(stack, folder / "json.json")
+    assert (folder / "template.json").read_bytes() == (folder / "json.json").read_bytes()
+    assert np.array_equal(povm.read_povm_file(folder / "template.json"), stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+def test_non_finite_stacks_fail_early(tmp_path, bad):
+    stack = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+    stack[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        povm.validate(stack)  # no RuntimeWarning from hermitize first
+    with pytest.raises(ValueError, match="non-finite"):
+        povm.save_povm(stack, tmp_path / "povm.json")
+    assert not (tmp_path / "povm.json").exists()
+
+
+def test_empty_matrices_are_rejected():
+    with pytest.raises(ValueError, match="d >= 1"):
+        povm.validate(np.zeros((2, 0, 0)))
 
 
 def test_build_povm_dispatch_strict():

@@ -1,9 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,7 +19,7 @@ from povmtomo.tomography import (
     sample_size,
     simulate_shots,
 )
-from oracles import dav_clip_by_segments, dykstra_projection, random_hermitian, simplex_project
+from oracles import csv_save_counts, dav_clip_by_segments, dykstra_projection, random_hermitian, simplex_project
 
 
 def test_frequency_table_invariants():
@@ -71,6 +72,22 @@ def test_simulate_is_deterministic():
     assert np.array_equal(a.counts, b.counts)
     c = simulate_shots(target, ensemble, 2000, 100)
     assert not np.array_equal(a.counts, c.counts)
+
+
+def test_simulate_memory_is_independent_of_the_shot_number():
+    target = povm.computational_povm(2)
+    ensemble = frames.pauli6_product(1)
+    n_shots = 10**8
+    simulate_shots(target, ensemble, 10, 0)  # first-call imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        table = simulate_shots(target, ensemble, n_shots, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # one int64 per shot would be 800 MB
+    assert int(table.counts.sum()) == n_shots
+    assert np.array_equal(table.counts, simulate_shots(target, ensemble, n_shots, 21).counts)
 
 
 def test_simulate_dimension_mismatch():
@@ -507,6 +524,30 @@ def test_counts_roundtrip(tmp_path):
     assert np.array_equal(loaded.counts, table.counts)
     assert loaded.n_shots == table.n_shots
     assert meta["ensemble_spec_sha256"] == tomography.spec_hash(spec)
+
+
+@settings(max_examples=40)
+@given(
+    n_states=st.integers(1, 200_000),
+    n_outcomes=st.integers(1, 6),
+    cells=st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 10**9)), min_size=1, max_size=20),
+    with_spec=st.booleans(),
+)
+@example(n_states=1, n_outcomes=1, cells=[(0, 7)], with_spec=False)  # a single-row table
+@example(n_states=5, n_outcomes=3, cells=[(14, 2)], with_spec=True)  # the last cell only
+@example(n_states=150_000, n_outcomes=4, cells=[(400_000, 3), (599_999, 10**9), (123_457, 1)], with_spec=True)
+def test_counts_file_matches_csv_writer(tmp_path_factory, n_states, n_outcomes, cells, with_spec):
+    counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
+    for position, count in cells:
+        counts[position % counts.size] += count
+    table = FrequencyTable(counts.reshape(n_states, n_outcomes), int(counts.sum()))
+    spec = {"kind": "pauli6_product", "n_qubits": 1} if with_spec else None
+    folder = tmp_path_factory.mktemp("counts")
+    tomography.save_counts(table, folder / "fast.csv", ensemble_spec=spec)
+    csv_save_counts(table, folder / "csv.csv", ensemble_spec=spec)
+    for suffix in ("", ".meta.json"):
+        assert (folder / f"fast.csv{suffix}").read_bytes() == (folder / f"csv.csv{suffix}").read_bytes()
+    assert np.array_equal(tomography.load_counts(folder / "fast.csv")[0].counts, table.counts)
 
 
 def test_load_counts_checks_cells(tmp_path):
