@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,14 @@ from .tomography import (
 
 CONFIG_KEYS = {"povm", "ensemble", "shots", "seed", "projection", "epsilon", "delta", "outputs"}
 PROJECTION_KEYS = {"metric", "tol_feasibility", "tol_step", "max_iterations"}
+# command-line flag -> (config section, key); None is the top level of the document
+OVERRIDES = {
+    "seed": (None, "seed"),
+    "shots": (None, "shots"),
+    "out": ("outputs", "dir"),
+    "metric": ("projection", "metric"),
+    "tol": ("projection", "tol_feasibility"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +75,9 @@ class ExperimentConfig:
         shots = int(doc["shots"])
         if shots < 1:
             raise ValueError("shots must be >= 1")
+        seed = int(doc["seed"])
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         epsilon = float(doc.get("epsilon", 0.1))
         delta = float(doc.get("delta", 0.05))
         if not epsilon > 0:
@@ -77,11 +88,11 @@ class ExperimentConfig:
             povm_spec=doc["povm"],
             ensemble_spec=doc["ensemble"],
             shots=shots,
-            seed=int(doc["seed"]),
+            seed=seed,
             projection=projection,
             epsilon=epsilon,
             delta=delta,
-            out_dir=outputs.get("dir", "."),
+            out_dir=str(outputs.get("dir", ".")),
         )
 
     def build(self):
@@ -95,23 +106,15 @@ class ExperimentConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a JSON config and validate it once, after the non-None
+    ``overrides`` (keys of :data:`OVERRIDES`) have replaced its values."""
     with open(path) as fh:
         doc = json.load(fh)
-    config = ExperimentConfig.from_dict(doc)
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    if "seed" in overrides:
-        config = replace(config, seed=int(overrides["seed"]))
-    if "shots" in overrides:
-        config = replace(config, shots=int(overrides["shots"]))
-    if "out" in overrides:
-        config = replace(config, out_dir=str(overrides["out"]))
-    if "metric" in overrides:
-        config = replace(config, projection=replace(config.projection, metric=overrides["metric"]))
-    if "tol" in overrides:
-        config = replace(
-            config, projection=replace(config.projection, tol_feasibility=float(overrides["tol"]))
-        )
-    return config
+    for flag, (section, key) in OVERRIDES.items():
+        value = (overrides or {}).get(flag)
+        if value is not None:
+            (doc if section is None else doc.setdefault(section, {}))[key] = value
+    return ExperimentConfig.from_dict(doc)
 
 
 def _dump_json(doc, path) -> None:
@@ -134,6 +137,15 @@ def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, n_
     return panel
 
 
+def _simulate_counts(config: ExperimentConfig, target, ensemble):
+    """Draw the config's shots and write ``counts.csv`` under its output directory."""
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table = simulate_shots(target, ensemble, config.shots, config.seed)
+    save_counts(table, out_dir / "counts.csv", ensemble_spec=config.ensemble_spec)
+    return table
+
+
 def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None) -> dict:
     """Full pipeline: (simulate or ingest) -> least squares -> projection -> report.
 
@@ -143,12 +155,8 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
     match the ensemble and the target in shape; both are checked before any work.
     """
     target, ensemble = config.build()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if counts_path is None:
-        table = simulate_shots(target, ensemble, config.shots, config.seed)
-        save_counts(table, out_dir / "counts.csv", ensemble_spec=config.ensemble_spec)
+        table = _simulate_counts(config, target, ensemble)
     else:
         table, meta = load_counts(counts_path)
         expected = spec_hash(config.ensemble_spec)
@@ -171,6 +179,8 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
 
     raw = lse_estimate(table, ensemble)
     estimated, diagnostics = project_onto_povms(raw, config.projection)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_povm(estimated, out_dir / "estimated_povm.json")
 
     surrogates = distances.upper_surrogates(target, estimated)
@@ -208,23 +218,14 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
     return report
 
 
-@dataclass(frozen=True)
-class ScalingResult:
-    rows: tuple  # (n_shots, trial, d_op, d_av, runtime_ms)
-    slope_op: float
-    intercept_op: float
-    slope_av: float
-    intercept_av: float
-    medians: dict
-
-
-def run_scaling(config: ExperimentConfig, n_list, trials: int) -> ScalingResult:
+def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, dict]:
     """Repeat the pipeline over a shot ladder and fit log-log error slopes.
 
     Trial t at shot count N uses the derived stream (seed, index(N), t), so
     the study is reproducible and trials are independent. Medians per N feed
     a least-squares line in log space; slopes near -1/2 reflect the
-    shot-noise-limited regime.
+    shot-noise-limited regime. Returns the rows (N, trial, d_op, d_av,
+    runtime_ms) of ``scaling.csv`` and the ``scaling_report.json`` document.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or sorted(set(n_list)) != n_list:
@@ -238,9 +239,7 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> ScalingResult:
             f"{distances.MAX_EXACT_OUTCOMES} outcomes; the target has {target.outcomes}"
         )
     rows = []
-    medians_op, medians_av = [], []
     for n_index, n_shots in enumerate(n_list):
-        errs_op, errs_av = [], []
         for trial in range(trials):
             start = time.perf_counter()
             table = simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial))
@@ -248,54 +247,28 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> ScalingResult:
             estimated, _ = project_onto_povms(raw, config.projection)
             err_op = distances.d_op_exact(target, estimated).value
             err_av = distances.d_av(target, estimated).value
-            runtime_ms = (time.perf_counter() - start) * 1000
-            rows.append((n_shots, trial, err_op, err_av, runtime_ms))
-            errs_op.append(err_op)
-            errs_av.append(err_av)
-        medians_op.append(float(np.median(errs_op)))
-        medians_av.append(float(np.median(errs_av)))
+            rows.append((n_shots, trial, err_op, err_av, (time.perf_counter() - start) * 1000))
+    errors = np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2)
+    medians_op, medians_av = np.median(errors, axis=1).T
     log_n = np.log(np.asarray(n_list, dtype=float))
     slope_op, intercept_op = np.polyfit(log_n, np.log(medians_op), 1)
     slope_av, intercept_av = np.polyfit(log_n, np.log(medians_av), 1)
-    medians = {
-        "n_list": n_list,
-        "d_op": medians_op,
-        "d_av": medians_av,
-    }
-    return ScalingResult(
-        tuple(rows), float(slope_op), float(intercept_op), float(slope_av), float(intercept_av), medians
-    )
-
-
-def _write_scaling(result: ScalingResult, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "scaling.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "trial", "d_op", "d_av", "runtime_ms"])
-        for n_shots, trial, err_op, err_av, runtime_ms in result.rows:
-            writer.writerow([n_shots, trial, repr(err_op), repr(err_av), f"{runtime_ms:.3f}"])
-    _dump_json(
-        {
-            "medians": result.medians,
-            "fit": {
-                "slope_d_op": result.slope_op,
-                "intercept_d_op": result.intercept_op,
-                "slope_d_av": result.slope_av,
-                "intercept_d_av": result.intercept_av,
-            },
+    report = {
+        "medians": {"n_list": n_list, "d_op": medians_op.tolist(), "d_av": medians_av.tolist()},
+        "fit": {
+            "slope_d_op": float(slope_op),
+            "intercept_d_op": float(intercept_op),
+            "slope_d_av": float(slope_av),
+            "intercept_d_av": float(intercept_av),
         },
-        out_dir / "scaling_report.json",
-    )
+    }
+    return rows, report
 
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config, vars(args))
-    target, ensemble = config.build()
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = simulate_shots(target, ensemble, config.shots, config.seed)
-    save_counts(table, out_dir / "counts.csv", ensemble_spec=config.ensemble_spec)
-    print(json.dumps({"counts": str(out_dir / "counts.csv"), "shots": table.n_shots}))
+    table = _simulate_counts(config, *config.build())
+    print(json.dumps({"counts": str(Path(config.out_dir) / "counts.csv"), "shots": table.n_shots}))
     return 0
 
 
@@ -327,20 +300,17 @@ def _cmd_distance(args) -> int:
 
 def _cmd_scaling(args) -> int:
     config = load_config(args.config, vars(args))
-    n_list = [int(tok) for tok in args.n_list.split(",")]
-    result = run_scaling(config, n_list, args.trials)
-    _write_scaling(result, Path(config.out_dir))
-    print(
-        json.dumps(
-            {
-                "slope_d_op": result.slope_op,
-                "slope_d_av": result.slope_av,
-                "medians": result.medians,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    rows, report = run_scaling(config, [int(tok) for tok in args.n_list.split(",")], args.trials)
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "scaling.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["N", "trial", "d_op", "d_av", "runtime_ms"])
+        writer.writerows([n, t, repr(op), repr(av), f"{ms:.3f}"] for n, t, op, av, ms in rows)
+    _dump_json(report, out_dir / "scaling_report.json")
+    fit = report["fit"]
+    summary = {"slope_d_op": fit["slope_d_op"], "slope_d_av": fit["slope_d_av"], "medians": report["medians"]}
+    print(json.dumps(summary, sort_keys=True, indent=2))
     return 0
 
 
@@ -423,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="povmtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="experiment config JSON")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--shots", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")

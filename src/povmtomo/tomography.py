@@ -47,9 +47,9 @@ class FrequencyTable:
         counts = np.array(counts)
         if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError(f"counts must be a 2-d integer array, got {counts.dtype} {counts.shape}")
-        if np.any(counts < 0) or np.any(counts > n_shots):  # bounded cells keep the int64 sum exact
+        if np.any(counts < 0) or np.any(counts > n_shots):
             raise ValueError(f"counts must lie in [0, n_shots = {n_shots}]")
-        total = int(counts.sum())
+        total = _exact_sum(counts, n_shots)
         if total != n_shots:
             raise ValueError(f"counts sum to {total}, expected n_shots = {n_shots}")
         self.counts = counts.astype(np.int64, copy=False)
@@ -66,6 +66,13 @@ class FrequencyTable:
             f"FrequencyTable(M={self.n_states}, L={self.n_outcomes}, "
             f"N={self.n_shots}, cells={np.count_nonzero(self.counts)})"
         )
+
+
+def _exact_sum(values: np.ndarray, bound: int) -> int:
+    """Sum of integers in [0, bound], exact also where an int64 sum would wrap."""
+    if values.size * int(bound) < 2**63:  # no partial sum can reach 2**63
+        return int(values.sum())
+    return int(values.sum(dtype=object))
 
 
 def _probabilities(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
@@ -344,6 +351,19 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
     )
 
 
+# (frame, distance, variant) -> (a, sigma^2, K, b) of the Bernstein bound
+# N > 8 a (sigma^2 + K epsilon / 6) / epsilon^2 ln(b / delta), in terms of d, L and
+# n (d = 2**n for local frames). sigma^2 and K of the op rows bound the shot-free
+# variance and range that bernstein_diagnostics measures.
+_BERNSTEIN_ROWS = {
+    ("global", "op", "theorem"): lambda d, L, n: (1, d**3 + d**2, d**2, 2 ** (L + 1) * d),
+    ("global", "av", "theorem"): lambda d, L, n: (L**2, d**2 + d, 2 * d / L, 4 * L * d),
+    ("global", "av", "proof"): lambda d, L, n: (L**2, d**2 + d, d * math.sqrt(d) / L, 4 * L * d),
+    ("local", "op", "theorem"): lambda d, L, n: (1, 10**n, 4**n, 2 ** (L + 1) * 2**n),
+    ("local", "av", "theorem"): lambda d, L, n: (L**2, 5**n, 2**n, 4 * L * 2**n),
+}
+
+
 def sample_size(
     d: int,
     n_outcomes: int,
@@ -375,37 +395,10 @@ def sample_size(
         raise ValueError("variant must be 'theorem' or 'proof'")
     if variant == "proof" and not (frame == "global" and distance == "av"):
         raise ValueError("the 'proof' constant is only defined for the global av bound")
-    L = n_outcomes
-    if frame == "local":
-        if n_qubits is None or 2**n_qubits != d:
-            raise ValueError("local frames need n_qubits with d = 2**n_qubits")
-        n = n_qubits
-        if distance == "op":
-            value = (
-                8 * (10**n + 4**n * epsilon / 6) / epsilon**2
-                * math.log(2 ** (L + 1) * 2**n / delta)
-            )
-        else:
-            value = (
-                8 * L**2 * (5**n + 2**n * epsilon / 6) / epsilon**2
-                * math.log(4 * L * 2**n / delta)
-            )
-    else:
-        if distance == "op":
-            value = (
-                8 * (d**3 + d**2 * (1 + epsilon / 6)) / epsilon**2
-                * math.log(2 ** (L + 1) * d / delta)
-            )
-        elif variant == "theorem":
-            value = (
-                8 * L**2 * (d**2 + d * (1 + epsilon / (3 * L))) / epsilon**2
-                * math.log(4 * L * d / delta)
-            )
-        else:
-            value = (
-                8 * L**2 * (d**2 + d * (1 + math.sqrt(d) * epsilon / (6 * L))) / epsilon**2
-                * math.log(4 * L * d / delta)
-            )
+    if frame == "local" and (n_qubits is None or 2**n_qubits != d):
+        raise ValueError("local frames need n_qubits with d = 2**n_qubits")
+    a, sigma2, k, b = _BERNSTEIN_ROWS[frame, distance, variant](d, n_outcomes, n_qubits)
+    value = 8 * a * (sigma2 + k * epsilon / 6) / epsilon**2 * math.log(b / delta)
     return math.ceil(value) + 1
 
 
@@ -437,11 +430,7 @@ def bernstein_diagnostics(povm: Povm, ensemble: ProbeEnsemble, subset) -> Bernst
     p = frame_traces(effect[None], ensemble.projector_factors(), n) / ensemble.size
     second_moment = frame_sum(p, dual @ dual, n)[0]
     sigma2_emp = linalg.matrix_norm(linalg.hermitize(second_moment - effect @ effect), "spectral")
-    if ensemble.kind == "local":
-        k_bound, sigma2_bound = float(4**n), float(10**n)
-    else:
-        d = ensemble.dim
-        k_bound, sigma2_bound = float(d**2), float(d**3 + d**2)
+    sigma2_bound, k_bound = map(float, _BERNSTEIN_ROWS[ensemble.kind, "op", "theorem"](ensemble.dim, 1, n)[1:3])
     # k_emp is a power of an eigenvalue and carries about n ulps of relative error
     if k_emp > k_bound * (1 + 1e-12) + 1e-9 or sigma2_emp > sigma2_bound * (1 + 1e-12) + 1e-9:
         raise AssertionError(
@@ -487,12 +476,13 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
 def load_counts(path) -> tuple[FrequencyTable, dict]:
     """Read a counts CSV and its sidecar; returns (table, metadata).
 
-    Repeated cells add up; a negative count is rejected before it can cancel one.
+    Repeated cells add up; a negative count is rejected before it can cancel one,
+    and a count above ``n_shots`` or rows that do not sum to it before they are added.
     """
     path = str(path)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
-    n_states, n_outcomes = meta["n_states"], meta["n_outcomes"]
+    n_states, n_outcomes, n_shots = meta["n_states"], meta["n_outcomes"], meta["n_shots"]
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != ["state_index", "outcome_index", "count"]:
@@ -505,12 +495,18 @@ def load_counts(path) -> tuple[FrequencyTable, dict]:
     if rows.shape[1] != 3:
         raise ValueError(f"counts rows have {rows.shape[1]} fields, expected 3")
     states, outcomes, cells = rows.T
-    bad = (states < 0) | (states >= n_states) | (outcomes < 0) | (outcomes >= n_outcomes) | (cells < 0)
+    bad = (states < 0) | (states >= n_states) | (outcomes < 0) | (outcomes >= n_outcomes)
+    bad |= (cells < 0) | (cells > n_shots)
     if bad.any():  # name the first bad row in file order
         i, j, c = rows[np.argmax(bad)].tolist()
         if not (0 <= i < n_states and 0 <= j < n_outcomes):
             raise ValueError(f"cell ({i}, {j}) outside {n_states} x {n_outcomes}")
-        raise ValueError(f"row {i},{j},{c}: negative count")
+        if c < 0:
+            raise ValueError(f"row {i},{j},{c}: negative count")
+        raise ValueError(f"row {i},{j},{c}: count above n_shots = {n_shots}")
+    total = _exact_sum(cells, n_shots)
+    if total != n_shots:  # checked here because np.add.at would wrap a larger sum
+        raise ValueError(f"counts sum to {total}, expected n_shots = {n_shots}")
     counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
     np.add.at(counts, states * n_outcomes + outcomes, cells)
-    return FrequencyTable(counts.reshape(n_states, n_outcomes), meta["n_shots"]), meta
+    return FrequencyTable(counts.reshape(n_states, n_outcomes), n_shots), meta

@@ -8,6 +8,7 @@ code paths under test.
 import csv
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -192,3 +193,38 @@ def dykstra_projection(raw, metric="frobenius", tol_feasibility=1e-9, tol_step=1
         if step <= tol_step and residual <= tol_feasibility:
             return psd_iterate, iterations
     raise RuntimeError(f"Dykstra reference hit max_iterations = {max_iterations}")
+
+
+def closed_form_sample_size(d, n_outcomes, epsilon, delta, frame="global", distance="op", variant="theorem",
+                            n_qubits=None):
+    """Reference for ``tomography.sample_size``: each of the five bounds written out as printed."""
+    L = n_outcomes
+    if frame == "local":
+        n = n_qubits
+        if distance == "op":
+            value = (
+                8 * (10**n + 4**n * epsilon / 6) / epsilon**2
+                * math.log(2 ** (L + 1) * 2**n / delta)
+            )
+        else:
+            value = (
+                8 * L**2 * (5**n + 2**n * epsilon / 6) / epsilon**2
+                * math.log(4 * L * 2**n / delta)
+            )
+    else:
+        if distance == "op":
+            value = (
+                8 * (d**3 + d**2 * (1 + epsilon / 6)) / epsilon**2
+                * math.log(2 ** (L + 1) * d / delta)
+            )
+        elif variant == "theorem":
+            value = (
+                8 * L**2 * (d**2 + d * (1 + epsilon / (3 * L))) / epsilon**2
+                * math.log(4 * L * d / delta)
+            )
+        else:
+            value = (
+                8 * L**2 * (d**2 + d * (1 + math.sqrt(d) * epsilon / (6 * L))) / epsilon**2
+                * math.log(4 * L * d / delta)
+            )
+    return math.ceil(value) + 1

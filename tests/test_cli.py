@@ -142,6 +142,28 @@ def test_seed_and_shot_overrides(tmp_path):
     path = write_config(tmp_path)
     config = load_config(path, {"seed": 9, "shots": 123})
     assert config.seed == 9 and config.shots == 123
+    out = tmp_path / "elsewhere"
+    config = load_config(path, {"metric": "dav", "tol": 1e-7, "out": out, "seed": None})
+    assert config.projection == tomography.ProjectionOptions(metric="dav", tol_feasibility=1e-7)
+    assert config.out_dir == str(out) and config.seed == 5
+
+
+@pytest.mark.parametrize(
+    "argv, config_values, message",
+    [
+        (["reconstruct", "--shots", "0"], {}, "shots must be >= 1"),
+        (["reconstruct", "--seed", "-1"], {}, "seed must be >= 0"),
+        (["scaling", "--shots", "0", "--n-list", "64,256,1024", "--trials", "5"], {}, "shots must be >= 1"),
+        (["reconstruct"], {"seed": -1}, "seed must be >= 0"),
+    ],
+)
+def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):
+    path = write_config(tmp_path, **config_values)
+    code = cli.main(argv + ["--config", str(path)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_reconstruction_api(tmp_path):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from povmtomo.tomography import (
     sample_size,
     simulate_shots,
 )
-from oracles import csv_save_counts, dav_clip_by_segments, dykstra_projection, random_hermitian, simplex_project
+from oracles import (
+    closed_form_sample_size,
+    csv_save_counts,
+    dav_clip_by_segments,
+    dykstra_projection,
+    random_hermitian,
+    simplex_project,
+)
 
 
 def test_frequency_table_invariants():
@@ -38,6 +47,8 @@ def test_frequency_table_invariants():
         FrequencyTable(counts, 10)  # negative count
     with pytest.raises(ValueError):
         FrequencyTable(np.array([[2**62, 2**62], [2**62, 2**62 + 1]]), 1)  # int64 sum wraps to 1
+    with pytest.raises(ValueError, match="counts sum to 23058430092136939520"):
+        FrequencyTable(np.full((1, 5), 2**62), 2**62)  # every cell <= N, yet the int64 sum wraps to N
     with pytest.raises(ValueError):
         FrequencyTable(np.full((4, 2), 1.25), 10)  # not integer counts
 
@@ -480,6 +491,45 @@ def test_sample_size_variants_and_domain():
         sample_size(2, 2, 0.1, 0.01, "global", "op", "proof")
 
 
+def _exact_sample_bound(d, L, epsilon, delta, frame, distance, variant, n):
+    """The real-valued bound of ``closed_form_sample_size`` at 40 digits, for the exact float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        eps, dlt, d, L = Decimal(epsilon), Decimal(delta), Decimal(d), Decimal(L)
+        if frame == "local":
+            if distance == "op":
+                return 8 * (10**n + 4**n * eps / 6) / eps**2 * (2 ** (L + 1) * 2**n / dlt).ln()
+            return 8 * L**2 * (5**n + 2**n * eps / 6) / eps**2 * (4 * L * 2**n / dlt).ln()
+        if distance == "op":
+            return 8 * (d**3 + d**2 * (1 + eps / 6)) / eps**2 * (2 ** (L + 1) * d / dlt).ln()
+        factor = 1 / (3 * L) if variant == "theorem" else d.sqrt() / (6 * L)
+        return 8 * L**2 * (d**2 + d * (1 + factor * eps)) / eps**2 * (4 * L * d / dlt).ln()
+
+
+def test_sample_size_table_matches_closed_forms():
+    # d = 2..64, L = 2..25, 11 epsilons, 6 deltas, every bound (local ones where d = 2**n): 318,384 inputs
+    epsilons = (0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 0.9)
+    deltas = (1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5)
+    global_bounds = [("global", "op", "theorem"), ("global", "av", "theorem"), ("global", "av", "proof")]
+    local_bounds = [("local", "op", "theorem"), ("local", "av", "theorem")]
+    checked, differing = 0, []
+    for d, L, eps, delta in itertools.product(range(2, 65), range(2, 26), epsilons, deltas):
+        n = d.bit_length() - 1
+        for bound in global_bounds + (local_bounds if d == 2**n else []):
+            args = (d, L, eps, delta, *bound, n if bound[0] == "local" else None)
+            table, closed = sample_size(*args), closed_form_sample_size(*args)
+            checked += 1
+            if table != closed:
+                differing.append((args, table, closed))
+    assert checked == 318_384
+    # The two float evaluations round differently, so they may differ by one shot, and only
+    # where the exact bound lies within a few ulps of an integer (one input on this grid).
+    for args, table, closed in differing:
+        exact = _exact_sample_bound(*args)
+        assert abs(table - closed) == 1
+        assert abs(exact - exact.to_integral_value()) <= Decimal(4e-15) * exact, (args, exact)
+
+
 def test_bernstein_examples():
     report = bernstein_diagnostics(povm.computational_povm(2), frames.mub_ensemble(2), [0, 1])
     assert report.k_emp == pytest.approx(4.0, abs=1e-9)
@@ -569,6 +619,9 @@ def test_load_counts_checks_cells(tmp_path):
     path.write_text("state_index,outcome_index,count\r\n")
     with pytest.raises(ValueError, match="counts sum to 0, expected n_shots = 10"):
         tomography.load_counts(path)  # header only: no rows, and no warning from the parser
+    path.write_text("state_index,outcome_index,count\n0,0,11\n")
+    with pytest.raises(ValueError, match="row 0,0,11: count above n_shots = 10"):
+        tomography.load_counts(path)
     path.write_text("state,outcome,count\n0,0,10\n")
     with pytest.raises(ValueError, match="unexpected counts header"):
         tomography.load_counts(path)
@@ -581,6 +634,21 @@ def test_load_counts_checks_cells(tmp_path):
         path.write_text("state_index,outcome_index,count\n" + body)
         with pytest.raises(ValueError, match=message):
             tomography.load_counts(path)  # non-integer, short or long rows
+
+
+def test_load_counts_rejects_totals_that_wrap_int64(tmp_path):
+    path = tmp_path / "counts.csv"
+    header = "state_index,outcome_index,count\n"
+    for n_shots, body, message in [
+        # np.add.at would wrap 2 (2**63 - 1) + 3 to 1
+        (1, "0,0,9223372036854775807\n0,0,9223372036854775807\n0,0,3\n", "count above n_shots = 1"),
+        # every row is <= N, and the 5 N that they add up to wraps to N
+        (2**62, "0,0,4611686018427387904\n" * 5, "counts sum to 23058430092136939520"),
+    ]:
+        (tmp_path / "counts.csv.meta.json").write_text(json.dumps({"n_states": 1, "n_outcomes": 2, "n_shots": n_shots}))
+        path.write_text(header + body)
+        with pytest.raises(ValueError, match=message):
+            tomography.load_counts(path)
 
 
 def test_seven_qubit_pipeline():
