@@ -23,6 +23,8 @@ from .frames import build_ensemble
 from .povm import build_povm, load_povm, measurement_channel, pauli_strings, save_povm, validate
 from .tomography import (
     ProjectionOptions,
+    _integer,
+    _real,
     bernstein_diagnostics,
     lse_estimate,
     load_counts,
@@ -72,14 +74,14 @@ class ExperimentConfig:
         outputs = dict(doc.get("outputs", {}))
         if set(outputs) - {"dir"}:
             raise ValueError(f"unknown outputs keys: {sorted(set(outputs) - {'dir'})}")
-        shots = int(doc["shots"])
+        shots = _integer("shots", doc["shots"])
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        seed = int(doc["seed"])
+        seed = _integer("seed", doc["seed"])
         if seed < 0:
             raise ValueError("seed must be >= 0")
-        epsilon = float(doc.get("epsilon", 0.1))
-        delta = float(doc.get("delta", 0.05))
+        epsilon = _real("epsilon", doc.get("epsilon", 0.1))
+        delta = _real("delta", doc.get("delta", 0.05))
         if not epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 < delta < 1:

@@ -3,15 +3,18 @@
 The worst-case (operational) distance is the maximum spectral norm of a
 coarse-grained effect difference over all outcome subsets; it is computed
 exactly by enumeration up to a subset cap, with a randomized lower bound for
-larger outcome counts. The exact enumeration forms every subset sum D_S but
+larger outcome counts. The exact enumeration forms every subset sum D_S by one
+real matrix product, 0/1 bits times the float view of the effect differences,
+whose sums are Hermitian bit for bit and need no Hermitian-part pass. It
 bounds before it verifies: with m = tr(D_S)/d and s^2 = ||D_S - m I||_F^2 / d,
-||D_S|| <= |m| + s sqrt(d-1) (Wolkowicz and Styan), and ``eigvalsh`` runs only
-on subsets whose bound is not below the running maximum minus a slack of
-16 d^2 eps max ||D_S||_F (the bound's rounding plus eigvalsh's backward
-error). The value and the witness (the first subset in Gray-code order to
-reach the maximum) are those of evaluating every subset. The average-case
-distance is the closed-form root-mean-square expression over effect
-differences and their traces.
+||D_S|| <= |m| + s sqrt(d-1) (Wolkowicz and Styan), read from the float view
+of the sums without copying them, and ``eigvalsh`` runs only on subsets whose
+bound is not below the running maximum minus a slack of 16 d^2 eps
+max ||D_S||_F (the bound's rounding plus eigvalsh's backward error). The
+value and the witness (the first subset in Gray-code order to reach the
+maximum) are those of evaluating every subset. The average-case distance is
+the closed-form root-mean-square expression over effect differences and
+their traces.
 
 With D_j the effect differences and dp_j(psi) = <psi|D_j|psi>, the Haar second
 moment gives d_av^2 = (d+1)/2 * E_psi sum_j dp_j(psi)^2. For valid POVM pairs
@@ -24,6 +27,7 @@ sum_j D_j = 0, and the ordering need not hold for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,7 +36,7 @@ from ._rng import make_rng
 from .povm import Povm, _as_element_stack
 
 MAX_EXACT_OUTCOMES = 24
-SUBSET_CHUNK_ELEMENTS = 1 << 16  # matrix entries per stacked eigenvalue solve in d_op_exact
+SUBSET_CHUNK_ELEMENTS = 1 << 16  # matrix entries per chunk of subset sums in d_op_exact
 
 
 @dataclass(frozen=True)
@@ -61,10 +65,49 @@ def _deltas(e, f) -> tuple[np.ndarray, bool]:
     return linalg.hermitize(deltas), both_valid
 
 
+def _gray_bits(start: int, stop: int, n_bits: int) -> np.ndarray:
+    """0/1 rows of the Gray codes k ^ (k >> 1) for k in [start, stop < 2^32), bit j in column j."""
+    k = np.arange(start, stop, dtype="<u4")
+    return np.unpackbits((k ^ (k >> 1)).view(np.uint8).reshape(-1, 4), axis=1, count=n_bits, bitorder="little")
+
+
 def _subset_sums(bits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """Hermitian sums sum_j bits[k, j] D_j, one (d, d) matrix per row k of a 0/1 matrix."""
+    """Hermitian sums sum_j bits[k, j] D_j, one (d, d) matrix per row k of a 0/1 matrix.
+
+    One real product: the float 0/1 bits times the (n_bits, 2 d^2) float view
+    of the Hermitian differences, viewed back as complex; an integer-by-
+    complex product of the same sums is several times slower. The
+    sums need no Hermitian part: entries (a, b) and (b, a) add the same
+    0/1-weighted terms in the same order, the terms' real parts are equal and
+    their imaginary parts negations of each other, and rounding to nearest is
+    symmetric, so every sum is exactly Hermitian and (A + A^H)/2 would return
+    it bit for bit. That needs a product kernel that sums entries (a, b) and
+    (b, a) over j in the same order; OpenBLAS's do at every d = 1..16,
+    L <= 12 enumeration checked.
+    """
     n_bits, d = bits.shape[1], deltas.shape[1]
-    return linalg.hermitize((bits @ deltas[:n_bits].reshape(n_bits, d * d)).reshape(-1, d, d))
+    flat = deltas[:n_bits].reshape(n_bits, d * d).view(float)  # (real, imag) pairs
+    return (bits.astype(float) @ flat).view(complex).reshape(-1, d, d)
+
+
+@cache
+def _bound_weights(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants of :func:`_spectral_bounds` for the float view of a (d, d) matrix.
+
+    ``view @ centring`` gives A_aa - m in columns a < d and m = tr(A)/d in
+    column d; ``centred`` weighs the squares of the first d columns by 1;
+    ``upper`` weighs the squared float-view entries of the strictly upper
+    triangle by 2.
+    """
+    centring = np.zeros((2 * d * d, d + 1))
+    diagonal = np.arange(d) * 2 * (d + 1)  # float-view positions of Re A_aa
+    centring[diagonal, :d] = np.eye(d) - 1 / d
+    centring[diagonal, d] = 1 / d
+    centred = np.append(np.ones(d), 0.0)
+    upper = np.repeat(np.triu(np.full((d, d), 2.0), 1).ravel(), 2)
+    for constant in (centring, centred, upper):
+        constant.flags.writeable = False
+    return centring, centred, upper
 
 
 def _spectral_bounds(sums: np.ndarray) -> tuple[np.ndarray, float]:
@@ -73,22 +116,27 @@ def _spectral_bounds(sums: np.ndarray) -> tuple[np.ndarray, float]:
     With m = tr(A)/d and s^2 = ||A - m I||_F^2 / d, every eigenvalue lies in
     [m - s sqrt(d-1), m + s sqrt(d-1)] (Wolkowicz and Styan, "Bounds for
     eigenvalues using traces", 1980), so ||A|| <= |m| + s sqrt(d-1); equality
-    holds for the spectrum (m + (d-1)t, m - t, ..., m - t). s^2 is summed from
-    the centred entries, so the bound carries O(d^2 eps ||A||_F) rounding and
-    no cancellation. The slack 16 d^2 eps max ||A||_F covers that rounding
-    plus eigvalsh's backward error (LAPACK: p(d) eps ||A||, p modest in d):
-    a matrix whose computed bound is below x - slack has a computed spectral
-    norm below x. Non-finite input, or a square that overflows, gives a NaN
-    or inf bound or slack, which never proves anything.
+    holds for the spectrum (m + (d-1)t, m - t, ..., m - t). s^2 d =
+    sum_a (A_aa - m)^2 + 2 sum_{a<b} |A_ab|^2 is read from the stack's float
+    view without copying it: the centred diagonal comes from one product with
+    a constant centring matrix, and both sums of squares from products with
+    constant weights. The centred entries carry O(d^1.5 eps ||A||_F)
+    rounding, so the bound carries O(d^2 eps ||A||_F) rounding and no
+    cancellation. The slack 16 d^2 eps max ||A||_F covers
+    that rounding plus eigvalsh's backward error (LAPACK: p(d) eps ||A||, p
+    modest in d): a matrix whose computed bound is below x - slack has a
+    computed spectral norm below x. Non-finite input, or a square that
+    overflows, gives a NaN or inf bound or slack, which never proves anything.
     """
     n, d, _ = sums.shape
+    flat = sums.reshape(n, d * d).view(float)
+    centring, centred, upper = _bound_weights(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        centred = sums.reshape(n, d * d).copy()
-        diagonal = centred[:, :: d + 1]
-        m = diagonal.real.sum(axis=1) / d
-        diagonal -= m[:, None]
-        flat = centred.view(float)
-        s2 = np.einsum("ij,ij->i", flat, flat) / d
+        diagonal = flat @ centring  # A_aa - m, then m
+        m = diagonal[:, d]
+        s2 = (
+            np.einsum("ij,ij,j->i", diagonal, diagonal, centred) + np.einsum("ij,ij,j->i", flat, flat, upper)
+        ) / d
         bounds = np.abs(m) + np.sqrt((d - 1) * s2)
         frobenius_max = np.sqrt(d * np.max(s2 + m * m))
     return bounds, float(16 * d * d * np.finfo(float).eps * frobenius_max)
@@ -104,13 +152,15 @@ def d_op_exact(e, f) -> DistanceReport:
     a time; the witness is the first subset in that order to reach the
     maximum.
 
-    Bound, then verify: every subset sum of a chunk is formed, and
-    :func:`_spectral_bounds` gives each one a trace bound |m| + s sqrt(d-1).
-    Exact spectral norms are taken in descending-bound order, in blocks of 8,
-    64, 512, ... (a stacked call's fixed cost exceeds eight small
-    eigensolves), until the next bound is below the running maximum minus the
-    bound's slack. Every subset left out then has a computed norm below that
-    maximum, so the value and witness are those of evaluating every subset.
+    Bound, then verify: every subset sum of a chunk is formed by
+    :func:`_subset_sums` (one real matrix product, exactly Hermitian), and
+    :func:`_spectral_bounds` gives each one a trace bound |m| + s sqrt(d-1)
+    from the float view of the chunk. Exact spectral norms are taken for the
+    8 largest bounds first (a stacked call's fixed cost exceeds eight small
+    eigensolves), then, in one more stacked call, for every other subset
+    whose bound is not below the running maximum minus the bound's slack.
+    Every subset left out then has a computed norm below that maximum, so
+    the value and witness are those of evaluating every subset.
     """
     deltas, both_valid = _deltas(e, f)
     n_outcomes, d, _ = deltas.shape
@@ -123,18 +173,16 @@ def d_op_exact(e, f) -> DistanceReport:
     rows = max(1, SUBSET_CHUNK_ELEMENTS // (d * d))
     best, witness = 0.0, ()
     for start in range(1, 2**n_bits, rows):
-        k = np.arange(start, min(start + rows, 2**n_bits))
-        bits = ((k ^ (k >> 1))[:, None] >> np.arange(n_bits)) & 1
+        bits = _gray_bits(start, min(start + rows, 2**n_bits), n_bits)
         sums = _subset_sums(bits, deltas)
         bounds, slack = _spectral_bounds(sums)
-        order = np.argsort(bounds)[::-1]  # descending, NaN first
-        norms = np.full(len(k), -np.inf)
-        floor, done, block = best, 0, 8
-        while done < len(k) and not bounds[order[done]] < floor - slack:
-            picked = order[done : done + block]
+        norms = np.full(len(bits), -np.inf)
+        floor = best
+        picked = np.argpartition(bounds, -8)[-8:] if len(bits) > 8 else np.arange(len(bits))  # NaN sorts last
+        while len(picked := picked[~(bounds[picked] < floor - slack)]):
             norms[picked] = linalg.matrix_norm(sums[picked], "spectral")
             floor = max(floor, float(np.max(norms[picked])))
-            done, block = done + block, 8 * block
+            picked = np.flatnonzero(np.isneginf(norms))  # the rest, filtered against the new floor
         top = int(np.argmax(norms))
         if norms[top] > best:
             best, witness = float(norms[top]), tuple(np.flatnonzero(bits[top]).tolist())

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +135,22 @@ def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate:
     return RawEstimate(linalg.hermitize(elements))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: an integer or an integral float, never a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float: any real number, never a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProjectionOptions:
     metric: str = "frobenius"  # "frobenius" | "dav"
@@ -144,7 +161,10 @@ class ProjectionOptions:
     def __post_init__(self):
         if self.metric not in PROJECTION_METRICS:
             raise ValueError(f"metric must be one of {PROJECTION_METRICS}")
-        if self.tol_feasibility <= 0 or self.tol_step <= 0:
+        object.__setattr__(self, "tol_feasibility", _real("tol_feasibility", self.tol_feasibility))
+        object.__setattr__(self, "tol_step", _real("tol_step", self.tol_step))
+        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
+        if not (self.tol_feasibility > 0 and self.tol_step > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")

@@ -155,6 +155,10 @@ def test_seed_and_shot_overrides(tmp_path):
         (["reconstruct", "--seed", "-1"], {}, "seed must be >= 0"),
         (["scaling", "--shots", "0", "--n-list", "64,256,1024", "--trials", "5"], {}, "shots must be >= 1"),
         (["reconstruct"], {"seed": -1}, "seed must be >= 0"),
+        (["reconstruct"], {"shots": 2.7}, "shots must be an integer, got 2.7"),
+        (["reconstruct"], {"seed": True}, "seed must be an integer, got True"),
+        (["reconstruct"], {"projection": {"max_iterations": 2.5}}, "max_iterations must be an integer, got 2.5"),
+        (["reconstruct"], {"projection": {"tol_feasibility": "1e-9"}}, "tol_feasibility must be a number, got '1e-9'"),
     ],
 )
 def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from povmtomo import distances, linalg, povm
 from povmtomo.distances import d_av, d_op_exact, d_op_lower, upper_surrogates
+from povmtomo.frames import build_ensemble
 from povmtomo.packing_lab import haar_unitary
 from povmtomo.povm import RawEstimate, computational_povm, depolarized, random_povm, rotated_povm
+from povmtomo.tomography import ProjectionOptions, lse_estimate, project_onto_povms, simulate_shots
 from oracles import definition_d_av, gray_code_d_op, random_hermitian, subset_enumeration_d_op
 
 Z_VS_X = 0.7071067811865476
@@ -232,6 +234,12 @@ def bit_identity_cases():
     cases.append((e, f))  # identity-proportional deltas: s = 0 and the bound is the norm
     e = random_povm(3, 5, 184)
     cases.append((e, povm.Povm(e.elements[[1, 0, 2, 3, 4]])))  # D_1 = -D_0, the rest 0: tied maxima
+    # the benchmark shapes: scaling at d = 3, L = 12; ingest at d = 7; reconstruction at d = 16, L = 4
+    cases += [(random_povm(3, 12, (191, trial)), random_povm(3, 12, (192, trial))) for trial in range(3)]
+    target, ensemble = computational_povm(7), build_ensemble({"kind": "mub", "dim": 7})
+    raw = lse_estimate(simulate_shots(target, ensemble, 5000, 193), ensemble)
+    cases.append((target, project_onto_povms(raw, ProjectionOptions(metric="dav"))[0]))
+    cases += [(random_povm(16, 4, (194, trial)), random_povm(16, 4, (195, trial))) for trial in range(2)]
     cases.append((random_povm(2, 16, 185), random_povm(2, 16, 186)))  # 2^15 subsets: two chunks
     return cases
 
@@ -257,7 +265,7 @@ def test_exact_prunes_most_subsets(monkeypatch):
     for trial in range(5):
         evaluated.clear()
         d_op_exact(random_povm(3, 12, (187, trial)), random_povm(3, 12, (188, trial)))
-        assert sum(evaluated) <= 2047 // 10
+        assert evaluated and sum(evaluated) <= 2047 // 10
 
 
 def test_exact_rejects_non_finite_effects():
@@ -273,6 +281,24 @@ def test_exact_rejects_non_finite_effects():
     huge = 1e160 * np.array([random_hermitian(3, rng) for _ in range(4)])
     report = d_op_exact(huge, np.zeros_like(huge))
     assert report == gray_code_d_op(huge, np.zeros_like(huge)) and report.value > 1e159
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_subset_sums_are_exactly_hermitian(d):
+    # A == A^H entry for entry, and hermitize returns every sum bit for bit: d_op_exact skips it
+    rng = np.random.default_rng(196 + d)
+    n_outcomes = 6
+    pairs = [
+        (random_povm(d, n_outcomes, (197, d)), random_povm(d, n_outcomes, (198, d))),
+        (RawEstimate(np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])), random_povm(d, n_outcomes, 199)),
+    ]
+    huge = 1e160 * np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])
+    pairs.append((huge, np.zeros_like(huge)))
+    for e, f in pairs:
+        deltas, _ = distances._deltas(e, f)
+        sums = distances._subset_sums(distances._gray_bits(1, 2**n_outcomes, n_outcomes), deltas)
+        assert np.array_equal(sums, sums.conj().swapaxes(1, 2))
+        assert np.array_equal(linalg.hermitize(sums).view(np.uint64), sums.view(np.uint64))
 
 
 @settings(max_examples=60)

@@ -1,8 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level name is used somewhere in the package.
 
-No linter runs in this project, so this stdlib ``ast`` check stands in for
-pyflakes' F401: an import is unused unless the module refers to its bound
-name somewhere, or its line carries ``# noqa: F401``.
+No linter runs in this project, so these stdlib ``ast`` checks stand in for
+pyflakes' F401 and for a dead-code finder: an import is unused unless the
+module refers to its bound name somewhere, or its line carries
+``# noqa: F401``; a module-level ``_``-prefixed function, class or constant
+is orphaned unless some package module refers to it by name, by attribute or
+by import.
 """
 
 import ast
@@ -40,3 +44,46 @@ def test_check_catches_a_leftover_import():
     assert unused_imports(source) == ["replace (line 1)"]
     assert unused_imports("import numpy as np  # noqa: F401\n") == []
     assert unused_imports("import os.path\nos.getcwd()\n") == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level ``_``-prefixed function, class and constant names (dunders excluded)."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, attributes it takes, and names it imports."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def orphaned_private_names(sources: list[str]) -> list[str]:
+    used = set().union(*(referenced_names(source) for source in sources))
+    return [name for source in sources for name in private_definitions(source) if name not in used]
+
+
+def test_no_orphaned_private_helpers():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert any(private_definitions(source) for source in sources)  # the check has names to look at
+    assert orphaned_private_names(sources) == []
+
+
+def test_check_catches_an_orphaned_helper():
+    module = "_LIMIT = 3\n\ndef _used():\n    return _LIMIT\n\ndef _left_over():\n    pass\n\nclass _Gone:\n    pass\n"
+    assert orphaned_private_names([module, "from .m import _used\n"]) == ["_left_over", "_Gone"]
+    assert orphaned_private_names([module, "import m\nm._left_over()\nm._used(m._Gone)\n"]) == []
+    assert private_definitions("__all__ = []\n_x: int = 1\n") == ["_x"]
