@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -19,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import distances, packing_lab, povm as povm_mod
+from ._schema import integer, read, real
 from .frames import build_ensemble
 from .povm import build_povm, load_povm, measurement_channel, pauli_strings, save_povm, validate
 from .tomography import (
+    PROJECTION_SCHEMA,
     ProjectionOptions,
-    _integer,
-    _real,
     bernstein_diagnostics,
     lse_estimate,
     load_counts,
@@ -35,8 +36,6 @@ from .tomography import (
     spec_hash,
 )
 
-CONFIG_KEYS = {"povm", "ensemble", "shots", "seed", "projection", "epsilon", "delta", "outputs"}
-PROJECTION_KEYS = {"metric", "tol_feasibility", "tol_step", "max_iterations"}
 # command-line flag -> (config section, key); None is the top level of the document
 OVERRIDES = {
     "seed": (None, "seed"),
@@ -60,42 +59,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("povm", "ensemble", "shots", "seed"):
-            if key not in doc:
-                raise ValueError(f"config is missing required key {key!r}")
-        proj_doc = dict(doc.get("projection", {}))
-        unknown = set(proj_doc) - PROJECTION_KEYS
-        if unknown:
-            raise ValueError(f"unknown projection keys: {sorted(unknown)}")
-        projection = ProjectionOptions(**proj_doc)
-        outputs = dict(doc.get("outputs", {}))
-        if set(outputs) - {"dir"}:
-            raise ValueError(f"unknown outputs keys: {sorted(set(outputs) - {'dir'})}")
-        shots = _integer("shots", doc["shots"])
-        if shots < 1:
+        config = cls(*read("config", doc, _CONFIG_SCHEMA, _CONFIG_DEFAULTS).values())
+        if config.shots < 1:
             raise ValueError("shots must be >= 1")
-        seed = _integer("seed", doc["seed"])
-        if seed < 0:
+        if config.seed < 0:
             raise ValueError("seed must be >= 0")
-        epsilon = _real("epsilon", doc.get("epsilon", 0.1))
-        delta = _real("delta", doc.get("delta", 0.05))
-        if not epsilon > 0:
+        if not config.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not 0 < delta < 1:
+        if not 0 < config.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        return cls(
-            povm_spec=doc["povm"],
-            ensemble_spec=doc["ensemble"],
-            shots=shots,
-            seed=seed,
-            projection=projection,
-            epsilon=epsilon,
-            delta=delta,
-            out_dir=str(outputs.get("dir", ".")),
-        )
+        return config
 
     def build(self):
         target = build_povm(self.povm_spec)
@@ -107,6 +80,21 @@ class ExperimentConfig:
         return target, ensemble
 
 
+_OPTIONS = ProjectionOptions()  # the defaults of every projection key
+# Parser of each config key, in the order of the ExperimentConfig fields they fill.
+_CONFIG_SCHEMA = {
+    "povm": lambda key, spec: spec,
+    "ensemble": lambda key, spec: spec,
+    "shots": integer,
+    "seed": integer,
+    "projection": lambda key, doc: ProjectionOptions(**read(key, doc, PROJECTION_SCHEMA, vars(_OPTIONS))),
+    "epsilon": real,
+    "delta": real,
+    "outputs": lambda key, doc: read(key, doc, {"dir": lambda name, path: str(path)}, {"dir": "."})["dir"],
+}
+_CONFIG_DEFAULTS = {"projection": _OPTIONS, "epsilon": 0.1, "delta": 0.05, "outputs": "."}
+
+
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Read a JSON config and validate it once, after the non-None
     ``overrides`` (keys of :data:`OVERRIDES`) have replaced its values."""
@@ -114,8 +102,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         doc = json.load(fh)
     for flag, (section, key) in OVERRIDES.items():
         value = (overrides or {}).get(flag)
-        if value is not None:
-            (doc if section is None else doc.setdefault(section, {}))[key] = value
+        if value is not None and isinstance(doc, dict):  # from_dict rejects what is not an object
+            part = doc if section is None else doc.setdefault(section, {})
+            if isinstance(part, dict):
+                part[key] = value
     return ExperimentConfig.from_dict(doc)
 
 
@@ -391,6 +381,7 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="povmtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -461,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # surface every failure as a machine-readable record

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from ._schema import build, integer
 
 DESIGN_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
@@ -204,29 +205,19 @@ def explicit_ensemble(states, tol: float = DESIGN_TOL) -> ProbeEnsemble:
     return ensemble
 
 
+#: kind -> (constructor, parser of each further spec key, in argument order)
+KINDS = {
+    "pauli6_product": (pauli6_product, {"n_qubits": integer}),
+    "mub": (mub_ensemble, {"dim": integer}),
+    "sic_qubit": (sic_qubit_ensemble, {}),
+    "sic_qubit_product": (sic_qubit_product, {"n_qubits": integer}),
+    "explicit": (explicit_ensemble, {"states": lambda key, pairs: np.asarray(pairs, dtype=float) @ [1, 1j]}),
+}
+
+
 def build_ensemble(spec: dict) -> ProbeEnsemble:
-    """Build an ensemble from a serializable spec dict (see the CLI config schema)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("ensemble spec must be a dict with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "pauli6_product":
-        ensemble = pauli6_product(int(spec.pop("n_qubits")))
-    elif kind == "mub":
-        ensemble = mub_ensemble(int(spec.pop("dim")))
-    elif kind == "sic_qubit":
-        ensemble = sic_qubit_ensemble()
-    elif kind == "sic_qubit_product":
-        ensemble = sic_qubit_product(int(spec.pop("n_qubits")))
-    elif kind == "explicit":
-        raw = spec.pop("states")
-        states = np.asarray(raw, dtype=float) @ np.array([1, 1j])
-        ensemble = explicit_ensemble(states)
-    else:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
-    if spec:
-        raise ValueError(f"unknown ensemble spec keys: {sorted(spec)}")
-    return ensemble
+    """Build an ensemble from a serializable spec dict: a ``kind`` of :data:`KINDS` and its keys."""
+    return build("ensemble spec", spec, KINDS)
 
 
 def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import linalg
 from ._rng import haar_isometry, make_rng
+from ._schema import build, integer, real
 
 POVM_TOL = 1e-8
 RAW_HERMITICITY_TOL = 1e-9
@@ -196,37 +197,8 @@ def packing_av_povm(unitaries, epsilon: float, projector=None) -> Povm:
 
 
 def build_povm(spec: dict) -> Povm:
-    """Build a POVM from a serializable spec dict (see the CLI config schema)."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("povm spec must be a dict with a 'kind' key")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "computational":
-        povm = computational_povm(int(spec.pop("dim")))
-    elif kind == "rotated":
-        povm = rotated_povm(_complex_from_pairs(spec.pop("unitary"), 2))
-    elif kind == "sic_qubit":
-        povm = sic_qubit_povm()
-    elif kind == "depolarized":
-        povm = depolarized(build_povm(spec.pop("base")), float(spec.pop("p")))
-    elif kind == "random":
-        povm = random_povm(int(spec.pop("dim")), int(spec.pop("outcomes")), int(spec.pop("seed")))
-    elif kind == "packing_op":
-        povm = packing_op_povm(
-            _complex_from_pairs(spec.pop("unitary"), 2),
-            float(spec.pop("epsilon")),
-            int(spec.pop("flat_outcomes")),
-        )
-    elif kind == "packing_av":
-        povm = packing_av_povm(
-            [_complex_from_pairs(u, 2) for u in spec.pop("unitaries")],
-            float(spec.pop("epsilon")),
-        )
-    else:
-        raise ValueError(f"unknown povm kind {kind!r}")
-    if spec:
-        raise ValueError(f"unknown povm spec keys: {sorted(spec)}")
-    return povm
+    """Build a POVM from a serializable spec dict: a ``kind`` of :data:`KINDS` and its keys."""
+    return build("povm spec", spec, KINDS)
 
 
 def born(povm: Povm, state) -> np.ndarray:
@@ -339,7 +311,7 @@ def read_povm_file(path) -> np.ndarray:
     """Read the element stack from a POVM file without validating it."""
     with open(path) as fh:
         doc = json.load(fh)
-    arr = _complex_from_pairs(doc["elements"], 3)
+    arr = _complex_from_pairs("elements", doc["elements"])
     if arr.shape != (doc["outcomes"], doc["dim"], doc["dim"]):
         raise ValueError(f"POVM file is inconsistent: {arr.shape} vs header")
     return arr
@@ -350,9 +322,21 @@ def load_povm(path, tol: float = POVM_TOL) -> Povm:
     return Povm(read_povm_file(path), tol=tol)
 
 
-def _complex_from_pairs(pairs, ndim: int) -> np.ndarray:
-    """Complex array with ``ndim`` axes from the nested [re, im] pairs of a file or spec."""
+def _complex_from_pairs(name: str, pairs) -> np.ndarray:
+    """Complex array from the nested [re, im] pairs of a file or spec; callers check its shape."""
     arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        raise ValueError(f"expected a {ndim}-axis array of [re, im] pairs")
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"{name} must be an array of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+#: kind -> (constructor, parser of each further spec key, in argument order)
+KINDS = {
+    "computational": (computational_povm, {"dim": integer}),
+    "rotated": (rotated_povm, {"unitary": _complex_from_pairs}),
+    "sic_qubit": (sic_qubit_povm, {}),
+    "depolarized": (depolarized, {"base": lambda key, spec: build_povm(spec), "p": real}),
+    "random": (random_povm, {"dim": integer, "outcomes": integer, "seed": integer}),
+    "packing_op": (packing_op_povm, {"unitary": _complex_from_pairs, "epsilon": real, "flat_outcomes": integer}),
+    "packing_av": (packing_av_povm, {"unitaries": _complex_from_pairs, "epsilon": real}),
+}

@@ -19,13 +19,13 @@ import hashlib
 import io
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from ._rng import make_rng
+from ._schema import integer, read, real
 # frame_operator and born are not called here; the benchmark's tracer wraps them on this module.
 from .frames import ProbeEnsemble, frame_operator, frame_sum, frame_traces  # noqa: F401
 from .povm import POVM_TOL, Povm, RawEstimate, born, coarse_grain  # noqa: F401
@@ -135,20 +135,14 @@ def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate:
     return RawEstimate(linalg.hermitize(elements))
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int: an integer or an integral float, never a bool."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _metric(name: str, value) -> str:
+    if value not in PROJECTION_METRICS:
+        raise ValueError(f"metric must be one of {PROJECTION_METRICS}")
+    return value
 
 
-def _real(name: str, value) -> float:
-    """``value`` as a float: any real number, never a bool."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{name} must be a number, got {value!r}")
+#: Parser of each :class:`ProjectionOptions` field, the table of a config's ``projection`` object.
+PROJECTION_SCHEMA = {"metric": _metric, "tol_feasibility": real, "tol_step": real, "max_iterations": integer}
 
 
 @dataclass(frozen=True)
@@ -159,11 +153,8 @@ class ProjectionOptions:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if self.metric not in PROJECTION_METRICS:
-            raise ValueError(f"metric must be one of {PROJECTION_METRICS}")
-        object.__setattr__(self, "tol_feasibility", _real("tol_feasibility", self.tol_feasibility))
-        object.__setattr__(self, "tol_step", _real("tol_step", self.tol_step))
-        object.__setattr__(self, "max_iterations", _integer("max_iterations", self.max_iterations))
+        for key, value in read("projection", vars(self), PROJECTION_SCHEMA).items():
+            object.__setattr__(self, key, value)
         if not (self.tol_feasibility > 0 and self.tol_step > 0):
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
@@ -403,18 +394,15 @@ def sample_size(
     returned integer is one above the ceiling of the bound, so it strictly
     exceeds the real-valued threshold even when that threshold is integral.
     """
-    if epsilon <= 0:
+    for name, value in (("d", d), ("n_outcomes", n_outcomes)):
+        if integer(name, value) < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if real("epsilon", epsilon) <= 0:
         raise ValueError("epsilon must be positive")
-    if not 0 < delta < 1:
+    if not 0 < real("delta", delta) < 1:
         raise ValueError("delta must lie in (0, 1)")
-    if frame not in ("global", "local"):
-        raise ValueError("frame must be 'global' or 'local'")
-    if distance not in ("op", "av"):
-        raise ValueError("distance must be 'op' or 'av'")
-    if variant not in ("theorem", "proof"):
-        raise ValueError("variant must be 'theorem' or 'proof'")
-    if variant == "proof" and not (frame == "global" and distance == "av"):
-        raise ValueError("the 'proof' constant is only defined for the global av bound")
+    if (frame, distance, variant) not in _BERNSTEIN_ROWS:
+        raise ValueError(f"no bound for {(frame, distance, variant)}; defined: {sorted(_BERNSTEIN_ROWS)}")
     if frame == "local" and (n_qubits is None or 2**n_qubits != d):
         raise ValueError("local frames need n_qubits with d = 2**n_qubits")
     a, sigma2, k, b = _BERNSTEIN_ROWS[frame, distance, variant](d, n_outcomes, n_qubits)

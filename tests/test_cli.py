@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from povmtomo import cli, povm, tomography
+from povmtomo import cli, frames, povm, tomography
 from povmtomo.cli import ExperimentConfig, load_config, run_reconstruction, run_scaling
 
 
@@ -159,10 +161,30 @@ def test_seed_and_shot_overrides(tmp_path):
         (["reconstruct"], {"seed": True}, "seed must be an integer, got True"),
         (["reconstruct"], {"projection": {"max_iterations": 2.5}}, "max_iterations must be an integer, got 2.5"),
         (["reconstruct"], {"projection": {"tol_feasibility": "1e-9"}}, "tol_feasibility must be a number, got '1e-9'"),
+        (["reconstruct"], {"povm": {"kind": "computational", "dim": 2.7}}, "dim must be an integer, got 2.7"),
+        (["reconstruct"], {"povm": {"kind": "computational", "dim": True}}, "dim must be an integer, got True"),
+        (["reconstruct"], {"povm": {"kind": "computational"}}, "povm spec is missing required key 'dim'"),
+        (["reconstruct"], {"ensemble": {"kind": "mub", "dim": "3"}}, "dim must be an integer, got '3'"),
+        (
+            ["reconstruct"],
+            {"povm": {"kind": "depolarized", "base": {"kind": "computational", "dim": 2}, "p": "0.1"}},
+            "p must be a number, got '0.1'",
+        ),
+        (["reconstruct"], {"epsilon": float("inf")}, "epsilon must be finite, got inf"),
+        (["reconstruct"], {"projection": {"tol_feasibility": float("inf")}}, "tol_feasibility must be finite, got inf"),
+        (["reconstruct"], {"projection": 5}, "projection must be a JSON object, got 5"),
+        (["reconstruct"], {"outputs": "dir"}, "outputs must be a JSON object, got 'dir'"),
+        (["reconstruct"], [1, 2], "config must be a JSON object, got [1, 2]"),
+        (["reconstruct", "--metric", "dav"], {"projection": 5}, "projection must be a JSON object, got 5"),
+        (["reconstruct", "--seed", "3"], [1, 2], "config must be a JSON object, got [1, 2]"),
     ],
 )
 def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):
-    path = write_config(tmp_path, **config_values)
+    path = tmp_path / "config.json"
+    if isinstance(config_values, dict):
+        write_config(tmp_path, **config_values)
+    else:  # a document that is not a JSON object
+        path.write_text(json.dumps(config_values))
     code = cli.main(argv + ["--config", str(path)])
     assert code == 1
     record = json.loads(capsys.readouterr().err)
@@ -229,6 +251,15 @@ def test_bounds_command(capsys):
     assert doc["global_op"] == 71221
     assert doc["global_av_theorem"] == 142441
     assert doc["local_op"] > 0
+    for flags, message in [
+        (["--dim", "2", "--outcomes", "2", "--epsilon", "inf"], "epsilon must be finite, got inf"),
+        (["--dim", "0", "--outcomes", "2", "--epsilon", "0.1"], "d must be >= 1, got 0"),
+        (["--dim", "-2", "--outcomes", "2", "--epsilon", "0.1"], "d must be >= 1, got -2"),
+        (["--dim", "2", "--outcomes", "0", "--epsilon", "0.1"], "n_outcomes must be >= 1, got 0"),
+    ]:
+        assert cli.main(["bounds", *flags, "--delta", "0.01"]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == {"type": "ValueError", "message": message}
 
 
 def test_distance_and_channel_commands(tmp_path, capsys):
@@ -338,3 +369,20 @@ def test_cli_error_record(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert "error" in record and record["error"]["type"]
+
+
+def test_readme_spec_lists_and_example_match_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prose = " ".join(readme.split())  # the lists wrap across lines
+    for label, kinds in (("POVM specs:", povm.KINDS), ("Ensemble specs:", frames.KINDS)):
+        listed = prose.split(label, 1)[1].split(";", 1)[0]
+        documented = {
+            kind: [key for key in keys.split(", ") if key]
+            for kind, keys in re.findall(r"`(\w+)(?:\(([\w, ]*)\))?`", listed)
+        }
+        assert documented == {kind: list(parsers) for kind, (_, parsers) in kinds.items()}, label
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    config = ExperimentConfig.from_dict(json.loads(example))
+    assert config.shots == 8000 and config.out_dir == "runs/demo"
+    target, ensemble = config.build()
+    assert (target.outcomes, ensemble.size) == (2, 6)

@@ -183,6 +183,10 @@ def test_build_ensemble_dispatch_and_strict_keys():
         frames.build_ensemble({"kind": "mub", "dim": 3, "oops": 1})
     with pytest.raises(ValueError):
         frames.build_ensemble({"kind": "nope"})
+    for bad in [{"kind": "mub", "dim": "3"}, {"kind": "mub", "dim": 3.5}, {"kind": "pauli6_product", "n_qubits": True},
+                {"kind": "mub"}, {"kind": ["mub"], "dim": 3}, "mub"]:
+        with pytest.raises(ValueError):
+            frames.build_ensemble(bad)
 
 
 def test_local_product_states_match_multi_index():

@@ -250,6 +250,25 @@ def test_build_povm_dispatch_strict():
         povm.build_povm({"kind": "computational", "dim": 2, "extra": 1})
     with pytest.raises(ValueError):
         povm.build_povm({"kind": "unknown"})
+    # matrix keys are nested [re, im] pairs, read the same way as by the direct constructors
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    pairs = np.stack([u.real, u.imag], axis=-1).tolist()
+    for spec, expected in [
+        ({"kind": "rotated", "unitary": pairs}, povm.rotated_povm(u)),
+        ({"kind": "packing_op", "unitary": pairs, "epsilon": 0.2, "flat_outcomes": 2}, povm.packing_op_povm(u, 0.2, 2)),
+        ({"kind": "packing_av", "unitaries": [pairs, pairs], "epsilon": 0.3}, povm.packing_av_povm([u, u], 0.3)),
+    ]:
+        assert np.array_equal(povm.build_povm(spec).elements, expected.elements)
+    for bad in [
+        {"kind": "rotated", "unitary": [[0.6, 0.8], [0.8, 0.6]]},  # one pair per row: not a matrix
+        {"kind": "packing_op", "unitary": pairs, "epsilon": "0.2", "flat_outcomes": 2},
+        {"kind": "random", "dim": 2, "outcomes": 2.5, "seed": 1},
+        {"kind": "depolarized", "base": {"kind": "sic_qubit"}},
+        {"dim": 2},
+        [{"kind": "computational", "dim": 2}],
+    ]:
+        with pytest.raises(ValueError):
+            povm.build_povm(bad)
 
 
 def test_packing_parity_and_epsilon_checks():

@@ -489,6 +489,17 @@ def test_sample_size_variants_and_domain():
         sample_size(4, 2, 0.1, 0.01, "local", "op")  # missing n_qubits
     with pytest.raises(ValueError):
         sample_size(2, 2, 0.1, 0.01, "global", "op", "proof")
+    # inputs that would otherwise crash inside the bound: a NaN ceiling, log of 0, division by 0
+    for args, message in [
+        ((2, 2, math.inf, 0.01), "epsilon must be finite"),
+        ((0, 2, 0.1, 0.01), "d must be >= 1"),
+        ((-2, 2, 0.1, 0.01), "d must be >= 1"),
+        ((2, 0, 0.1, 0.01), "n_outcomes must be >= 1"),
+        ((2.5, 2, 0.1, 0.01), "d must be an integer"),
+        ((True, 2, 0.1, 0.01), "d must be an integer"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            sample_size(*args)
 
 
 def _exact_sample_bound(d, L, epsilon, delta, frame, distance, variant, n):
