@@ -1,9 +1,13 @@
 """Strict reading of the JSON documents that describe a run: each one is read
 against a table of key -> ``parse(key, value)``, and specs pick their
-constructor and table by ``kind``."""
+constructor and table by ``kind``. :func:`dump` writes every JSON document
+of a run in one form; POVM files use an exact template of the same form."""
 
+import json
 import math
 import numbers
+
+import numpy as np
 
 
 def integer(name: str, value) -> int:
@@ -21,6 +25,15 @@ def real(name: str, value) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def pairs(name: str, value) -> np.ndarray:
+    """``value``, nested arrays of [re, im] pairs of numbers (never strings, booleans or nulls), as a float array."""
+    arr = np.asarray(value, dtype=object)  # entries keep their types: a boolean is not read as 0 or 1
+    numeric = (int, float, np.integer, np.floating)
+    if arr.shape[-1:] != (2,) or any(t is bool or not issubclass(t, numeric) for t in set(map(type, arr.flat))):
+        raise ValueError(f"{name} must be an array of [re, im] pairs of numbers")
+    return arr.astype(float)
 
 
 def read(what: str, doc, parsers: dict, defaults: dict | None = None) -> dict:
@@ -44,3 +57,12 @@ def build(what: str, spec, kinds: dict):
         raise ValueError(f"{what} must be a JSON object with a 'kind' in {sorted(kinds)}, got {spec!r}")
     constructor, parsers = kinds[kind]
     return constructor(*read(what, {key: v for key, v in spec.items() if key != "kind"}, parsers).values())
+
+
+def dump(doc, path=None) -> str:
+    """``doc`` as JSON with sorted keys, indented by 2 and ending in a newline; written to ``path`` if given."""
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text

@@ -20,10 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import distances, packing_lab, povm as povm_mod
-from ._schema import integer, read, real
+from ._schema import dump, integer, read, real
 from .frames import build_ensemble
 from .povm import build_povm, load_povm, measurement_channel, pauli_strings, save_povm, validate
 from .tomography import (
+    PROJECTION_METRICS,
     PROJECTION_SCHEMA,
     ProjectionOptions,
     bernstein_diagnostics,
@@ -109,10 +110,17 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     return ExperimentConfig.from_dict(doc)
 
 
-def _dump_json(doc, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _output(out_dir, name: str) -> Path:
+    """``out_dir / name``, with ``out_dir`` made if it is missing."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / name
+
+
+def _write_csv(path, header: list, rows) -> None:
+    """A CSV file with CRLF line ends; floats are written as their shortest round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, n_qubits) -> dict:
@@ -131,10 +139,8 @@ def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, n_
 
 def _simulate_counts(config: ExperimentConfig, target, ensemble):
     """Draw the config's shots and write ``counts.csv`` under its output directory."""
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = simulate_shots(target, ensemble, config.shots, config.seed)
-    save_counts(table, out_dir / "counts.csv", ensemble_spec=config.ensemble_spec)
+    save_counts(table, _output(config.out_dir, "counts.csv"), ensemble_spec=config.ensemble_spec)
     return table
 
 
@@ -152,8 +158,8 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
     else:
         table, meta = load_counts(counts_path)
         expected = spec_hash(config.ensemble_spec)
-        recorded = meta.get("ensemble_spec_sha256")
-        if recorded is None:
+        recorded = meta["ensemble_spec_sha256"]
+        if not isinstance(recorded, str):
             raise ValueError("counts sidecar has no ensemble_spec_sha256; cannot check the ensemble")
         if recorded != expected:
             raise ValueError(
@@ -171,13 +177,9 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
 
     raw = lse_estimate(table, ensemble)
     estimated, diagnostics = project_onto_povms(raw, config.projection)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_povm(estimated, out_dir / "estimated_povm.json")
+    save_povm(estimated, _output(config.out_dir, "estimated_povm.json"))
 
-    surrogates = distances.upper_surrogates(target, estimated)
     op = distances.d_op(target, estimated)
-    bern = bernstein_diagnostics(target, ensemble, range(target.outcomes))
     report = {
         "shots": table.n_shots,
         "seed": config.seed,
@@ -186,27 +188,15 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             "d_op": op.value,
             "d_op_kind": op.kind,
             "d_av": distances.d_av(target, estimated).value,
-            "frob_sum": surrogates.frob_sum,
-            "spec_sum": surrogates.spec_sum,
+            **vars(distances.upper_surrogates(target, estimated)),
         },
-        "solver": {
-            "metric": config.projection.metric,
-            "iterations": diagnostics.iterations,
-            "final_residual": diagnostics.final_residual,
-            "converged": diagnostics.converged,
-            "duality_gap": diagnostics.duality_gap,
-        },
-        "bernstein": {
-            "k_emp": bern.k_emp,
-            "k_bound": bern.k_bound,
-            "sigma2_emp": bern.sigma2_emp,
-            "sigma2_bound": bern.sigma2_bound,
-        },
+        "solver": {"metric": config.projection.metric, **vars(diagnostics)},
+        "bernstein": dict(vars(bernstein_diagnostics(target, ensemble, range(target.outcomes)))),
         "sample_size": _sample_size_panel(
             target.dim, target.outcomes, config.epsilon, config.delta, ensemble.n_qubits
         ),
     }
-    _dump_json(report, out_dir / "report.json")
+    dump(report, _output(config.out_dir, "report.json"))
     return report
 
 
@@ -241,20 +231,13 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
             err_av = distances.d_av(target, estimated).value
             rows.append((n_shots, trial, err_op, err_av, (time.perf_counter() - start) * 1000))
     errors = np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2)
-    medians_op, medians_av = np.median(errors, axis=1).T
     log_n = np.log(np.asarray(n_list, dtype=float))
-    slope_op, intercept_op = np.polyfit(log_n, np.log(medians_op), 1)
-    slope_av, intercept_av = np.polyfit(log_n, np.log(medians_av), 1)
-    report = {
-        "medians": {"n_list": n_list, "d_op": medians_op.tolist(), "d_av": medians_av.tolist()},
-        "fit": {
-            "slope_d_op": float(slope_op),
-            "intercept_d_op": float(intercept_op),
-            "slope_d_av": float(slope_av),
-            "intercept_d_av": float(intercept_av),
-        },
-    }
-    return rows, report
+    medians, fit = {"n_list": n_list}, {}
+    for name, values in zip(("d_op", "d_av"), np.median(errors, axis=1).T):
+        slope, intercept = np.polyfit(log_n, np.log(values), 1)
+        medians[name] = values.tolist()
+        fit |= {f"slope_{name}": float(slope), f"intercept_{name}": float(intercept)}
+    return rows, {"medians": medians, "fit": fit}
 
 
 def _cmd_simulate(args) -> int:
@@ -266,50 +249,40 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     config = load_config(args.config, vars(args))
-    report = run_reconstruction(config, counts_path=args.from_counts)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    sys.stdout.write(dump(run_reconstruction(config, counts_path=args.from_counts)))
     return 0
 
 
 def _cmd_distance(args) -> int:
     first = load_povm(args.povm_a)
     second = load_povm(args.povm_b)
-    surrogates = distances.upper_surrogates(first, second)
     op = distances.d_op(first, second, seed=args.seed or 0)
     doc = {
-        "d_op": {"kind": op.kind, "value": op.value, "witness": list(op.witness or ())},
+        "d_op": {**vars(op), "witness": list(op.witness or ())},
         "d_av": distances.d_av(first, second).value,
-        "frob_sum": surrogates.frob_sum,
-        "spec_sum": surrogates.spec_sum,
+        **vars(distances.upper_surrogates(first, second)),
     }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write(dump(doc))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _dump_json(doc, out_dir / "distance.json")
+        dump(doc, _output(args.out, "distance.json"))
     return 0
 
 
 def _cmd_scaling(args) -> int:
     config = load_config(args.config, vars(args))
     rows, report = run_scaling(config, [int(tok) for tok in args.n_list.split(",")], args.trials)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "scaling.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "trial", "d_op", "d_av", "runtime_ms"])
-        writer.writerows([n, t, repr(op), repr(av), f"{ms:.3f}"] for n, t, op, av, ms in rows)
-    _dump_json(report, out_dir / "scaling_report.json")
+    _write_csv(_output(config.out_dir, "scaling.csv"), ["N", "trial", "d_op", "d_av", "runtime_ms"],
+               ((*row[:4], f"{row[4]:.3f}") for row in rows))
+    dump(report, _output(config.out_dir, "scaling_report.json"))
     fit = report["fit"]
     summary = {"slope_d_op": fit["slope_d_op"], "slope_d_av": fit["slope_d_av"], "medians": report["medians"]}
-    print(json.dumps(summary, sort_keys=True, indent=2))
+    sys.stdout.write(dump(summary))
     return 0
 
 
 def _cmd_bounds(args) -> int:
     panel = _sample_size_panel(args.dim, args.outcomes, args.epsilon, args.delta, args.n_qubits)
-    doc = {"dim": args.dim, "outcomes": args.outcomes, **panel}
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write(dump({"dim": args.dim, "outcomes": args.outcomes, **panel}))
     return 0
 
 
@@ -321,26 +294,10 @@ def _cmd_packing(args) -> int:
             args.kind, args.dim, args.outcomes, args.epsilon, args.members, (args.seed, seed_offset)
         )
         report = packing_lab.verify_separation(family)
-        rows.append(
-            [
-                args.kind,
-                args.dim,
-                args.outcomes,
-                args.epsilon,
-                args.members,
-                seed_offset,
-                repr(report.min_pairwise),
-                repr(report.threshold),
-                int(report.ok),
-            ]
-        )
+        fields = {**vars(args), **vars(report), "seed": seed_offset, "ok": int(report.ok)}
+        rows.append([fields[key] for key in header])
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "packing.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(_output(args.out, "packing.csv"), header, rows)
     n_ok = sum(row[-1] for row in rows)
     print(json.dumps({"ok_seeds": n_ok, "total_seeds": len(rows)}))
     return 0 if n_ok == len(rows) else 1
@@ -351,33 +308,16 @@ def _cmd_channel(args) -> int:
     estimated = load_povm(args.estimated)
     matrix = measurement_channel(ideal, estimated)
     labels, _ = pauli_strings(int(round(np.log2(ideal.dim))))
-    doc = {
-        "dim": ideal.dim,
-        "basis": labels,
-        "matrix": [[float(x) for x in row] for row in matrix],
-    }
+    doc = {"dim": ideal.dim, "basis": labels, "matrix": matrix.tolist()}
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _dump_json(doc, out_dir / "channel.json")
+        dump(doc, _output(args.out, "channel.json"))
     print(json.dumps({"dim": ideal.dim, "basis_size": len(labels)}))
     return 0
 
 
 def _cmd_validate(args) -> int:
     report = validate(povm_mod.read_povm_file(args.povm), tol=args.tol)
-    print(
-        json.dumps(
-            {
-                "ok": report.ok,
-                "min_eigenvalue": report.min_eigenvalue,
-                "completeness_residual": report.completeness_residual,
-                "tol": args.tol,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-    )
+    sys.stdout.write(dump({**vars(report), "tol": args.tol}))
     return 0 if report.ok else 1
 
 
@@ -386,47 +326,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="povmtomo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        return p
+
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--shots", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
-    p = sub.add_parser("simulate", help="sample shots and write a counts CSV")
-    add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    def add_projection(p):
+        p.add_argument("--metric", choices=PROJECTION_METRICS, default=None)
+        p.add_argument("--tol", type=float, default=None, help="projection feasibility tolerance")
 
-    p = sub.add_parser("reconstruct", help="simulate or ingest counts, then reconstruct")
+    p = command("simulate", _cmd_simulate, "sample shots and write a counts CSV")
+    add_common(p)
+
+    p = command("reconstruct", _cmd_reconstruct, "simulate or ingest counts, then reconstruct")
     add_common(p)
     p.add_argument("--from-counts", default=None, help="ingest an existing counts CSV")
-    p.add_argument("--metric", choices=["frobenius", "dav"], default=None)
-    p.add_argument("--tol", type=float, default=None, help="projection feasibility tolerance")
-    p.set_defaults(func=_cmd_reconstruct)
+    add_projection(p)
 
-    p = sub.add_parser("distance", help="distances between two POVM files")
+    p = command("distance", _cmd_distance, "distances between two POVM files")
     p.add_argument("--povm-a", required=True)
     p.add_argument("--povm-b", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_distance)
 
-    p = sub.add_parser("scaling", help="error-vs-shots study with slope fit")
+    p = command("scaling", _cmd_scaling, "error-vs-shots study with slope fit")
     add_common(p)
     p.add_argument("--n-list", required=True, help="comma-separated shot counts")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--metric", choices=["frobenius", "dav"], default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_scaling)
+    add_projection(p)
 
-    p = sub.add_parser("bounds", help="evaluate the sample-size calculators")
+    p = command("bounds", _cmd_bounds, "evaluate the sample-size calculators")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--outcomes", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n-qubits", type=int, default=None)
-    p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("packing", help="build packing families and verify separation")
+    p = command("packing", _cmd_packing, "build packing families and verify separation")
     p.add_argument("--kind", choices=["op", "av"], required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--outcomes", type=int, required=True)
@@ -435,18 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_packing)
 
-    p = sub.add_parser("channel", help="half-sided measurement channel of two POVMs")
+    p = command("channel", _cmd_channel, "half-sided measurement channel of two POVMs")
     p.add_argument("--ideal", required=True)
     p.add_argument("--estimated", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_channel)
 
-    p = sub.add_parser("validate", help="check a POVM file")
+    p = command("validate", _cmd_validate, "check a POVM file")
     p.add_argument("--povm", required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.set_defaults(func=_cmd_validate)
 
     return parser
 

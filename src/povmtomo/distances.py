@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from ._rng import make_rng
-from .povm import Povm, _as_element_stack
+from .povm import Povm, RawEstimate, _as_element_stack
 
 MAX_EXACT_OUTCOMES = 24
 SUBSET_CHUNK_ELEMENTS = 1 << 16  # matrix entries per chunk of subset sums in d_op_exact
@@ -42,7 +42,7 @@ SUBSET_CHUNK_ELEMENTS = 1 << 16  # matrix entries per chunk of subset sums in d_
 @dataclass(frozen=True)
 class DistanceReport:
     value: float
-    kind: str  # "op_exact" | "op_lower" | "av" | "frob_sum" | "spec_sum"
+    kind: str  # "op_exact" | "op_lower" | "av"
     witness: tuple[int, ...] | None = None
 
 
@@ -53,16 +53,14 @@ class UpperSurrogates:
 
 
 def _deltas(e, f) -> tuple[np.ndarray, bool]:
-    """Finite effect differences and whether both inputs are validated POVMs."""
-    a = _as_element_stack(e)
-    b = _as_element_stack(f)
+    """Finite, exactly Hermitian effect differences (arrays go through RawEstimate) and whether both are POVMs."""
+    a, b = (x.elements if isinstance(x, (Povm, RawEstimate)) else RawEstimate(x).elements for x in (e, f))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    both_valid = isinstance(e, Povm) and isinstance(f, Povm)
     deltas = a - b
-    if not np.all(np.isfinite(deltas)):
+    if not np.all(np.isfinite(deltas)):  # finite effects can differ by more than the largest float
         raise ValueError("matrix has non-finite entries")
-    return linalg.hermitize(deltas), both_valid
+    return deltas, isinstance(e, Povm) and isinstance(f, Povm)
 
 
 def _gray_bits(start: int, stop: int, n_bits: int) -> np.ndarray:

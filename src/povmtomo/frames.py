@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from ._schema import build, integer
+from ._schema import build, integer, pairs
 
 DESIGN_TOL = 1e-10
 UNIT_NORM_TOL = 1e-12
@@ -211,7 +211,7 @@ KINDS = {
     "mub": (mub_ensemble, {"dim": integer}),
     "sic_qubit": (sic_qubit_ensemble, {}),
     "sic_qubit_product": (sic_qubit_product, {"n_qubits": integer}),
-    "explicit": (explicit_ensemble, {"states": lambda key, pairs: np.asarray(pairs, dtype=float) @ [1, 1j]}),
+    "explicit": (explicit_ensemble, {"states": lambda key, value: pairs(key, value) @ [1, 1j]}),
 }
 
 

@@ -2,9 +2,9 @@
 
 Validating norms that take one square matrix or a (..., d, d) stack of them
 and make one stacked LAPACK call (via numpy), plus a dimension-capped
-Kronecker product for the one-operator-at-a-time frame oracle. Callers are
-expected to hermitize with :func:`hermitize` before using the
-eigenvalue-based norms.
+Kronecker product for the one-operator-at-a-time frame oracle. The
+eigenvalue-based norms take the Hermitian part of matrices that
+:func:`require_hermitian` accepts.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ def require_square(a) -> np.ndarray:
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """A finite square matrix, or a (..., d, d) stack of them, each with
-    ``||A - A^dagger||_F <= tol``."""
+    """The exact Hermitian part of a finite square matrix, or of a (..., d, d)
+    stack of them, each with ``||A - A^dagger||_F <= tol``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
@@ -45,7 +45,7 @@ def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
         raise ValueError(
             f"matrix is not Hermitian: ||A - A^dagger||_F = {deviation:.3e} exceeds {tol:.1e}"
         )
-    return a
+    return hermitize(a)
 
 
 def matrix_norm(a, kind: str) -> float | np.ndarray:
@@ -59,7 +59,7 @@ def matrix_norm(a, kind: str) -> float | np.ndarray:
     if kind == "frobenius":
         value = np.linalg.norm(np.asarray(a, dtype=complex), axis=(-2, -1))
     elif kind in ("spectral", "trace"):
-        w = np.abs(np.linalg.eigvalsh(hermitize(require_hermitian(a))))
+        w = np.abs(np.linalg.eigvalsh(require_hermitian(a)))
         value = w.max(axis=-1) if kind == "spectral" else w.sum(axis=-1)
     else:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

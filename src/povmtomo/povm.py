@@ -3,7 +3,8 @@
 A POVM is stored as an (L, d, d) stack of Hermitian effects that are positive
 semidefinite and sum to the identity within a validation tolerance. The
 unconstrained least-squares output lives in :class:`RawEstimate`, which only
-requires hermiticity.
+requires hermiticity. Both keep the exact Hermitian part of effects that are
+Hermitian within their tolerance and reject any others.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from ._rng import haar_isometry, make_rng
-from ._schema import build, integer, real
+from ._schema import build, integer, pairs, read, real
 
 POVM_TOL = 1e-8
 RAW_HERMITICITY_TOL = 1e-9
@@ -50,10 +51,13 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
     """Check positivity and completeness of a POVM candidate.
 
     ``ok`` iff the smallest eigenvalue over all effects is >= -tol and
-    ``||sum_j E_j - I||_F <= tol``. The report is returned either way.
+    ``||sum_j E_j - I||_F <= tol``; the report is returned either way. Effects
+    that are not Hermitian within ``tol`` raise a ``ValueError``.
     """
     arr = _as_element_stack(candidate)
-    min_eig = float(np.linalg.eigvalsh(linalg.hermitize(arr))[:, 0].min())
+    if not isinstance(candidate, (Povm, RawEstimate)):  # whose effects are exactly Hermitian
+        arr = linalg.require_hermitian(arr, tol)
+    min_eig = float(np.linalg.eigvalsh(arr)[:, 0].min())
     residual = float(np.linalg.norm(arr.sum(axis=0) - np.eye(arr.shape[1])))
     return ValidationReport(min_eig >= -tol and residual <= tol, min_eig, residual)
 
@@ -61,24 +65,25 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
 class Povm:
     """An L-outcome POVM on C^d: PSD effects summing to the identity.
 
-    Validation runs at construction with tolerance ``tol`` (default 1e-8);
-    element arrays are frozen afterwards so values can be shared freely.
+    Validation runs at construction with tolerance ``tol`` (default 1e-8):
+    Hermiticity, then positivity and completeness. Element arrays are frozen
+    so values can be shared freely.
     """
 
     def __init__(self, elements, tol: float = POVM_TOL):
-        arr = linalg.hermitize(_as_element_stack(elements)).copy()
-        report = validate(arr, tol)
+        arr = linalg.require_hermitian(_as_element_stack(elements), tol)
+        arr.flags.writeable = False
+        self.elements = arr
+        self.outcomes = arr.shape[0]
+        self.dim = arr.shape[1]
+        self.tol = tol
+        report = validate(self, tol)
         if not report.ok:
             raise PovmValidationError(
                 f"not a valid POVM at tol {tol:.1e}: min eigenvalue "
                 f"{report.min_eigenvalue:.3e}, completeness residual "
                 f"{report.completeness_residual:.3e}"
             )
-        arr.flags.writeable = False
-        self.elements = arr
-        self.outcomes = arr.shape[0]
-        self.dim = arr.shape[1]
-        self.tol = tol
 
     def __repr__(self):
         return f"Povm(dim={self.dim}, outcomes={self.outcomes})"
@@ -88,7 +93,7 @@ class RawEstimate:
     """An unconstrained tuple of Hermitian matrices (no positivity required)."""
 
     def __init__(self, elements, tol: float = RAW_HERMITICITY_TOL):
-        arr = linalg.require_hermitian(_as_element_stack(elements), tol).copy()
+        arr = linalg.require_hermitian(_as_element_stack(elements), tol)
         arr.flags.writeable = False
         self.elements = arr
         self.outcomes = arr.shape[0]
@@ -308,11 +313,11 @@ def save_povm(povm, path) -> None:
 
 
 def read_povm_file(path) -> np.ndarray:
-    """Read the element stack from a POVM file without validating it."""
+    """Read the element stack from a POVM file, checking its keys and shape but not its effects."""
+    schema = {"dim": integer, "elements": _complex_from_pairs, "outcomes": integer}
     with open(path) as fh:
-        doc = json.load(fh)
-    arr = _complex_from_pairs("elements", doc["elements"])
-    if arr.shape != (doc["outcomes"], doc["dim"], doc["dim"]):
+        dim, arr, outcomes = read("POVM file", json.load(fh), schema).values()
+    if arr.shape != (outcomes, dim, dim):
         raise ValueError(f"POVM file is inconsistent: {arr.shape} vs header")
     return arr
 
@@ -322,11 +327,9 @@ def load_povm(path, tol: float = POVM_TOL) -> Povm:
     return Povm(read_povm_file(path), tol=tol)
 
 
-def _complex_from_pairs(name: str, pairs) -> np.ndarray:
+def _complex_from_pairs(name: str, value) -> np.ndarray:
     """Complex array from the nested [re, im] pairs of a file or spec; callers check its shape."""
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape[-1:] != (2,):
-        raise ValueError(f"{name} must be an array of [re, im] pairs")
+    arr = pairs(name, value)
     return arr[..., 0] + 1j * arr[..., 1]
 
 

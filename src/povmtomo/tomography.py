@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from ._rng import make_rng
-from ._schema import integer, read, real
+from ._schema import dump, integer, read, real
 # frame_operator and born are not called here; the benchmark's tracer wraps them on this module.
 from .frames import ProbeEnsemble, frame_operator, frame_sum, frame_traces  # noqa: F401
 from .povm import POVM_TOL, Povm, RawEstimate, born, coarse_grain  # noqa: F401
@@ -147,7 +147,7 @@ PROJECTION_SCHEMA = {"metric": _metric, "tol_feasibility": real, "tol_step": rea
 
 @dataclass(frozen=True)
 class ProjectionOptions:
-    metric: str = "frobenius"  # "frobenius" | "dav"
+    metric: str = "frobenius"  # one of PROJECTION_METRICS
     tol_feasibility: float = 1e-9
     tol_step: float = 1e-10
     max_iterations: int = 10000
@@ -476,20 +476,30 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
     if ensemble_spec is not None:
         meta["ensemble_spec"] = ensemble_spec
         meta["ensemble_spec_sha256"] = spec_hash(ensemble_spec)
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    dump(meta, path + ".meta.json")
+
+
+def _size(key: str, value) -> int:
+    if integer(key, value) < 1:
+        raise ValueError(f"{key} must be >= 1, got {value!r}")
+    return int(value)
+
+
+#: Parser of each counts sidecar key; only the ensemble spec and its hash may be absent.
+_SIDECAR_SCHEMA = {"n_states": _size, "n_outcomes": _size, "n_shots": _size,
+                   "ensemble_spec": lambda key, spec: spec, "ensemble_spec_sha256": lambda key, digest: digest}
+_SIDECAR_DEFAULTS = {"ensemble_spec": None, "ensemble_spec_sha256": None}
 
 
 def load_counts(path) -> tuple[FrequencyTable, dict]:
     """Read a counts CSV and its sidecar; returns (table, metadata).
 
-    Repeated cells add up; a negative count is rejected before it can cancel one,
-    and a count above ``n_shots`` or rows that do not sum to it before they are added.
+    The sidecar is read against :data:`_SIDECAR_SCHEMA`. Repeated cells add up; a negative count is rejected
+    before it can cancel one, and a count above ``n_shots`` or rows that do not sum to it before they are added.
     """
     path = str(path)
     with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
+        meta = read("counts sidecar", json.load(fh), _SIDECAR_SCHEMA, _SIDECAR_DEFAULTS)
     n_states, n_outcomes, n_shots = meta["n_states"], meta["n_outcomes"], meta["n_shots"]
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")

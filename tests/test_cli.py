@@ -177,6 +177,26 @@ def test_seed_and_shot_overrides(tmp_path):
         (["reconstruct"], [1, 2], "config must be a JSON object, got [1, 2]"),
         (["reconstruct", "--metric", "dav"], {"projection": 5}, "projection must be a JSON object, got 5"),
         (["reconstruct", "--seed", "3"], [1, 2], "config must be a JSON object, got [1, 2]"),
+        (
+            ["reconstruct"],
+            {"povm": {"kind": "rotated", "unitary": [[["1", "0"], [0, 0]], [[0, 0], [1, 0]]]}},
+            "unitary must be an array of [re, im] pairs of numbers",
+        ),
+        (
+            ["reconstruct"],
+            {"povm": {"kind": "rotated", "unitary": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+            "unitary must be an array of [re, im] pairs of numbers",
+        ),
+        (
+            ["reconstruct"],
+            {"povm": {"kind": "packing_av", "unitaries": [[[[1, None], [0, 0]], [[0, 0], [1, 0]]]], "epsilon": 0.1}},
+            "unitaries must be an array of [re, im] pairs of numbers",
+        ),
+        (
+            ["reconstruct"],
+            {"ensemble": {"kind": "explicit", "states": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}},
+            "states must be an array of [re, im] pairs of numbers",
+        ),
     ],
 )
 def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):
@@ -284,6 +304,64 @@ def test_distance_and_channel_commands(tmp_path, capsys):
     np.testing.assert_allclose(matrix, np.diag([1.0, 0.0, 0.0, 0.8]), atol=1e-9)
 
 
+def _edited_counts(tmp_path, edit):
+    """A simulated counts file whose sidecar ``edit`` changed; returns its path."""
+    path = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+    sidecar = tmp_path / "sim" / "counts.csv.meta.json"
+    meta = json.loads(sidecar.read_text())
+    edit(meta)
+    sidecar.write_text(json.dumps(meta))
+    return tmp_path / "sim" / "counts.csv"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta: meta.pop("n_outcomes"), "counts sidecar is missing required key 'n_outcomes'"),
+        (lambda meta: meta.update(n_states=None), "n_states must be an integer, got None"),
+        (lambda meta: meta.update(n_shots=4000.5), "n_shots must be an integer, got 4000.5"),
+        (lambda meta: meta.update(n_states=0), "n_states must be >= 1, got 0"),
+        (lambda meta: meta.update(note="x"), "unknown counts sidecar keys: ['note']"),
+    ],
+)
+def test_bad_counts_sidecar_fails_before_any_output(tmp_path, capsys, edit, message):
+    counts = _edited_counts(tmp_path, edit)
+    capsys.readouterr()
+    code = cli.main(["reconstruct", "--config", str(tmp_path / "config.json"), "--from-counts", str(counts)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "run").exists()
+
+
+_NOT_PAIRS = "elements must be an array of [re, im] pairs of numbers"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.pop("dim"), "POVM file is missing required key 'dim'"),
+        (lambda doc: doc.update(outcomes=2.5), "outcomes must be an integer, got 2.5"),
+        (lambda doc: doc.update(note=1), "unknown POVM file keys: ['note']"),
+        (lambda doc: doc["elements"][0][0].__setitem__(0, ["1.0", 0]), _NOT_PAIRS),
+        (lambda doc: doc["elements"][1][1].__setitem__(1, [0, False]), _NOT_PAIRS),
+    ],
+)
+def test_bad_povm_file_fails_before_any_output(tmp_path, capsys, edit, message):
+    path = tmp_path / "a.json"
+    povm.save_povm(povm.computational_povm(2), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", "--povm", str(path)],
+                 ["distance", "--povm-a", str(path), "--povm-b", str(path), "--out", str(tmp_path / "run")]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "run").exists()
+
+
 def test_validate_command_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.json"
     povm.save_povm(povm.computational_povm(2), good)
@@ -297,6 +375,18 @@ def test_validate_command_exit_codes(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert not doc["ok"]
     assert doc["min_eigenvalue"] == pytest.approx(-0.2, abs=1e-12)
+
+    # effects are not taken at their Hermitian part: a non-Hermitian E1 is an error, not "ok"
+    e1 = np.array([[1, 0.1], [-0.1, 0]], dtype=complex)
+    skew = tmp_path / "skew.json"
+    povm.save_povm(np.array([e1, np.eye(2) - e1]), skew)
+    assert cli.main(["validate", "--povm", str(skew)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)["error"]
+    assert record["type"] == "ValueError" and "not Hermitian" in record["message"]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        povm.load_povm(skew)
 
 
 def test_packing_command(tmp_path, capsys):
@@ -328,6 +418,95 @@ def test_packing_command(tmp_path, capsys):
         assert fields[:6] == ["op", "4", "2", "0.4", "4", str(seed)]
         assert fields[6] == repr(float(fields[6])) and float(fields[6]) >= 0.05
         assert fields[7:] == ["0.05", "1"]
+
+
+def _shape(doc):
+    """Each key of a JSON object, with the sorted keys of the objects it holds."""
+    return {key: sorted(value) if isinstance(value, dict) else None for key, value in doc.items()}
+
+
+_COUNTS_META = {"ensemble_spec": ["kind", "n_qubits"], "ensemble_spec_sha256": None, "n_outcomes": None,
+                "n_shots": None, "n_states": None}
+_POVM_FILE = {"dim": None, "elements": None, "outcomes": None}
+
+
+# argv ({config}, {out}, {a} and {b} filled in), stdout (a list: compact JSON with keys in this order;
+# a dict: sorted JSON indented by 2, of this shape) and each file written (a CSV's header line, or the
+# shape of a JSON file)
+_OUTPUT_FORMATS = [
+    (["simulate", "--config", "{config}"], ["counts", "shots"],
+     {"counts.csv": "state_index,outcome_index,count", "counts.csv.meta.json": _COUNTS_META}),
+    (
+        ["reconstruct", "--config", "{config}"],
+        {"bernstein": ["k_bound", "k_emp", "sigma2_bound", "sigma2_emp"],
+         "distances": ["d_av", "d_op", "d_op_kind", "frob_sum", "spec_sum"],
+         "ensemble_spec_sha256": None,
+         "sample_size": ["delta", "epsilon", "global_av_proof", "global_av_theorem", "global_op",
+                         "local_av", "local_op"],
+         "seed": None, "shots": None,
+         "solver": ["converged", "duality_gap", "final_residual", "iterations", "metric"]},
+        {"counts.csv": "state_index,outcome_index,count", "counts.csv.meta.json": _COUNTS_META,
+         "estimated_povm.json": _POVM_FILE, "report.json": "stdout"},
+    ),
+    (
+        ["distance", "--povm-a", "{a}", "--povm-b", "{b}", "--out", "{out}"],
+        {"d_av": None, "d_op": ["kind", "value", "witness"], "frob_sum": None, "spec_sum": None},
+        {"distance.json": "stdout"},
+    ),
+    (
+        ["scaling", "--config", "{config}", "--n-list", "64,256,1024", "--trials", "5"],
+        {"medians": ["d_av", "d_op", "n_list"], "slope_d_av": None, "slope_d_op": None},
+        {"scaling.csv": "N,trial,d_op,d_av,runtime_ms",
+         "scaling_report.json": {"fit": ["intercept_d_av", "intercept_d_op", "slope_d_av", "slope_d_op"],
+                                 "medians": ["d_av", "d_op", "n_list"]}},
+    ),
+    (
+        ["bounds", "--dim", "2", "--outcomes", "2", "--epsilon", "0.1", "--delta", "0.01"],
+        {key: None for key in ("delta", "dim", "epsilon", "global_av_proof", "global_av_theorem",
+                               "global_op", "outcomes")},
+        {},
+    ),
+    (
+        ["packing", "--kind", "av", "--dim", "2", "--outcomes", "2", "--epsilon", "0.3", "--members", "2",
+         "--seeds", "2", "--out", "{out}"],
+        ["ok_seeds", "total_seeds"],
+        {"packing.csv": "kind,dim,outcomes,epsilon,members,seed,min_pairwise,threshold,ok"},
+    ),
+    (["channel", "--ideal", "{a}", "--estimated", "{b}", "--out", "{out}"], ["dim", "basis_size"],
+     {"channel.json": {"basis": None, "dim": None, "matrix": None}}),
+    (["validate", "--povm", "{a}"], {"completeness_residual": None, "min_eigenvalue": None, "ok": None,
+                                  "tol": None}, {}),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, files", _OUTPUT_FORMATS, ids=[argv[0] for argv, _, _ in _OUTPUT_FORMATS])
+def test_every_command_pins_its_output_format(tmp_path, capsys, argv, stdout, files):
+    config = write_config(tmp_path, shots=300)
+    povm.save_povm(povm.computational_povm(2), tmp_path / "a.json")
+    povm.save_povm(povm.depolarized(povm.computational_povm(2), 0.2), tmp_path / "b.json")
+    out = tmp_path / "run"  # the config's output directory
+    paths = {"config": config, "out": out, "a": tmp_path / "a.json", "b": tmp_path / "b.json"}
+    capsys.readouterr()
+    assert cli.main([arg.format(**paths) for arg in argv]) in (0, 1)  # packing may miss its separation
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    if isinstance(stdout, list):
+        assert list(doc) == stdout and text == json.dumps(doc) + "\n"
+    else:
+        assert _shape(doc) == stdout and text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    written = sorted(str(path.relative_to(out)) for path in out.rglob("*")) if out.exists() else []
+    assert written == sorted(files)
+    for name, expected in files.items():
+        content = (out / name).read_bytes().decode()
+        if name.endswith(".csv"):
+            assert content.startswith(expected + "\r\n") and content.endswith("\r\n")
+            assert "\n" not in content.replace("\r\n", "")
+        elif expected == "stdout":
+            assert content == text
+        else:
+            file_doc = json.loads(content)
+            assert _shape(file_doc) == expected
+            assert content == json.dumps(file_doc, sort_keys=True, indent=2) + "\n"
 
 
 def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys):
