@@ -16,7 +16,6 @@ from .frames import (
     pauli6_product,
     sic_qubit_ensemble,
     sic_qubit_product,
-    stabilizer_states,
 )
 from .packing_lab import (
     PackingFamily,

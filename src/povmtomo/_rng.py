@@ -16,11 +16,8 @@ def make_rng(seed) -> np.random.Generator:
 
     ``seed`` is a nonnegative integer or a tuple of them; a tuple such as
     ``(seed, trial)`` derives an independent sub-stream (e.g. one per scaling
-    trial) without consuming state from the parent stream. Generators pass
-    through untouched.
+    trial) without consuming state from the parent stream.
     """
-    if isinstance(seed, np.random.Generator):
-        return seed
     if isinstance(seed, (tuple, list)):
         entropy = [int(s) for s in seed]
     else:

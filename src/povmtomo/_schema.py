@@ -11,20 +11,27 @@ import numpy as np
 
 
 def integer(name: str, value) -> int:
-    """``value`` as an int: an integer or an integral float, never a bool; builtins skip the slow ABC test."""
+    """``value`` as an int in the int64 range: an integer or an integral float, never a bool;
+    builtins skip the slow ABC test."""
     integral = isinstance(value, (int, numbers.Integral)) or isinstance(value, float) and value.is_integer()
-    if integral and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not integral or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{name} lies outside the int64 range")
+    return int(value)
 
 
 def real(name: str, value) -> float:
     """``value`` as a float: any finite real number, never a bool; builtins skip the slow ABC test."""
     if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} lies beyond the float range") from None
+    if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def pairs(name: str, value) -> np.ndarray:
@@ -33,7 +40,10 @@ def pairs(name: str, value) -> np.ndarray:
     numeric = (int, float, np.integer, np.floating)
     if arr.shape[-1:] != (2,) or any(t is bool or not issubclass(t, numeric) for t in set(map(type, arr.flat))):
         raise ValueError(f"{name} must be an array of [re, im] pairs of numbers")
-    return arr.astype(float)
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} has an entry beyond the float range") from None
 
 
 def read(what: str, doc, parsers: dict, defaults: dict | None = None) -> dict:

@@ -3,9 +3,10 @@
 Every ensemble is n tensor factors over one base of m states on C^q that
 form a projective 2-design. Its M = m^n probe states are the products of
 base states, and the dual frame operator of a probe state is the Kronecker
-product of the factors ``q(q+1)|psi><psi| - q*I``. Two kinds exist:
+product of the factors ``q(q+1)|psi><psi| - q*I``. The base and, for a
+product, n fix the ensemble; its kind and dimension follow:
 
-* ``global``: n = 1, q = d, an explicit list of M states on C^d.
+* ``global``: no n_qubits, so n = 1 and q = d, an explicit list of M states on C^d.
 * ``local``: n qubits, q = 2, one single-qubit base.
 
 :func:`frame_sum` and its transpose :func:`frame_traces` contract a factor
@@ -14,7 +15,6 @@ stack against all M probe states at once.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,35 +55,37 @@ SIC_QUBIT_STATES = np.array(
 
 @dataclass(frozen=True, eq=False)
 class ProbeEnsemble:
-    """A probe-state family with declared design structure.
+    """A probe-state family: a base of 2-design states, and n for a product.
 
-    ``states`` holds the base of m states: the M explicit states (global
-    kind, shape (M, d)) or the single-qubit base (local kind, shape (m, 2)).
+    ``states`` holds the base of m states: the M explicit states on C^d of a
+    global ensemble (``n_qubits`` None), or the single-qubit base of a local
+    one, whose probe states are its n_qubits-fold products.
     """
 
-    kind: str  # "global" | "local"
-    dim: int
     states: np.ndarray
     n_qubits: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("global", "local"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
         states = np.asarray(self.states, dtype=complex)
         norms = np.linalg.norm(states, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
             raise ValueError("ensemble states must have unit norm")
-        if self.kind == "local":
-            if self.n_qubits is None or self.n_qubits < 1:
+        if self.n_qubits is not None:
+            if self.n_qubits < 1:
                 raise ValueError("local ensembles need n_qubits >= 1")
             if states.shape[1] != 2:
                 raise ValueError("local ensembles store a single-qubit base")
-            if self.dim != 2 ** self.n_qubits:
-                raise ValueError("local ensemble dim must be 2**n_qubits")
-        else:
-            if states.shape[1] != self.dim:
-                raise ValueError("state length does not match ensemble dim")
         object.__setattr__(self, "states", states)
+
+    @property
+    def kind(self) -> str:
+        """``global`` (one factor on C^d) or ``local`` (a product over n_qubits)."""
+        return "global" if self.n_qubits is None else "local"
+
+    @property
+    def dim(self) -> int:
+        """Dimension d = q^n of the probe states."""
+        return self.states.shape[1] ** self.n_factors
 
     @property
     def size(self) -> int:
@@ -93,7 +95,7 @@ class ProbeEnsemble:
     @property
     def n_factors(self) -> int:
         """Tensor factors of each probe state: n_qubits (local) or 1 (global)."""
-        return self.n_qubits if self.kind == "local" else 1
+        return 1 if self.n_qubits is None else self.n_qubits
 
     def projector_factors(self) -> np.ndarray:
         """(m, q, q) stack of the base projectors ``|psi><psi|``."""
@@ -132,75 +134,33 @@ def mub_states(d: int) -> np.ndarray:
     return np.array(states)
 
 
-def stabilizer_states(n_qubits: int) -> np.ndarray:
-    """All pure stabilizer states on n qubits (a projective 2-design).
-
-    The orbit of |0...0> under the Clifford generators H_k, S_k and CNOT_kl
-    (Aaronson and Gottesman, PRA 70, 052328 (2004)), closed breadth first.
-    Each state is kept once up to global phase: its first nonzero amplitude
-    is made real and positive, and its rounded amplitudes are the key.
-    Exponential in n; intended for small systems (n <= 3).
-    """
-    if not 1 <= n_qubits <= 3:
-        raise ValueError("stabilizer_states supports 1 <= n_qubits <= 3")
-    n, d = n_qubits, 2**n_qubits
-    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 most significant
-    hadamard = np.array([[1, 1], [1, -1]]) * _SQ2
-    gates = [np.kron(np.kron(np.eye(2**k), hadamard), np.eye(2 ** (n - 1 - k))) for k in range(n)]
-    gates += [np.diag(np.where(bits[:, k], 1j, 1)) for k in range(n)]
-    gates += [
-        np.eye(d)[np.arange(d) ^ (bits[:, k] << (n - 1 - l))]
-        for k, l in itertools.permutations(range(n), 2)
-    ]
-    gates = np.array(gates, dtype=complex)
-
-    states, seen = [], set()
-    candidates = np.eye(d, dtype=complex)[:1]
-    while len(candidates):
-        lead = candidates[np.arange(len(candidates)), np.argmax(np.abs(candidates) > 1e-9, axis=1)]
-        new = []
-        for psi in candidates * (lead.conj() / np.abs(lead))[:, None]:
-            key = (np.round(psi, 8) + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
-            if key not in seen:
-                seen.add(key)
-                new.append(psi)
-        states += new
-        candidates = np.einsum("gab,fb->fga", gates, np.reshape(new, (-1, d))).reshape(-1, d)
-    return np.array(states)
-
-
 def pauli6_product(n_qubits: int) -> ProbeEnsemble:
     """Tensor products of the 6 Pauli eigenstates on each of n qubits."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    return ProbeEnsemble("local", 2**n_qubits, PAULI6_BASE.copy(), n_qubits)
+    return ProbeEnsemble(PAULI6_BASE.copy(), n_qubits)
 
 
 def mub_ensemble(d: int) -> ProbeEnsemble:
     """Global ensemble of the d(d+1) complete-MUB states, d prime."""
-    return ProbeEnsemble("global", d, mub_states(d))
+    return ProbeEnsemble(mub_states(d))
 
 
 def sic_qubit_ensemble() -> ProbeEnsemble:
     """Global ensemble of the 4 tetrahedral qubit states."""
-    return ProbeEnsemble("global", 2, SIC_QUBIT_STATES.copy())
+    return ProbeEnsemble(SIC_QUBIT_STATES.copy())
 
 
 def sic_qubit_product(n_qubits: int) -> ProbeEnsemble:
     """Tensor products of the 4 tetrahedral states on each of n qubits."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    return ProbeEnsemble("local", 2**n_qubits, SIC_QUBIT_STATES.copy(), n_qubits)
+    return ProbeEnsemble(SIC_QUBIT_STATES.copy(), n_qubits)
 
 
-def explicit_ensemble(states, tol: float = DESIGN_TOL) -> ProbeEnsemble:
-    """Global ensemble from user states; fails unless they form a 2-design."""
-    states = np.asarray(states, dtype=complex)
-    ensemble = ProbeEnsemble("global", states.shape[1], states)
+def explicit_ensemble(states) -> ProbeEnsemble:
+    """Global ensemble from user states; fails unless they form a 2-design within :data:`DESIGN_TOL`."""
+    ensemble = ProbeEnsemble(states)
     deviation = design_check(ensemble)
-    if deviation > tol:
+    if deviation > DESIGN_TOL:
         raise ValueError(
-            f"explicit states do not form a 2-design: deviation {deviation:.3e} exceeds {tol:.1e}"
+            f"explicit states do not form a 2-design: deviation {deviation:.3e} exceeds {DESIGN_TOL:.1e}"
         )
     return ensemble
 

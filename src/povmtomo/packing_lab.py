@@ -31,11 +31,8 @@ class PackingFamily:
     kind: str  # "op" | "av"
     dim: int
     epsilon: float
-    projector_rank: int
     unitaries: tuple
     members: tuple
-    n_draws: int
-    n_rejected: int
 
 
 @dataclass(frozen=True)
@@ -96,10 +93,9 @@ def build_packing(
 
     unitaries: list = []
     members: list[Povm] = []
-    n_draws = 0
-    n_rejected = 0
     if kind == "op":
         rotated: list[np.ndarray] = []
+        n_draws = 0
         while len(members) < n_members:
             if n_draws >= budget:
                 raise PackingBudgetError(
@@ -111,20 +107,16 @@ def build_packing(
             candidate = u @ projector @ u.conj().T
             gaps = linalg.matrix_norm(candidate - np.reshape(rotated, (-1, d, d)), "trace") / d
             if np.any(gaps < TRACE_NORM_THRESHOLD):
-                n_rejected += 1
                 continue
             rotated.append(candidate)
             unitaries.append(u)
-            members.append(packing_op_povm(u, epsilon, n_outcomes, projector))
+            members.append(packing_op_povm(u, epsilon, n_outcomes))
     else:
         for _ in range(n_members):
-            n_draws += 1
             us = tuple(haar_isometry(d, d, rng) for _ in range(n_outcomes // 2))
             unitaries.append(us)
-            members.append(packing_av_povm(us, epsilon, projector))
-    return PackingFamily(
-        kind, d, float(epsilon), d // 2, tuple(unitaries), tuple(members), n_draws, n_rejected
-    )
+            members.append(packing_av_povm(us, epsilon))
+    return PackingFamily(kind, d, float(epsilon), tuple(unitaries), tuple(members))
 
 
 def verify_separation(family: PackingFamily) -> SeparationReport:

@@ -20,7 +20,6 @@ from ._rng import haar_isometry, make_rng
 from ._schema import build, integer, pairs, read, real
 
 POVM_TOL = 1e-8
-RAW_HERMITICITY_TOL = 1e-9
 
 
 class PovmValidationError(ValueError):
@@ -90,10 +89,11 @@ class Povm:
 
 
 class RawEstimate:
-    """An unconstrained tuple of Hermitian matrices (no positivity required)."""
+    """An unconstrained tuple of Hermitian matrices (no positivity required),
+    Hermitian within :data:`linalg.HERMITICITY_TOL`."""
 
-    def __init__(self, elements, tol: float = RAW_HERMITICITY_TOL):
-        arr = linalg.require_hermitian(_as_element_stack(elements), tol)
+    def __init__(self, elements):
+        arr = linalg.require_hermitian(_as_element_stack(elements))
         arr.flags.writeable = False
         self.elements = arr
         self.outcomes = arr.shape[0]
@@ -155,11 +155,12 @@ def random_povm(d: int, n_outcomes: int, seed) -> Povm:
     return Povm(np.einsum("jak,jal->jkl", blocks.conj(), blocks))
 
 
-def packing_op_povm(u, epsilon: float, n_flat: int, projector=None) -> Povm:
+def packing_op_povm(u, epsilon: float, n_flat: int) -> Povm:
     """Worst-case-distance packing member with n_flat + 2 effects.
 
     The first ``n_flat`` effects are flat (I/(2L)); the last two are
-    ``(1 +- eps)/4 * I -+ (eps/2) U P U^dagger`` with P a rank-d/2 projector.
+    ``(1 +- eps)/4 * I -+ (eps/2) U P U^dagger`` with P the rank-d/2
+    :func:`leading_projector`.
     """
     u = linalg.require_square(u)
     d = u.shape[0]
@@ -167,22 +168,20 @@ def packing_op_povm(u, epsilon: float, n_flat: int, projector=None) -> Povm:
         raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon}")
     if n_flat < 1:
         raise ValueError("need at least one flat effect")
-    proj = leading_projector(d) if projector is None else linalg.require_square(projector)
-    if proj.shape[0] != d:
-        raise ValueError("projector dimension mismatch")
     eye = np.eye(d)
-    rotated = u @ proj @ u.conj().T
+    rotated = u @ leading_projector(d) @ u.conj().T
     elements = [eye / (2 * n_flat)] * n_flat
     elements.append((1 + epsilon) / 4 * eye - epsilon / 2 * rotated)
     elements.append((1 - epsilon) / 4 * eye + epsilon / 2 * rotated)
     return Povm(np.array(elements))
 
 
-def packing_av_povm(unitaries, epsilon: float, projector=None) -> Povm:
+def packing_av_povm(unitaries, epsilon: float) -> Povm:
     """Average-case-distance packing member: L = 2 * len(unitaries) effects.
 
-    Effect j is ``(1-eps)/L * I + (2 eps/L) U_j P U_j^dagger`` and effect
-    j + L/2 is its mirrored partner, so the pair sums cancel exactly.
+    Effect j is ``(1-eps)/L * I + (2 eps/L) U_j P U_j^dagger``, with P the
+    rank-d/2 :func:`leading_projector`, and effect j + L/2 is its mirrored
+    partner, so the pair sums cancel exactly.
     """
     unitaries = [linalg.require_square(u) for u in unitaries]
     if not unitaries:
@@ -190,7 +189,7 @@ def packing_av_povm(unitaries, epsilon: float, projector=None) -> Povm:
     d = unitaries[0].shape[0]
     if not 0 <= epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in [0, 1/2], got {epsilon}")
-    proj = leading_projector(d) if projector is None else linalg.require_square(projector)
+    proj = leading_projector(d)
     n_outcomes = 2 * len(unitaries)
     eye = np.eye(d)
     plus, minus = [], []
@@ -322,9 +321,9 @@ def read_povm_file(path) -> np.ndarray:
     return arr
 
 
-def load_povm(path, tol: float = POVM_TOL) -> Povm:
-    """Read a POVM file written by :func:`save_povm` and validate it."""
-    return Povm(read_povm_file(path), tol=tol)
+def load_povm(path) -> Povm:
+    """Read a POVM file written by :func:`save_povm` and validate it at :data:`POVM_TOL`."""
+    return Povm(read_povm_file(path))
 
 
 def _complex_from_pairs(name: str, value) -> np.ndarray:

@@ -132,7 +132,7 @@ def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate:
             f"frequencies have shape {freqs.shape}, ensemble has {ensemble.size} states"
         )
     elements = frame_sum(freqs.T, ensemble.dual_factors(), ensemble.n_factors)
-    return RawEstimate(linalg.hermitize(elements))
+    return RawEstimate(elements)
 
 
 def _metric(name: str, value) -> str:

@@ -124,6 +124,43 @@ def product_state(ensemble, index):
     return psi
 
 
+def stabilizer_states(n_qubits):
+    """All pure stabilizer states on n qubits (a projective 2-design).
+
+    The orbit of |0...0> under the Clifford generators H_k, S_k and CNOT_kl
+    (Aaronson and Gottesman, PRA 70, 052328 (2004)), closed breadth first.
+    Each state is kept once up to global phase: its first nonzero amplitude
+    is made real and positive, and its rounded amplitudes are the key.
+    Exponential in n; intended for small systems (n <= 3).
+    """
+    if not 1 <= n_qubits <= 3:
+        raise ValueError("stabilizer_states supports 1 <= n_qubits <= 3")
+    n, d = n_qubits, 2**n_qubits
+    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # qubit 0 most significant
+    hadamard = np.array([[1, 1], [1, -1]]) * np.sqrt(0.5)
+    gates = [np.kron(np.kron(np.eye(2**k), hadamard), np.eye(2 ** (n - 1 - k))) for k in range(n)]
+    gates += [np.diag(np.where(bits[:, k], 1j, 1)) for k in range(n)]
+    gates += [
+        np.eye(d)[np.arange(d) ^ (bits[:, k] << (n - 1 - l))]
+        for k, l in itertools.permutations(range(n), 2)
+    ]
+    gates = np.array(gates, dtype=complex)
+
+    states, seen = [], set()
+    candidates = np.eye(d, dtype=complex)[:1]
+    while len(candidates):
+        lead = candidates[np.arange(len(candidates)), np.argmax(np.abs(candidates) > 1e-9, axis=1)]
+        new = []
+        for psi in candidates * (lead.conj() / np.abs(lead))[:, None]:
+            key = (np.round(psi, 8) + 0.0).tobytes()  # + 0.0 folds -0.0 into 0.0
+            if key not in seen:
+                seen.add(key)
+                new.append(psi)
+        states += new
+        candidates = np.einsum("gab,fb->fga", gates, np.reshape(new, (-1, d))).reshape(-1, d)
+    return np.array(states)
+
+
 def json_save_povm(povm, path) -> None:
     """Byte reference for ``povm.save_povm``: ``json.dump`` of the document with ``indent=2``."""
     arr = _as_element_stack(povm)

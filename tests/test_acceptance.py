@@ -22,7 +22,7 @@ from povmtomo.tomography import (
     sample_size,
     simulate_shots,
 )
-from oracles import simplex_project
+from oracles import simplex_project, stabilizer_states
 
 
 def _global_ensemble(d):
@@ -31,7 +31,7 @@ def _global_ensemble(d):
             {
                 "kind": "explicit",
                 "states": [
-                    [[x.real, x.imag] for x in state] for state in pt.stabilizer_states(2)
+                    [[x.real, x.imag] for x in state] for state in stabilizer_states(2)
                 ],
             }
         )

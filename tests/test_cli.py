@@ -197,6 +197,19 @@ def test_seed_and_shot_overrides(tmp_path):
             {"ensemble": {"kind": "explicit", "states": [[["1", 0], [0, 0]], [[0, 0], [1, 0]]]}},
             "states must be an array of [re, im] pairs of numbers",
         ),
+        (["reconstruct"], {"epsilon": 10**400}, "epsilon lies beyond the float range"),
+        (["reconstruct"], {"seed": 10**400}, "seed lies outside the int64 range"),
+        (["reconstruct"], {"shots": 2**63}, "shots lies outside the int64 range"),
+        (["reconstruct"], {"povm": {"kind": "computational", "dim": 1e300}}, "dim lies outside the int64 range"),
+        (
+            ["reconstruct"],
+            {"povm": {"kind": "rotated", "unitary": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+            "unitary has an entry beyond the float range",
+        ),
+        (["reconstruct"], {"projection": {"metric": "trace"}}, "metric must be one of ('frobenius', 'dav')"),
+        (["reconstruct"], {"projection": {"tol_feasibility": 0}}, "tolerances must be positive"),
+        (["reconstruct"], {"projection": {"tol_step": -1e-10}}, "tolerances must be positive"),
+        (["reconstruct"], {"projection": {"max_iterations": 0}}, "max_iterations must be >= 1"),
     ],
 )
 def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):
@@ -323,6 +336,8 @@ def _edited_counts(tmp_path, edit):
         (lambda meta: meta.update(n_shots=4000.5), "n_shots must be an integer, got 4000.5"),
         (lambda meta: meta.update(n_states=0), "n_states must be >= 1, got 0"),
         (lambda meta: meta.update(note="x"), "unknown counts sidecar keys: ['note']"),
+        # the hash matches, but the Pauli-6 n = 1 ensemble of the config has 6 states
+        (lambda meta: meta.update(n_states=7), "counts table has 7 states, ensemble has 6"),
     ],
 )
 def test_bad_counts_sidecar_fails_before_any_output(tmp_path, capsys, edit, message):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmtomo import frames, povm
-from oracles import product_state, random_hermitian
+from oracles import product_state, random_hermitian, stabilizer_states
 
 
 def overlaps(states):
@@ -82,7 +82,7 @@ def test_frame_operator_index_out_of_range():
 def test_design_check_values():
     assert frames.design_check(frames.pauli6_product(1)) < 1e-12
     assert frames.design_check(frames.mub_ensemble(5)) < 1e-12
-    incomplete = frames.ProbeEnsemble("global", 2, np.eye(2, dtype=complex))
+    incomplete = frames.ProbeEnsemble(np.eye(2, dtype=complex))
     assert frames.design_check(incomplete) > 1e-2
 
 
@@ -92,7 +92,7 @@ def test_design_check_is_linear_in_a_perturbation():
     states = frames.mub_states(5)
     states = states + 1e-6 * (rng.normal(size=states.shape) + 1j * rng.normal(size=states.shape))
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    assert 1e-7 < frames.design_check(frames.ProbeEnsemble("global", 5, states)) < 1e-5
+    assert 1e-7 < frames.design_check(frames.ProbeEnsemble(states)) < 1e-5
     with pytest.raises(ValueError, match="2-design"):
         frames.explicit_ensemble(states)
 
@@ -104,9 +104,24 @@ def test_explicit_ensemble_rejects_non_design():
         frames.explicit_ensemble(np.array([[1.0, 1.0], [1.0, -1.0]]))  # not unit norm
 
 
+def test_kind_and_dim_follow_from_the_base_and_n_qubits():
+    for ensemble, kind, dim, size in (
+        (frames.pauli6_product(3), "local", 8, 216),
+        (frames.sic_qubit_product(2), "local", 4, 16),
+        (frames.mub_ensemble(5), "global", 5, 30),
+        (frames.sic_qubit_ensemble(), "global", 2, 4),
+    ):
+        assert (ensemble.kind, ensemble.dim, ensemble.size) == (kind, dim, size)
+    for make in (frames.pauli6_product, frames.sic_qubit_product):
+        with pytest.raises(ValueError, match="local ensembles need n_qubits >= 1"):
+            make(0)
+    with pytest.raises(ValueError, match="local ensembles store a single-qubit base"):
+        frames.ProbeEnsemble(frames.mub_states(3), 2)
+
+
 def test_stabilizer_states_are_designs():
     for n, count in ((1, 6), (2, 60), (3, 1080)):
-        states = frames.stabilizer_states(n)
+        states = stabilizer_states(n)
         assert len(states) == count
         overlaps = np.abs(states.conj() @ states.T)
         np.fill_diagonal(overlaps, 0.0)
@@ -139,7 +154,7 @@ def test_frame_inversion_global(d):
 
 def test_frame_inversion_global_d4_stabilizer():
     rng = np.random.default_rng(4)
-    ensemble = frames.explicit_ensemble(frames.stabilizer_states(2))
+    ensemble = frames.explicit_ensemble(stabilizer_states(2))
     for _ in range(5):
         assert frame_inversion_error(ensemble, random_hermitian(4, rng)) < 1e-9
 
@@ -202,7 +217,7 @@ KERNEL_ENSEMBLES = [
     *(pytest.param(lambda n=n: frames.pauli6_product(n), id=f"pauli6-n{n}") for n in (1, 2, 3)),
     *(pytest.param(lambda n=n: frames.sic_qubit_product(n), id=f"sicprod-n{n}") for n in (1, 2)),
     *(pytest.param(lambda d=d: frames.mub_ensemble(d), id=f"mub-d{d}") for d in (2, 3, 5)),
-    pytest.param(lambda: frames.explicit_ensemble(frames.stabilizer_states(2)), id="stabilizer-d4"),
+    pytest.param(lambda: frames.explicit_ensemble(stabilizer_states(2)), id="stabilizer-d4"),
     pytest.param(frames.sic_qubit_ensemble, id="sic_qubit"),
 ]
 

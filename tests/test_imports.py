@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Every name a package or test module imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
 No linter runs in this project, so these stdlib ``ast`` checks stand in for
 pyflakes' F401 and for a dead-code finder: an import is unused unless the
@@ -14,8 +14,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "povmtomo"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "povmtomo"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +36,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=[path.name for path in MODULES + TEST_MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -37,10 +37,13 @@ def test_haar_first_moment():
 def test_build_packing_op_family():
     family = build_packing("op", 4, 2, 0.4, 8, 7)
     assert len(family.members) == 8
-    assert family.projector_rank == 2
-    for member in family.members:
+    for u, member in zip(family.unitaries, family.members):
         assert povm.validate(member).ok
         assert member.outcomes == 4
+        # the last two effects differ by eps (U P U^dagger - I/2), P of rank d/2 = 2
+        rotated = (member.elements[-1] - member.elements[-2]) / 0.4 + np.eye(4) / 2
+        np.testing.assert_allclose(rotated, u @ povm.leading_projector(4) @ u.conj().T, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(rotated), [0, 0, 1, 1], atol=1e-12)
     report = verify_separation(family)
     assert report.ok
     assert report.threshold == pytest.approx(0.05)
@@ -73,7 +76,7 @@ def test_build_packing_rejects_bad_parameters():
 def test_duplicated_unitary_family_fails_separation():
     u = haar_unitary(4, 99)
     members = (povm.packing_op_povm(u, 0.4, 2), povm.packing_op_povm(u, 0.4, 2))
-    family = packing_lab.PackingFamily("op", 4, 0.4, 2, (u, u), members, 2, 0)
+    family = packing_lab.PackingFamily("op", 4, 0.4, (u, u), members)
     report = verify_separation(family)
     assert report.min_pairwise == pytest.approx(0.0, abs=1e-12)
     assert not report.ok

@@ -388,6 +388,32 @@ def test_projection_hard_cases_match_dykstra(metric, monkeypatch):
         assert np.max(np.abs(projected.elements - reference)) <= 1e-8
 
 
+def test_projection_line_search_backtracks(monkeypatch):
+    # one shot puts all the weight on one probe state, far outside the POVMs:
+    # full Newton steps overshoot there and the Armijo line search halves them
+    points = []
+
+    class CountingPoint(tomography._DualPoint):
+        def __init__(self, *args):
+            points.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tomography, "_DualPoint", CountingPoint)
+    ensemble = frames.pauli6_product(2)
+    for seed in range(3):
+        raw = _lse(povm.random_povm(4, 4, seed), ensemble, 1, seed)
+        points.clear()
+        projected, diagnostics = project_onto_povms(raw, ProjectionOptions(metric="dav"))
+        # one point to start and one full step per Newton iteration; every further point is a halved step
+        assert len(points) - 1 - diagnostics.iterations > 0
+        assert povm.validate(projected).ok
+        assert diagnostics.final_residual <= ProjectionOptions().tol_feasibility
+        gap = raw.elements - projected.elements
+        assert abs(diagnostics.duality_gap) <= 1e-9 * (1 + 0.5 * metric_inner(gap, gap, "dav"))
+        reference, _ = dykstra_projection(raw.elements, "dav")
+        assert np.max(np.abs(projected.elements - reference)) <= 1e-8
+
+
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
 def test_projection_stops_on_the_primal_step(metric):
     # meeting tol_feasibility is not enough: the solver also waits for a Newton
