@@ -12,6 +12,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 from . import distances, packing_lab, povm as povm_mod
 from ._schema import dump, integer, read, real
 from .frames import build_ensemble
-from .povm import build_povm, load_povm, measurement_channel, pauli_strings, save_povm, validate
+from .povm import build_povm, load_povm, measurement_channel, pauli_labels, save_povm, validate
 from .tomography import (
     PROJECTION_METRICS,
     PROJECTION_SCHEMA,
@@ -81,6 +82,13 @@ class ExperimentConfig:
         return target, ensemble
 
 
+def _path(name: str, value) -> str:
+    """``value`` as a string; ``load_config``'s overrides may also pass a ``PathLike``."""
+    if not isinstance(value, (str, os.PathLike)):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return str(value)
+
+
 _OPTIONS = ProjectionOptions()  # the defaults of every projection key
 # Parser of each config key, in the order of the ExperimentConfig fields they fill.
 _CONFIG_SCHEMA = {
@@ -91,7 +99,7 @@ _CONFIG_SCHEMA = {
     "projection": lambda key, doc: ProjectionOptions(**read(key, doc, PROJECTION_SCHEMA, vars(_OPTIONS))),
     "epsilon": real,
     "delta": real,
-    "outputs": lambda key, doc: read(key, doc, {"dir": lambda name, path: str(path)}, {"dir": "."})["dir"],
+    "outputs": lambda key, doc: read(key, doc, {"dir": _path}, {"dir": "."})["dir"],
 }
 _CONFIG_DEFAULTS = {"projection": _OPTIONS, "epsilon": 0.1, "delta": 0.05, "outputs": "."}
 
@@ -256,7 +264,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_distance(args) -> int:
     first = load_povm(args.povm_a)
     second = load_povm(args.povm_b)
-    op = distances.d_op(first, second, seed=args.seed or 0)
+    op = distances.d_op(first, second)
     doc = {
         "d_op": {**vars(op), "witness": list(op.witness or ())},
         "d_av": distances.d_av(first, second).value,
@@ -291,7 +299,7 @@ def _cmd_packing(args) -> int:
     rows = []
     for seed_offset in range(args.seeds):
         family = packing_lab.build_packing(
-            args.kind, args.dim, args.outcomes, args.epsilon, args.members, (args.seed, seed_offset)
+            args.kind, args.dim, args.outcomes, args.epsilon, args.members, (0, seed_offset)
         )
         report = packing_lab.verify_separation(family)
         fields = {**vars(args), **vars(report), "seed": seed_offset, "ok": int(report.ok)}
@@ -307,7 +315,7 @@ def _cmd_channel(args) -> int:
     ideal = load_povm(args.ideal)
     estimated = load_povm(args.estimated)
     matrix = measurement_channel(ideal, estimated)
-    labels, _ = pauli_strings(int(round(np.log2(ideal.dim))))
+    labels = pauli_labels(int(round(np.log2(ideal.dim))))
     doc = {"dim": ideal.dim, "basis": labels, "matrix": matrix.tolist()}
     if args.out:
         dump(doc, _output(args.out, "channel.json"))
@@ -352,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("distance", _cmd_distance, "distances between two POVM files")
     p.add_argument("--povm-a", required=True)
     p.add_argument("--povm-b", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
 
     p = command("scaling", _cmd_scaling, "error-vs-shots study with slope fit")
@@ -375,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--members", type=int, required=True)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = command("channel", _cmd_channel, "half-sided measurement channel of two POVMs")

@@ -36,6 +36,7 @@ from ._rng import make_rng
 from .povm import Povm, RawEstimate, _as_element_stack
 
 MAX_EXACT_OUTCOMES = 24
+LOWER_BOUND_SUBSETS = 64  # random subsets in d_op_lower's family
 SUBSET_CHUNK_ELEMENTS = 1 << 16  # matrix entries per chunk of subset sums in d_op_exact
 
 
@@ -187,26 +188,24 @@ def d_op_exact(e, f) -> DistanceReport:
     return DistanceReport(best, "op_exact", witness)
 
 
-def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
+def d_op_lower(e, f) -> DistanceReport:
     """Lower bound on the operational distance from a sampled subset family.
 
     Evaluates all singletons, one greedy subset per outcome (the outcomes
     whose effect gap is positive along the top eigendirection of that
-    outcome's gap), and ``n_subsets`` uniformly random subsets. For valid POVM
-    pairs each subset holding the last outcome is replaced by its complement,
-    as in :func:`d_op_exact`, so the witness never contains it.
+    outcome's gap), and ``LOWER_BOUND_SUBSETS`` uniformly random subsets drawn
+    from seed 0. For valid POVM pairs each subset holding the last outcome is
+    replaced by its complement, as in :func:`d_op_exact`, so the witness
+    never contains it.
     """
-    if n_subsets < 1:
-        raise ValueError("n_subsets must be >= 1")
     deltas, both_valid = _deltas(e, f)
     n_outcomes = deltas.shape[0]
-    rng = make_rng(seed)
 
     eigenvalues, eigenvectors = np.linalg.eigh(deltas)
     top_index = np.argmax(np.abs(eigenvalues), axis=-1)[:, None, None]
     top = np.take_along_axis(eigenvectors, top_index, axis=-1)[..., 0]
     aligned = np.einsum("ka,jab,kb->kj", top.conj(), deltas, top).real > 0
-    random_bits = rng.integers(0, 2, size=(n_subsets, n_outcomes)) > 0
+    random_bits = make_rng(0).integers(0, 2, size=(LOWER_BOUND_SUBSETS, n_outcomes)) > 0
     family = np.concatenate([np.eye(n_outcomes, dtype=bool), aligned, random_bits])
     if both_valid:  # a subset and its complement give equal norms: keep the one without outcome L - 1
         family ^= family[:, -1:]
@@ -217,12 +216,12 @@ def d_op_lower(e, f, n_subsets: int = 64, seed: int = 0) -> DistanceReport:
     return DistanceReport(float(norms[top]), "op_lower", subsets[top] if norms[top] > 0.0 else ())
 
 
-def d_op(e, f, seed: int = 0) -> DistanceReport:
+def d_op(e, f) -> DistanceReport:
     """Operational distance: exact up to ``MAX_EXACT_OUTCOMES`` outcomes, else
-    the seeded :func:`d_op_lower`; the report's ``kind`` says which."""
+    :func:`d_op_lower`; the report's ``kind`` says which."""
     if _as_element_stack(e).shape[0] <= MAX_EXACT_OUTCOMES:
         return d_op_exact(e, f)
-    return d_op_lower(e, f, seed=seed)
+    return d_op_lower(e, f)
 
 
 def d_av(e, f) -> DistanceReport:

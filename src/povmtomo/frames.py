@@ -67,6 +67,8 @@ class ProbeEnsemble:
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=complex)
+        if states.ndim != 2 or 0 in states.shape:
+            raise ValueError(f"ensemble states must be a non-empty 2-d (m, q) array, got shape {states.shape}")
         norms = np.linalg.norm(states, axis=1)
         if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
             raise ValueError("ensemble states must have unit norm")

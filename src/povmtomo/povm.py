@@ -18,8 +18,13 @@ import numpy as np
 from . import linalg
 from ._rng import haar_isometry, make_rng
 from ._schema import build, integer, pairs, read, real
+from .frames import SIC_QUBIT_STATES, frame_traces
 
 POVM_TOL = 1e-8
+
+#: I, X, Y, Z divided by sqrt(2): their first-factor-first n-fold products are
+#: the 4^n Pauli strings scaled by 1/sqrt(2^n), in the order of :func:`pauli_labels`.
+PAULI_FACTORS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]) * np.sqrt(0.5)
 
 
 class PovmValidationError(ValueError):
@@ -128,8 +133,6 @@ def rotated_povm(u) -> Povm:
 
 def sic_qubit_povm() -> Povm:
     """The qubit SIC measurement: effects (1/2)|phi_k><phi_k| over the tetrahedron."""
-    from .frames import SIC_QUBIT_STATES
-
     return Povm(np.array([0.5 * np.outer(s, s.conj()) for s in SIC_QUBIT_STATES]))
 
 
@@ -243,46 +246,26 @@ def coarse_grain(povm_or_raw, subset) -> np.ndarray:
     return out
 
 
-def pauli_strings(n_qubits: int) -> tuple[list[str], np.ndarray]:
-    """Normalized Pauli strings on n qubits, lexicographic in {I, X, Y, Z}^n.
-
-    Returns labels and a (4^n, d, d) stack with each string scaled by
-    1/sqrt(d), so the stack is orthonormal under the Hilbert-Schmidt inner
-    product.
-    """
-    single = {
-        "I": np.eye(2, dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
-    d = 2**n_qubits
-    labels, mats = [], []
-    for combo in itertools.product("IXYZ", repeat=n_qubits):
-        label = "".join(combo)
-        m = np.array([[1.0 + 0j]])
-        for c in combo:
-            m = np.kron(m, single[c])
-        labels.append(label)
-        mats.append(m / np.sqrt(d))
-    return labels, np.array(mats)
+def pauli_labels(n_qubits: int) -> list[str]:
+    """Labels of the n-qubit Pauli strings, lexicographic in {I, X, Y, Z}^n."""
+    return ["".join(combo) for combo in itertools.product("IXYZ", repeat=n_qubits)]
 
 
 def measurement_channel(ideal: Povm, estimated: Povm) -> np.ndarray:
     """Transfer matrix of sum_j |E_j)(E*_j| in the normalized Pauli basis.
 
     Entry (a, b) is ``sum_j tr(sigma_a E_j) tr(sigma_b E*_j)`` with sigma the
-    orthonormal Pauli strings; rows index the ideal POVM, columns the
-    estimate. Requires a qubit register (d = 2^n) and matching shapes.
+    orthonormal Pauli strings of :func:`pauli_labels`, whose traces
+    :func:`frame_traces` takes over the factors :data:`PAULI_FACTORS`; rows
+    index the ideal POVM, columns the estimate. Requires a qubit register
+    (d = 2^n) and matching shapes.
     """
     if ideal.dim != estimated.dim or ideal.outcomes != estimated.outcomes:
         raise ValueError("measurement_channel needs POVMs of identical shape")
     n_qubits = int(round(np.log2(ideal.dim)))
     if 2**n_qubits != ideal.dim:
         raise ValueError("the Pauli transfer representation needs d = 2^n")
-    _, sigma = pauli_strings(n_qubits)
-    left = np.einsum("akl,jlk->ja", sigma, ideal.elements).real
-    right = np.einsum("bkl,jlk->jb", sigma, estimated.elements).real
+    left, right = (frame_traces(povm.elements, PAULI_FACTORS, n_qubits) for povm in (ideal, estimated))
     return left.T @ right
 
 

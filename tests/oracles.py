@@ -106,6 +106,36 @@ def definition_d_av(e_elements, f_elements):
     return float(np.sqrt(total / (2 * d)))
 
 
+def pauli_strings(n_qubits):
+    """Labels and the (4^n, d, d) stack of normalized Pauli strings, lexicographic in {I, X, Y, Z}^n.
+
+    Each string is a Kronecker product of single-qubit Paulis scaled by
+    1/sqrt(d), so the stack is orthonormal under the Hilbert-Schmidt inner product.
+    """
+    single = {
+        "I": np.eye(2, dtype=complex),
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+    labels, mats = [], []
+    for combo in itertools.product("IXYZ", repeat=n_qubits):
+        m = np.ones((1, 1), dtype=complex)
+        for c in combo:
+            m = np.kron(m, single[c])
+        labels.append("".join(combo))
+        mats.append(m / np.sqrt(2**n_qubits))
+    return labels, np.array(mats)
+
+
+def dense_measurement_channel(ideal, estimated):
+    """Reference for ``povm.measurement_channel``: sum_j tr(sigma_a E_j) tr(sigma_b F_j) over dense Pauli strings."""
+    _, sigma = pauli_strings(int(round(np.log2(ideal.dim))))
+    left = np.einsum("akl,jlk->ja", sigma, ideal.elements).real
+    right = np.einsum("bkl,jlk->jb", sigma, estimated.elements).real
+    return left.T @ right
+
+
 def random_hermitian(d, rng, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return scale * (a + a.conj().T) / 2

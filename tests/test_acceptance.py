@@ -72,10 +72,29 @@ def test_c02_worst_case_guarantee_empirical():
         table = simulate_shots(target, ensemble, n_shots, (2025, run))
         estimated, _ = project_onto_povms(lse_estimate(table, ensemble))
         successes += d_op_exact(target, estimated).value <= epsilon
-    elapsed = time.perf_counter() - start
     assert successes >= 38, f"guarantee held in only {successes}/40 runs"
+    # beyond d = 2: global MUBs against the global calculator, Pauli-6 products against the local one
+    cases = [(pt.mub_ensemble(d), "global", None) for d in (3, 5, 7)]
+    cases += [(pt.pauli6_product(n), "local", n) for n in (2, 3, 4, 5)]
+    trials, tightness = 10, []
+    for index, (ensemble, frame, n_qubits) in enumerate(cases):
+        d = ensemble.dim
+        projector = np.diag(np.arange(d) < d // 2).astype(complex)  # rank floor(d/2)
+        target = povm.depolarized(povm.Povm([projector, np.eye(d) - projector]), 0.1)
+        case_shots = sample_size(d, 2, epsilon, delta, frame, "op", n_qubits=n_qubits)
+        errors = []
+        for run in range(trials):
+            table = simulate_shots(target, ensemble, case_shots, (2026, index, run))
+            estimated, _ = project_onto_povms(lse_estimate(table, ensemble))
+            errors.append(d_op_exact(target, estimated).value)
+        held = sum(error <= epsilon for error in errors)
+        assert held >= np.ceil((1 - delta) * trials), f"{frame} d={d}: guarantee held in only {held}/{trials} runs"
+        tightness.append(f"{frame} d={d} {np.median(errors) / epsilon:.3f}")
+    elapsed = time.perf_counter() - start
     assert elapsed < 300
-    print(f"[criterion 2] PASS d_op <= {epsilon} in {successes}/40 runs at N={n_shots} ({elapsed:.1f}s)")
+    print(f"[criterion 2] PASS d_op <= {epsilon} in {successes}/40 runs at d=2, N={n_shots}, and in at least "
+          f"{1 - delta:.0%} of {trials} runs per case beyond; median d_op/epsilon {', '.join(tightness)} "
+          f"({elapsed:.1f}s)")
 
 
 def test_c03_scaling_law():

@@ -210,6 +210,13 @@ def test_seed_and_shot_overrides(tmp_path):
         (["reconstruct"], {"projection": {"tol_feasibility": 0}}, "tolerances must be positive"),
         (["reconstruct"], {"projection": {"tol_step": -1e-10}}, "tolerances must be positive"),
         (["reconstruct"], {"projection": {"max_iterations": 0}}, "max_iterations must be >= 1"),
+        (["simulate"], {"outputs": {"dir": None}}, "dir must be a string, got None"),
+        (["reconstruct"], {"outputs": {"dir": 5}}, "dir must be a string, got 5"),
+        (
+            ["reconstruct"],
+            {"ensemble": {"kind": "explicit", "states": [[1, 0], [0, 1]]}},
+            "ensemble states must be a non-empty 2-d (m, q) array, got shape (2,)",
+        ),
     ],
 )
 def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):
@@ -580,3 +587,16 @@ def test_readme_spec_lists_and_example_match_the_schema():
     assert config.shots == 8000 and config.out_dir == "runs/demo"
     target, ensemble = config.build()
     assert (target.outcomes, ensemble.size) == (2, 6)
+
+
+def test_readme_command_synopsis_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {
+        line.split()[1]: set(re.findall(r"--[\w-]+", line)) for line in re.findall(r"^povmtomo \w+ .*$", readme, re.M)
+    }
+    commands = next(action.choices for action in cli.build_parser()._actions if action.dest == "command")
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.items()
+    }
+    assert documented == parsed

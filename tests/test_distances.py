@@ -27,7 +27,7 @@ def test_identical_povms():
     assert d_av(comp, comp).value == 0.0
     surrogates = upper_surrogates(comp, comp)
     assert surrogates.frob_sum == 0.0 and surrogates.spec_sum == 0.0
-    assert d_op_lower(comp, comp, n_subsets=8, seed=1).value == 0.0
+    assert d_op_lower(comp, comp).value == 0.0
 
 
 def test_z_vs_x_fixed_value():
@@ -122,7 +122,7 @@ def test_lower_bound_never_exceeds_exact():
         e = random_povm(d, n_outcomes, (120, trial))
         f = random_povm(d, n_outcomes, (121, trial))
         exact = d_op_exact(e, f).value
-        lower = d_op_lower(e, f, n_subsets=32, seed=trial).value
+        lower = d_op_lower(e, f).value
         assert lower <= exact + 1e-12
 
 
@@ -132,14 +132,15 @@ def test_lower_bound_witness_excludes_last_outcome_on_valid_pairs():
         n_outcomes = 2 + trial % 8
         e = random_povm(2 + trial % 3, n_outcomes, (140, trial))
         f = random_povm(2 + trial % 3, n_outcomes, (141, trial))
-        report = d_op_lower(e, f, n_subsets=16, seed=trial)
+        report = d_op_lower(e, f)
         assert n_outcomes - 1 not in report.witness
         grouped = povm.coarse_grain(e, report.witness) - povm.coarse_grain(f, report.witness)
         value = np.max(np.abs(np.linalg.eigvalsh((grouped + grouped.conj().T) / 2)))
         assert value == pytest.approx(report.value, abs=1e-12)
 
 
-def test_lower_bound_catches_packing_witness():
+def test_lower_bound_catches_packing_witness(monkeypatch):
+    monkeypatch.setattr(distances, "LOWER_BOUND_SUBSETS", 4)  # singletons, greedy subsets and 4 random ones
     proj = povm.leading_projector(4)
     u = haar_unitary(4, 130)
     v = haar_unitary(4, 131)
@@ -148,7 +149,7 @@ def test_lower_bound_catches_packing_witness():
     f = povm.packing_op_povm(v, eps, 2)
     expected = eps / 2 * np.max(np.abs(np.linalg.eigvalsh(
         u @ proj @ u.conj().T - v @ proj @ v.conj().T)))
-    lower = d_op_lower(e, f, n_subsets=4, seed=0).value
+    lower = d_op_lower(e, f).value
     assert lower >= expected - 1e-12
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from povmtomo import frames, povm
-from oracles import product_state, random_hermitian, stabilizer_states
+from oracles import pauli_strings, product_state, random_hermitian, stabilizer_states
 
 
 def overlaps(states):
@@ -117,6 +118,10 @@ def test_kind_and_dim_follow_from_the_base_and_n_qubits():
             make(0)
     with pytest.raises(ValueError, match="local ensembles store a single-qubit base"):
         frames.ProbeEnsemble(frames.mub_states(3), 2)
+    for states, shape in ((frames.PAULI6_BASE[2], "(2,)"), (np.zeros((0, 2)), "(0, 2)"),
+                          (np.ones((2, 1, 1)), "(2, 1, 1)")):
+        with pytest.raises(ValueError, match=re.escape(f"non-empty 2-d (m, q) array, got shape {shape}")):
+            frames.ProbeEnsemble(states)
 
 
 def test_stabilizer_states_are_designs():
@@ -127,7 +132,7 @@ def test_stabilizer_states_are_designs():
         np.fill_diagonal(overlaps, 0.0)
         assert np.max(overlaps) < 1 - 1e-6  # pairwise distinct up to global phase
         # a stabilizer state has |<psi|P|psi>| = 1 on exactly 2^n Pauli strings and 0 on the rest
-        _, sigma = povm.pauli_strings(n)
+        _, sigma = pauli_strings(n)
         expectations = np.abs(np.einsum("ia,pab,ib->ip", states.conj(), sigma * np.sqrt(2**n), states))
         assert np.all((expectations < 1e-9) | (np.abs(expectations - 1) < 1e-9))
         assert np.all(np.sum(expectations > 0.5, axis=1) == 2**n)

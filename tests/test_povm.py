@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from povmtomo import distances, povm
 from povmtomo.packing_lab import haar_unitary
-from oracles import json_save_povm
+from oracles import dense_measurement_channel, json_save_povm, pauli_strings
 
 
 def test_computational_povm():
@@ -175,6 +175,18 @@ def test_measurement_channel_linear_in_estimate():
     got = povm.measurement_channel(ideal, mix)
     expected = alpha * povm.measurement_channel(ideal, f) + (1 - alpha) * povm.measurement_channel(ideal, g)
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_measurement_channel_matches_dense_pauli_strings(n):
+    d = 2**n
+    assert povm.pauli_labels(n) == pauli_strings(n)[0]
+    for trial in range(3):
+        ideal = povm.random_povm(d, 2 + trial, (33, n, trial))
+        estimated = povm.random_povm(d, 2 + trial, (34, n, trial))
+        got = povm.measurement_channel(ideal, estimated)
+        assert got.shape == (4**n, 4**n)
+        np.testing.assert_allclose(got, dense_measurement_channel(ideal, estimated), rtol=0, atol=1e-12)
 
 
 def test_measurement_channel_shape_checks():
