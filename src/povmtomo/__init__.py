@@ -42,7 +42,6 @@ from .povm import (
 )
 from .tomography import (
     FrequencyTable,
-    ProjectionOptions,
     bernstein_diagnostics,
     exact_frequencies,
     lse_estimate,

@@ -27,7 +27,6 @@ from .povm import build_povm, load_povm, measurement_channel, pauli_labels, save
 from .tomography import (
     PROJECTION_METRICS,
     PROJECTION_SCHEMA,
-    ProjectionOptions,
     bernstein_diagnostics,
     lse_estimate,
     load_counts,
@@ -44,7 +43,6 @@ OVERRIDES = {
     "shots": (None, "shots"),
     "out": ("outputs", "dir"),
     "metric": ("projection", "metric"),
-    "tol": ("projection", "tol_feasibility"),
 }
 
 
@@ -54,7 +52,7 @@ class ExperimentConfig:
     ensemble_spec: dict
     shots: int
     seed: int
-    projection: ProjectionOptions
+    metric: str
     epsilon: float
     delta: float
     out_dir: str
@@ -89,19 +87,18 @@ def _path(name: str, value) -> str:
     return str(value)
 
 
-_OPTIONS = ProjectionOptions()  # the defaults of every projection key
 # Parser of each config key, in the order of the ExperimentConfig fields they fill.
 _CONFIG_SCHEMA = {
     "povm": lambda key, spec: spec,
     "ensemble": lambda key, spec: spec,
     "shots": integer,
     "seed": integer,
-    "projection": lambda key, doc: ProjectionOptions(**read(key, doc, PROJECTION_SCHEMA, vars(_OPTIONS))),
+    "projection": lambda key, doc: read(key, doc, PROJECTION_SCHEMA, {"metric": "frobenius"})["metric"],
     "epsilon": real,
     "delta": real,
     "outputs": lambda key, doc: read(key, doc, {"dir": _path}, {"dir": "."})["dir"],
 }
-_CONFIG_DEFAULTS = {"projection": _OPTIONS, "epsilon": 0.1, "delta": 0.05, "outputs": "."}
+_CONFIG_DEFAULTS = {"projection": "frobenius", "epsilon": 0.1, "delta": 0.05, "outputs": "."}
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -184,7 +181,7 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             )
 
     raw = lse_estimate(table, ensemble)
-    estimated, diagnostics = project_onto_povms(raw, config.projection)
+    estimated, diagnostics = project_onto_povms(raw, config.metric)
     save_povm(estimated, _output(config.out_dir, "estimated_povm.json"))
 
     op = distances.d_op(target, estimated)
@@ -198,7 +195,7 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             "d_av": distances.d_av(target, estimated).value,
             **vars(distances.upper_surrogates(target, estimated)),
         },
-        "solver": {"metric": config.projection.metric, **vars(diagnostics)},
+        "solver": {"metric": config.metric, **vars(diagnostics)},
         "bernstein": dict(vars(bernstein_diagnostics(target, ensemble, range(target.outcomes)))),
         "sample_size": _sample_size_panel(
             target.dim, target.outcomes, config.epsilon, config.delta, ensemble.n_qubits
@@ -234,7 +231,7 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
             start = time.perf_counter()
             table = simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial))
             raw = lse_estimate(table, ensemble)
-            estimated, _ = project_onto_povms(raw, config.projection)
+            estimated, _ = project_onto_povms(raw, config.metric)
             err_op = distances.d_op_exact(target, estimated).value
             err_av = distances.d_av(target, estimated).value
             rows.append((n_shots, trial, err_op, err_av, (time.perf_counter() - start) * 1000))
@@ -295,6 +292,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_packing(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     header = ["kind", "dim", "outcomes", "epsilon", "members", "seed", "min_pairwise", "threshold", "ok"]
     rows = []
     for seed_offset in range(args.seeds):
@@ -345,17 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shots", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
-    def add_projection(p):
-        p.add_argument("--metric", choices=PROJECTION_METRICS, default=None)
-        p.add_argument("--tol", type=float, default=None, help="projection feasibility tolerance")
-
     p = command("simulate", _cmd_simulate, "sample shots and write a counts CSV")
     add_common(p)
 
     p = command("reconstruct", _cmd_reconstruct, "simulate or ingest counts, then reconstruct")
     add_common(p)
     p.add_argument("--from-counts", default=None, help="ingest an existing counts CSV")
-    add_projection(p)
+    p.add_argument("--metric", choices=PROJECTION_METRICS, default=None)
 
     p = command("distance", _cmd_distance, "distances between two POVM files")
     p.add_argument("--povm-a", required=True)
@@ -366,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n-list", required=True, help="comma-separated shot counts")
     p.add_argument("--trials", type=int, default=20)
-    add_projection(p)
+    p.add_argument("--metric", choices=PROJECTION_METRICS, default=None)
 
     p = command("bounds", _cmd_bounds, "evaluate the sample-size calculators")
     p.add_argument("--dim", type=int, required=True)

@@ -56,8 +56,11 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
 
     ``ok`` iff the smallest eigenvalue over all effects is >= -tol and
     ``||sum_j E_j - I||_F <= tol``; the report is returned either way. Effects
-    that are not Hermitian within ``tol`` raise a ``ValueError``.
+    that are not Hermitian within ``tol``, and a ``tol`` that is negative or
+    not finite, raise a ``ValueError``.
     """
+    if not real("tol", tol) >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     arr = _as_element_stack(candidate)
     if not isinstance(candidate, (Povm, RawEstimate)):  # whose effects are exactly Hermitian
         arr = linalg.require_hermitian(arr, tol)
@@ -69,22 +72,21 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
 class Povm:
     """An L-outcome POVM on C^d: PSD effects summing to the identity.
 
-    Validation runs at construction with tolerance ``tol`` (default 1e-8):
+    Validation runs at construction with tolerance :data:`POVM_TOL`:
     Hermiticity, then positivity and completeness. Element arrays are frozen
     so values can be shared freely.
     """
 
-    def __init__(self, elements, tol: float = POVM_TOL):
-        arr = linalg.require_hermitian(_as_element_stack(elements), tol)
+    def __init__(self, elements):
+        arr = linalg.require_hermitian(_as_element_stack(elements), POVM_TOL)
         arr.flags.writeable = False
         self.elements = arr
         self.outcomes = arr.shape[0]
         self.dim = arr.shape[1]
-        self.tol = tol
-        report = validate(self, tol)
+        report = validate(self)
         if not report.ok:
             raise PovmValidationError(
-                f"not a valid POVM at tol {tol:.1e}: min eigenvalue "
+                f"not a valid POVM at tol {POVM_TOL:.1e}: min eigenvalue "
                 f"{report.min_eigenvalue:.3e}, completeness residual "
                 f"{report.completeness_residual:.3e}"
             )

@@ -28,7 +28,7 @@ from ._rng import make_rng
 from ._schema import dump, integer, read, real
 # frame_operator and born are not called here; the benchmark's tracer wraps them on this module.
 from .frames import ProbeEnsemble, frame_operator, frame_sum, frame_traces  # noqa: F401
-from .povm import POVM_TOL, Povm, RawEstimate, born, coarse_grain  # noqa: F401
+from .povm import Povm, RawEstimate, born, coarse_grain  # noqa: F401
 
 PROJECTION_METRICS = ("frobenius", "dav")
 
@@ -141,24 +141,8 @@ def _metric(name: str, value) -> str:
     return value
 
 
-#: Parser of each :class:`ProjectionOptions` field, the table of a config's ``projection`` object.
-PROJECTION_SCHEMA = {"metric": _metric, "tol_feasibility": real, "tol_step": real, "max_iterations": integer}
-
-
-@dataclass(frozen=True)
-class ProjectionOptions:
-    metric: str = "frobenius"  # one of PROJECTION_METRICS
-    tol_feasibility: float = 1e-9
-    tol_step: float = 1e-10
-    max_iterations: int = 10000
-
-    def __post_init__(self):
-        for key, value in read("projection", vars(self), PROJECTION_SCHEMA).items():
-            object.__setattr__(self, key, value)
-        if not (self.tol_feasibility > 0 and self.tol_step > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+#: Parser of the one key of a config's ``projection`` object.
+PROJECTION_SCHEMA = {"metric": _metric}
 
 
 @dataclass(frozen=True)
@@ -293,12 +277,15 @@ def _conjugate_gradient(apply, rhs: np.ndarray, tol: float, max_iterations: int)
     return x
 
 
+TOL_FEASIBILITY = 1e-9  # bound on ||sum_j Z_j - I||_F of the returned effects
+TOL_STEP = 1e-10  # bound on the last primal step ||dZ||_F
+MAX_NEWTON_STEPS = 10000
 _CG_MAX_ITERATIONS = 200
 _LINE_SEARCH_STEPS = 30
 _ARMIJO = 1e-4
 
 
-def project_onto_povms(raw, options: ProjectionOptions | None = None):
+def project_onto_povms(raw, metric: str = "frobenius"):
     """Metric projection of a raw estimate onto the set of physical POVMs.
 
     With the ``frobenius`` metric this minimizes ``sum_j ||raw_j - Z_j||_F^2``;
@@ -313,18 +300,17 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
     Newton step solves (V + mu I) dLambda = -grad by conjugate gradients, V
     from :meth:`_DualPoint.hessian` and mu = min(1e-2, ||grad||), then
     backtracks until theta or ||grad|| falls by the Armijo factor. It stops
-    once ``||sum_j Z_j - I||_F <= tol_feasibility`` and the last primal step
-    ``||dZ||_F <= tol_step``; Lambda is not unique for rank-deficient
+    once ``||sum_j Z_j - I||_F <= TOL_FEASIBILITY`` and the last primal step
+    ``||dZ||_F <= TOL_STEP``; Lambda is not unique for rank-deficient
     targets, so its own steps are no stopping criterion.
 
     Returns ``(Povm, ProjectionDiagnostics)``, the Povm validated at
-    ``max(POVM_TOL, tol_feasibility)``. ``duality_gap`` is the primal
-    objective minus the dual value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda),
-    a certificate of optimality. Raises ``RuntimeError`` if ``max_iterations``
-    Newton steps pass before both tolerances are met.
+    ``POVM_TOL``. ``duality_gap`` is the primal objective minus the dual
+    value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda), a certificate of
+    optimality. Raises ``RuntimeError`` if ``MAX_NEWTON_STEPS`` Newton steps
+    pass before both tolerances are met.
     """
-    opts = options or ProjectionOptions()
-    metric = opts.metric
+    _metric("metric", metric)
     arr = (raw if isinstance(raw, (Povm, RawEstimate)) else RawEstimate(raw)).elements
     n_outcomes, d, _ = arr.shape
     # start from the affine projection of raw: G^-1 Lambda_0 = (sum_j raw_j - I) / L
@@ -332,8 +318,8 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
     if metric == "dav":
         lam = lam + np.trace(lam).real * np.eye(d)
     point = _DualPoint(arr, lam, metric)
-    cg_floor = 1e-2 * opts.tol_feasibility
-    for iterations in range(1, opts.max_iterations + 1):
+    cg_floor = 1e-2 * TOL_FEASIBILITY
+    for iterations in range(1, MAX_NEWTON_STEPS + 1):
         grad_norm = point.residual
         hessian = point.hessian(metric, min(1e-2, grad_norm))
         cg_tol = max(min(0.1, grad_norm) * grad_norm, cg_floor)
@@ -350,15 +336,13 @@ def project_onto_povms(raw, options: ProjectionOptions | None = None):
                 size /= 2
             step = float(np.linalg.norm(trial.z - point.z))
             point = trial
-        if point.residual <= opts.tol_feasibility and step <= opts.tol_step:
+        if point.residual <= TOL_FEASIBILITY and step <= TOL_STEP:
             primal = 0.5 * _metric_norm2(arr - point.z, metric)
             dual = 0.5 * _metric_norm2(arr, metric) - point.theta
-            estimate = Povm(point.z, tol=max(POVM_TOL, opts.tol_feasibility))
-            return estimate, ProjectionDiagnostics(iterations, point.residual, True, primal - dual)
+            return Povm(point.z), ProjectionDiagnostics(iterations, point.residual, True, primal - dual)
     raise RuntimeError(
-        f"projection hit max_iterations = {opts.max_iterations} after {iterations} iterations "
-        f"with residual {point.residual:.3e} (tol_feasibility {opts.tol_feasibility:.1e}, "
-        f"last step {step:.3e}, tol_step {opts.tol_step:.1e})"
+        f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual:.3e} "
+        f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {step:.3e}, TOL_STEP {TOL_STEP:.1e})"
     )
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from povmtomo import cli, frames, povm, tomography
+from povmtomo._schema import integer, real
 from povmtomo.cli import ExperimentConfig, load_config, run_reconstruction, run_scaling
 
 
@@ -29,7 +30,7 @@ def write_config(tmp_path, **overrides):
 def test_config_parsing_strict(tmp_path):
     config = load_config(write_config(tmp_path))
     assert config.shots == 4000
-    assert config.projection.metric == "frobenius"
+    assert config.metric == "frobenius"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"povm": {}, "ensemble": {}, "shots": 1, "seed": 0, "oops": 1}))
     with pytest.raises(ValueError):
@@ -145,8 +146,8 @@ def test_seed_and_shot_overrides(tmp_path):
     config = load_config(path, {"seed": 9, "shots": 123})
     assert config.seed == 9 and config.shots == 123
     out = tmp_path / "elsewhere"
-    config = load_config(path, {"metric": "dav", "tol": 1e-7, "out": out, "seed": None})
-    assert config.projection == tomography.ProjectionOptions(metric="dav", tol_feasibility=1e-7)
+    config = load_config(path, {"metric": "dav", "out": out, "seed": None})
+    assert config.metric == "dav"
     assert config.out_dir == str(out) and config.seed == 5
 
 
@@ -159,8 +160,8 @@ def test_seed_and_shot_overrides(tmp_path):
         (["reconstruct"], {"seed": -1}, "seed must be >= 0"),
         (["reconstruct"], {"shots": 2.7}, "shots must be an integer, got 2.7"),
         (["reconstruct"], {"seed": True}, "seed must be an integer, got True"),
-        (["reconstruct"], {"projection": {"max_iterations": 2.5}}, "max_iterations must be an integer, got 2.5"),
-        (["reconstruct"], {"projection": {"tol_feasibility": "1e-9"}}, "tol_feasibility must be a number, got '1e-9'"),
+        (["reconstruct"], {"projection": {"max_iterations": 2.5}}, "unknown projection keys: ['max_iterations']"),
+        (["reconstruct"], {"projection": {"tol_feasibility": "1e-9"}}, "unknown projection keys: ['tol_feasibility']"),
         (["reconstruct"], {"povm": {"kind": "computational", "dim": 2.7}}, "dim must be an integer, got 2.7"),
         (["reconstruct"], {"povm": {"kind": "computational", "dim": True}}, "dim must be an integer, got True"),
         (["reconstruct"], {"povm": {"kind": "computational"}}, "povm spec is missing required key 'dim'"),
@@ -171,7 +172,11 @@ def test_seed_and_shot_overrides(tmp_path):
             "p must be a number, got '0.1'",
         ),
         (["reconstruct"], {"epsilon": float("inf")}, "epsilon must be finite, got inf"),
-        (["reconstruct"], {"projection": {"tol_feasibility": float("inf")}}, "tol_feasibility must be finite, got inf"),
+        (
+            ["reconstruct"],
+            {"projection": {"metric": "dav", "tol_feasibility": 1e-9, "tol_step": 1e-10, "max_iterations": 10000}},
+            "unknown projection keys: ['max_iterations', 'tol_feasibility', 'tol_step']",
+        ),
         (["reconstruct"], {"projection": 5}, "projection must be a JSON object, got 5"),
         (["reconstruct"], {"outputs": "dir"}, "outputs must be a JSON object, got 'dir'"),
         (["reconstruct"], [1, 2], "config must be a JSON object, got [1, 2]"),
@@ -207,9 +212,9 @@ def test_seed_and_shot_overrides(tmp_path):
             "unitary has an entry beyond the float range",
         ),
         (["reconstruct"], {"projection": {"metric": "trace"}}, "metric must be one of ('frobenius', 'dav')"),
-        (["reconstruct"], {"projection": {"tol_feasibility": 0}}, "tolerances must be positive"),
-        (["reconstruct"], {"projection": {"tol_step": -1e-10}}, "tolerances must be positive"),
-        (["reconstruct"], {"projection": {"max_iterations": 0}}, "max_iterations must be >= 1"),
+        (["reconstruct"], {"projection": {"tol_feasibility": 0}}, "unknown projection keys: ['tol_feasibility']"),
+        (["reconstruct"], {"projection": {"tol_step": -1e-10}}, "unknown projection keys: ['tol_step']"),
+        (["reconstruct"], {"projection": {"max_iterations": 0}}, "unknown projection keys: ['max_iterations']"),
         (["simulate"], {"outputs": {"dir": None}}, "dir must be a string, got None"),
         (["reconstruct"], {"outputs": {"dir": 5}}, "dir must be a string, got 5"),
         (
@@ -410,27 +415,25 @@ def test_validate_command_exit_codes(tmp_path, capsys):
     with pytest.raises(ValueError, match="not Hermitian"):
         povm.load_povm(skew)
 
+    for tol, message in (("-1", "tol must be >= 0, got -1.0"), ("nan", "tol must be finite, got nan")):
+        assert cli.main(["validate", "--povm", str(good), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"type": "ValueError", "message": message}
+
 
 def test_packing_command(tmp_path, capsys):
-    code = cli.main(
-        [
-            "packing",
-            "--kind",
-            "op",
-            "--dim",
-            "4",
-            "--outcomes",
-            "2",
-            "--epsilon",
-            "0.4",
-            "--members",
-            "4",
-            "--seeds",
-            "2",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+    argv = ["packing", "--kind", "op", "--dim", "4", "--outcomes", "2", "--epsilon", "0.4", "--members", "4"]
+    # no seed to check is an error, not a pass
+    for seeds in ("0", "-1"):
+        out = tmp_path / f"seeds{seeds}"
+        assert cli.main(argv + ["--seeds", seeds, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error == {"type": "ValueError", "message": f"seeds must be >= 1, got {seeds}"}
+        assert not out.exists()
+    code = cli.main(argv + ["--seeds", "2", "--out", str(tmp_path)])
     assert code == 0
     lines = (tmp_path / "packing.csv").read_bytes().decode().split("\r\n")
     assert lines[0] == "kind,dim,outcomes,epsilon,members,seed,min_pairwise,threshold,ok"
@@ -531,8 +534,9 @@ def test_every_command_pins_its_output_format(tmp_path, capsys, argv, stdout, fi
             assert content == json.dumps(file_doc, sort_keys=True, indent=2) + "\n"
 
 
-def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys):
-    path = write_config(tmp_path, projection={"metric": "frobenius", "max_iterations": 1})
+def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", 1)
+    path = write_config(tmp_path)
     config = load_config(path)
     # 100 shots on each Pauli-6 state: +1 eigenstates of Z, X and Y give outcome 0, -1 eigenstates outcome 1
     counts = tmp_path / "counts.csv"
@@ -549,7 +553,7 @@ def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err)
     assert record["error"]["type"] == "RuntimeError"
-    assert "max_iterations = 1" in record["error"]["message"]
+    assert "MAX_NEWTON_STEPS = 1" in record["error"]["message"]
     assert not (tmp_path / "run" / "estimated_povm.json").exists()
 
 
@@ -582,6 +586,14 @@ def test_readme_spec_lists_and_example_match_the_schema():
             for kind, keys in re.findall(r"`(\w+)(?:\(([\w, ]*)\))?`", listed)
         }
         assert documented == {kind: list(parsers) for kind, (_, parsers) in kinds.items()}, label
+    # the config keys before "spec keys" in each value-type list are exactly those read by that parser
+    for label, parser in (("Integer values (", integer), ("Real values (", real)):
+        listed = prose.split(label, 1)[1].split("spec keys", 1)[0]
+        assert set(re.findall(r"`(\w+)`", listed)) == {key for key, parse in cli._CONFIG_SCHEMA.items()
+                                                       if parse is parser}, label
+    defaults = prose.split(" have defaults", 1)[0].rsplit("Only ", 1)[1]
+    named = re.findall(r"`([\w.]+)` \(`([^`]*)`", defaults)  # `key` (`JSON value`), a nested key dotted
+    assert {key.split(".")[0]: json.loads(value) for key, value in named} == cli._CONFIG_DEFAULTS
     example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
     config = ExperimentConfig.from_dict(json.loads(example))
     assert config.shots == 8000 and config.out_dir == "runs/demo"

@@ -8,7 +8,7 @@ from povmtomo.distances import d_av, d_op_exact, d_op_lower, upper_surrogates
 from povmtomo.frames import build_ensemble
 from povmtomo.packing_lab import haar_unitary
 from povmtomo.povm import RawEstimate, computational_povm, depolarized, random_povm, rotated_povm
-from povmtomo.tomography import ProjectionOptions, lse_estimate, project_onto_povms, simulate_shots
+from povmtomo.tomography import lse_estimate, project_onto_povms, simulate_shots
 from oracles import definition_d_av, gray_code_d_op, random_hermitian, subset_enumeration_d_op
 
 Z_VS_X = 0.7071067811865476
@@ -239,7 +239,7 @@ def bit_identity_cases():
     cases += [(random_povm(3, 12, (191, trial)), random_povm(3, 12, (192, trial))) for trial in range(3)]
     target, ensemble = computational_povm(7), build_ensemble({"kind": "mub", "dim": 7})
     raw = lse_estimate(simulate_shots(target, ensemble, 5000, 193), ensemble)
-    cases.append((target, project_onto_povms(raw, ProjectionOptions(metric="dav"))[0]))
+    cases.append((target, project_onto_povms(raw, metric="dav")[0]))
     cases += [(random_povm(16, 4, (194, trial)), random_povm(16, 4, (195, trial))) for trial in range(2)]
     cases.append((random_povm(2, 16, 185), random_povm(2, 16, 186)))  # 2^15 subsets: two chunks
     return cases

@@ -12,8 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from povmtomo import frames, povm, tomography
 from povmtomo.tomography import (
+    TOL_FEASIBILITY,
     FrequencyTable,
-    ProjectionOptions,
     bernstein_diagnostics,
     exact_frequencies,
     lse_estimate,
@@ -215,6 +215,8 @@ def test_projection_rejects_non_hermitian():
     bad = np.array([[[0, 1], [0, 0]], [[1, 0], [0, 1]]], dtype=complex)
     with pytest.raises(ValueError):
         project_onto_povms(bad)
+    with pytest.raises(ValueError, match="metric must be one of"):
+        project_onto_povms(np.array([np.eye(2)]), "trace")
 
 
 def test_projection_error_contraction():
@@ -233,7 +235,7 @@ def test_projection_error_contraction():
         return float(np.sqrt(np.sum(np.abs(diff) ** 2) + np.sum(traces**2)))
 
     for metric_name, metric in (("frobenius", frob_metric), ("dav", dav_metric)):
-        projected, _ = project_onto_povms(raw, ProjectionOptions(metric=metric_name))
+        projected, _ = project_onto_povms(raw, metric=metric_name)
         assert metric(raw.elements, projected.elements) <= metric(raw.elements, target.elements) + 1e-9
 
 
@@ -262,7 +264,7 @@ def test_projection_matches_sdp_oracle(metric):
         d, n_outcomes = 2, int(rng.choice([2, 3]))
         raw = rng.normal(size=(n_outcomes, d, d)) + 1j * rng.normal(size=(n_outcomes, d, d))
         raw = (raw + np.transpose(raw.conj(), (0, 2, 1))) / 2 * 0.6
-        projected, _ = project_onto_povms(raw, ProjectionOptions(metric=metric))
+        projected, _ = project_onto_povms(raw, metric=metric)
         reference = _cvxpy_projection(raw, metric)
         assert np.max(np.abs(projected.elements - reference)) < 2e-5
 
@@ -288,7 +290,7 @@ def metric_inner(x, y, metric):
 
 
 def project(raw, metric):
-    return project_onto_povms(raw, ProjectionOptions(metric=metric))[0].elements
+    return project_onto_povms(raw, metric=metric)[0].elements
 
 
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
@@ -349,10 +351,23 @@ def test_dav_clip_certificate():
     assert metric_inner(raw - dav, raw - dav, "dav") < metric_inner(raw - frob, raw - frob, "dav") - 1e-3
 
 
-def test_projection_iteration_cap_flagged():
+def test_projection_iteration_cap_flagged(monkeypatch):
+    monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", 1)
     raw = np.array([np.diag([2.0, -1.0]).astype(complex), np.diag([-1.0, 2.0]).astype(complex)])
-    with pytest.raises(RuntimeError, match=r"max_iterations = 1 after 1 iterations with residual"):
-        project_onto_povms(raw, ProjectionOptions(max_iterations=1))
+    with pytest.raises(RuntimeError, match=r"MAX_NEWTON_STEPS = 1 with residual .* last step"):
+        project_onto_povms(raw)
+
+
+def test_projection_reaches_the_cap_on_a_hard_input(monkeypatch):
+    # effects of scale 1e3, far from any POVM, take more than 20 Newton steps
+    rng = np.random.default_rng(0)
+    raw = np.array([random_hermitian(8, rng, 1e3) for _ in range(4)])
+    projected, diagnostics = project_onto_povms(raw)
+    assert diagnostics.iterations > 20
+    assert povm.validate(projected).ok
+    monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", 20)
+    with pytest.raises(RuntimeError, match=r"MAX_NEWTON_STEPS = 20 with residual .* last step"):
+        project_onto_povms(raw)
 
 
 def _lse(target, ensemble, shots, seed):
@@ -381,7 +396,7 @@ def test_projection_hard_cases_match_dykstra(metric, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     for raw in hard_projection_inputs():
         calls.clear()
-        projected, diagnostics = project_onto_povms(raw, ProjectionOptions(metric=metric))
+        projected, diagnostics = project_onto_povms(raw, metric=metric)
         assert diagnostics.iterations <= 10
         assert len(calls) <= 12  # stacked eigendecompositions, line search included
         reference, _ = dykstra_projection(raw.elements, metric)
@@ -403,11 +418,11 @@ def test_projection_line_search_backtracks(monkeypatch):
     for seed in range(3):
         raw = _lse(povm.random_povm(4, 4, seed), ensemble, 1, seed)
         points.clear()
-        projected, diagnostics = project_onto_povms(raw, ProjectionOptions(metric="dav"))
+        projected, diagnostics = project_onto_povms(raw, metric="dav")
         # one point to start and one full step per Newton iteration; every further point is a halved step
         assert len(points) - 1 - diagnostics.iterations > 0
         assert povm.validate(projected).ok
-        assert diagnostics.final_residual <= ProjectionOptions().tol_feasibility
+        assert diagnostics.final_residual <= TOL_FEASIBILITY
         gap = raw.elements - projected.elements
         assert abs(diagnostics.duality_gap) <= 1e-9 * (1 + 0.5 * metric_inner(gap, gap, "dav"))
         reference, _ = dykstra_projection(raw.elements, "dav")
@@ -415,12 +430,13 @@ def test_projection_line_search_backtracks(monkeypatch):
 
 
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
-def test_projection_stops_on_the_primal_step(metric):
-    # meeting tol_feasibility is not enough: the solver also waits for a Newton
-    # step that moves Z by at most tol_step, which a loose tol_step skips
+def test_projection_stops_on_the_primal_step(metric, monkeypatch):
+    # meeting TOL_FEASIBILITY is not enough: the solver also waits for a Newton
+    # step that moves Z by at most TOL_STEP, which a loose TOL_STEP skips
     raw = next(hard_projection_inputs())
-    _, tight = project_onto_povms(raw, ProjectionOptions(metric=metric))
-    _, loose = project_onto_povms(raw, ProjectionOptions(metric=metric, tol_step=10.0))
+    _, tight = project_onto_povms(raw, metric=metric)
+    monkeypatch.setattr(tomography, "TOL_STEP", 10.0)
+    _, loose = project_onto_povms(raw, metric=metric)
     assert tight.iterations > loose.iterations
 
 
@@ -437,10 +453,10 @@ def test_projection_duality_gap_certificate(metric):
     # certificate that needs no SDP solver
     inputs = [*_random_raw_stacks(np.random.default_rng(41)), *(raw.elements for raw in hard_projection_inputs())]
     for raw in inputs:
-        projected, diagnostics = project_onto_povms(raw, ProjectionOptions(metric=metric))
+        projected, diagnostics = project_onto_povms(raw, metric=metric)
         primal = 0.5 * metric_inner(raw - projected.elements, raw - projected.elements, metric)
         assert abs(diagnostics.duality_gap) <= 1e-9 * (1 + primal)
-        assert diagnostics.final_residual <= ProjectionOptions().tol_feasibility
+        assert diagnostics.final_residual <= TOL_FEASIBILITY
 
 
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
@@ -462,10 +478,7 @@ def test_projection_hessian_matches_finite_differences(metric):
 def test_projection_validates_at_the_package_tolerance():
     raw = _lse(povm.computational_povm(7), frames.mub_ensemble(7), 200, 0)
     projected, _ = project_onto_povms(raw)
-    assert projected.tol == povm.POVM_TOL
     assert povm.validate(projected, povm.POVM_TOL).ok
-    loose, _ = project_onto_povms(raw, ProjectionOptions(tol_feasibility=1e-6))
-    assert loose.tol == 1e-6
 
 
 def test_sample_size_pinned_values():
