@@ -205,14 +205,25 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
     return report
 
 
+#: Raw complex entries (trials x L x d^2) of one stacked projection in ``run_scaling``.
+SCALING_STACK_ELEMENTS = 1 << 18
+
+
 def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, dict]:
     """Repeat the pipeline over a shot ladder and fit log-log error slopes.
 
     Trial t at shot count N uses the derived stream (seed, index(N), t), so
-    the study is reproducible and trials are independent. Medians per N feed
-    a least-squares line in log space; slopes near -1/2 reflect the
-    shot-noise-limited regime. Returns the rows (N, trial, d_op, d_av,
-    runtime_ms) of ``scaling.csv`` and the ``scaling_report.json`` document.
+    the study is reproducible and trials are independent. The trials run in
+    consecutive stacks of at most :data:`SCALING_STACK_ELEMENTS` raw entries
+    (at least one trial each): every trial of a stack is simulated and
+    estimated on its own, the stack is projected by one
+    ``project_onto_povms`` call, and then each trial's distances are taken.
+    Stacking changes no estimate. Medians per N feed a least-squares line in
+    log space; slopes near -1/2 reflect the shot-noise-limited regime.
+    Returns the rows (N, trial, d_op, d_av, runtime_ms) of ``scaling.csv``
+    and the ``scaling_report.json`` document. A row's ``runtime_ms`` is its
+    trial's own simulate, LSE and distance time plus an equal share of the
+    stacked projection it was part of.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or sorted(set(n_list)) != n_list:
@@ -225,16 +236,25 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
             f"scaling needs the exact d_op, which is capped at "
             f"{distances.MAX_EXACT_OUTCOMES} outcomes; the target has {target.outcomes}"
         )
+    jobs = [(n_index, n_shots, trial) for n_index, n_shots in enumerate(n_list) for trial in range(trials)]
+    per_stack = max(1, SCALING_STACK_ELEMENTS // (target.outcomes * target.dim**2))
     rows = []
-    for n_index, n_shots in enumerate(n_list):
-        for trial in range(trials):
+    for first in range(0, len(jobs), per_stack):
+        stack = jobs[first:first + per_stack]
+        raws, seconds = [], []
+        for n_index, n_shots, trial in stack:
             start = time.perf_counter()
             table = simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial))
-            raw = lse_estimate(table, ensemble)
-            estimated, _ = project_onto_povms(raw, config.metric)
+            raws.append(lse_estimate(table, ensemble))
+            seconds.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        estimates, _ = project_onto_povms(raws, config.metric)
+        share = (time.perf_counter() - start) / len(stack)
+        for (_, n_shots, trial), estimated, own in zip(stack, estimates, seconds):
+            start = time.perf_counter()
             err_op = distances.d_op_exact(target, estimated).value
             err_av = distances.d_av(target, estimated).value
-            rows.append((n_shots, trial, err_op, err_av, (time.perf_counter() - start) * 1000))
+            rows.append((n_shots, trial, err_op, err_av, (own + share + time.perf_counter() - start) * 1000))
     errors = np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2)
     log_n = np.log(np.asarray(n_list, dtype=float))
     medians, fit = {"n_list": n_list}, {}

@@ -7,7 +7,8 @@ The reconstruction pipeline is:
 2. :func:`lse_estimate` applies the dual-frame inversion
    ``E_hat_j = sum_i f_ij nu_i`` (exact on expectation values);
 3. :func:`project_onto_povms` returns the nearest physical POVM under the
-   chosen metric by a semismooth Newton method on the dual.
+   chosen metric by a semismooth Newton method on the dual, for one raw
+   estimate or for a stack of them solved together.
 
 Sample-size calculators and the concentration diagnostics that power them
 live here as well.
@@ -20,6 +21,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import le, truediv
 
 import numpy as np
 
@@ -166,11 +169,11 @@ def _dav_shift(eigenvalues: np.ndarray) -> np.ndarray:
 
 
 def _metric_inverse(y: np.ndarray, metric: str) -> np.ndarray:
-    """G^-1 Y for the metric G X = X (frobenius) or G X = X + tr(X) I (dav)."""
+    """G^-1 Y for the metric G X = X (frobenius) or G X = X + tr(X) I (dav), over a (..., d, d) stack."""
     if metric == "frobenius":
         return y
     d = y.shape[-1]
-    return y - np.trace(y).real / (d + 1) * np.eye(d)
+    return y - (np.trace(y, axis1=-2, axis2=-1).real / (d + 1))[..., None, None] * np.eye(d)
 
 
 def _metric_norm2(x: np.ndarray, metric: str) -> float:
@@ -181,27 +184,83 @@ def _metric_norm2(x: np.ndarray, metric: str) -> float:
     return value
 
 
+# The per-trial scalars of a stack are lists of floats. A stack of one trial
+# is that trial's contiguous data, so the helpers below treat it whole: the
+# same BLAS call on the same data, without a Python loop over one trial.
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> list:
+    """Re <A_t, B_t> for each trial t of two stacks, one BLAS dot per trial."""
+    if len(a) == 1:
+        return [float(np.vdot(a, b).real)]
+    return [float(np.vdot(x, y).real) for x, y in zip(a, b)]
+
+
+def _norms(a: np.ndarray) -> list:
+    """||A_t||_F for each trial t of a stack."""
+    if len(a) == 1:
+        return [float(np.linalg.norm(a))]
+    return [float(np.linalg.norm(x)) for x in a]
+
+
+def _scales(values: list):
+    """Per-trial reals that scale a (T, ...) complex stack trial by trial:
+    a (T, 1, 1) complex array, or the one float. numpy multiplies a complex
+    stack by either with the same complex product; a complex (not float)
+    array spares numpy's casting loop."""
+    if len(values) == 1:
+        return values[0]
+    return np.array(values, dtype=complex).reshape(-1, 1, 1)
+
+
+def _ratios(numerators: list, denominators: list):
+    """The scales (as :func:`_scales`) numerator_t / denominator_t."""
+    if len(numerators) == 1:
+        return numerators[0] / denominators[0]
+    return _scales(list(map(truediv, numerators, denominators)))
+
+
 class _DualPoint:
-    """The dual function at Lambda: theta(Lambda) = 1/2 sum_j ||Z_j||_G^2 + tr Lambda.
+    """The dual function of each trial t of a (T, L, d, d) stack at its own Lambda_t:
+    theta(Lambda) = 1/2 sum_j ||Z_j||_G^2 + tr Lambda.
 
     Z_j = P_G(A_j - G^-1 Lambda) is the metric projection onto the PSD cone,
     one shifted eigenvalue clip ``max(lambda - S, 0)`` over the whole stack,
-    and the gradient of theta is I - sum_j Z_j.
+    and the gradient of theta is I - sum_j Z_j. Every array attribute has
+    the trial axis first; ``theta`` and ``residual`` are lists of floats.
     """
 
     def __init__(self, raw: np.ndarray, lam: np.ndarray, metric: str):
         self.lam = lam
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(raw - _metric_inverse(lam, metric))
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(raw - _metric_inverse(lam, metric)[:, None])
         shift = 0.0 if metric == "frobenius" else _dav_shift(self.eigenvalues)
         self.clipped = np.maximum(self.eigenvalues - shift, 0.0)
         q = self.eigenvectors
-        self.z = (q * self.clipped[:, None, :]) @ q.conj().swapaxes(-1, -2)
-        self.theta = 0.5 * _metric_norm2(self.z, metric) + float(np.trace(lam).real)
-        self.gradient = np.eye(raw.shape[1]) - self.z.sum(axis=0)
-        self.residual = float(np.linalg.norm(self.gradient))
+        self.q_adjoint = q.conj().swapaxes(-1, -2)
+        self.z = (q * self.clipped[..., None, :]) @ self.q_adjoint
+        self.theta = [0.5 * _metric_norm2(z, metric) + float(np.trace(l).real) for z, l in zip(self.z, lam)]
+        self.gradient = np.eye(raw.shape[-1]) - self.z.sum(axis=1)
+        self.residual = _norms(self.gradient)
 
-    def hessian(self, metric: str, mu: float):
-        """The map H -> sum_j Q_j (Omega_j o Q_j* G^-1(H) Q_j) Q_j* + mu H.
+    def take(self, keep) -> "_DualPoint":
+        """The trials a boolean mask keeps, copied."""
+        point = object.__new__(type(self))
+        point.__dict__ = {name: list(compress(value, keep)) if isinstance(value, list) else value[keep]
+                          for name, value in vars(self).items()}
+        return point
+
+    def put(self, rows: np.ndarray, other: "_DualPoint") -> None:
+        """Overwrite the trials ``rows`` with those of ``other``, in order."""
+        for name, value in vars(other).items():
+            field = getattr(self, name)
+            if isinstance(field, list):
+                for row, item in zip(rows.tolist(), value):
+                    field[row] = item
+            else:
+                field[rows] = value
+
+    def hessian(self, metric: str, mu: list):
+        """The map H -> sum_j Q_j (Omega_j o Q_j* G^-1(H) Q_j) Q_j* + mu H of each trial.
 
         Omega_j holds the divided differences of the clip over the
         eigenvalues w of A_j - G^-1 Lambda: 1 on active pairs (w > S), 0 on
@@ -215,66 +274,171 @@ class _DualPoint:
         As in Qi and Sun's method, only k of the d eigenvectors take part:
         the top k = max_j m_j when they cover every active one, or else the
         bottom k = d - min_j m_j with 1 - Omega, whose active block vanishes,
-        in ``Y - Q((1 - Omega) o Q* Y Q)Q*``. With C the coefficient rows of
-        those k eigenvectors Q_S, Q(C o Q* Y Q)Q* = M + M* for
-        M = Q_S (C' o Q_S* Y Q) Q* and C' equal to C with its S columns
-        halved. The k-column factors of all effects are concatenated, so each
-        product is one GEMM and one batched matmul each way, 4 k d^2 flops per
-        effect.
+        in ``Y - Q((1 - Omega) o Q* Y Q)Q*``. The trials that share a branch
+        and a k form one :class:`_HessianGroup`, so each trial's product uses
+        exactly its own k columns; a stack of several groups is a :class:`_Hessian`.
         """
-        q, w, clipped = self.eigenvectors, self.eigenvalues, self.clipped
-        n_outcomes, d, _ = q.shape
-        active = clipped > 0
-        mixed = active[:, :, None] != active[:, None, :]  # one active, one inactive: w_k != w_l
-        gaps = np.where(mixed, w[:, :, None] - w[:, None, :], 1.0)
-        omega = np.where(mixed, (clipped[:, :, None] - clipped[:, None, :]) / gaps,
-                         active[:, :, None] & active[:, None, :])
-        ranks = active.sum(axis=1)
-        top = int(ranks.max()) <= d - int(ranks.min())  # eigenvalues ascend, so the active ones are on top
-        kept = slice(d - int(ranks.max()), d) if top else slice(0, d - int(ranks.min()))
-        coefficients = omega[:, kept, :] if top else 1.0 - omega[:, kept, :]
-        coefficients[:, :, kept] *= 0.5
-        q_kept = q[:, :, kept]
-        k = q_kept.shape[-1]
-        q_adjoint = q.conj().swapaxes(-1, -2)
-        rows = q_kept.conj().swapaxes(-1, -2).reshape(n_outcomes * k, d)  # [Q_S1*; ...; Q_SL*]
-        columns = q_kept.transpose(1, 0, 2).reshape(d, n_outcomes * k)  # [Q_S1 ... Q_SL]
+        active = self.clipped > 0
+        ranks = active.sum(axis=-1)
+        d = self.eigenvalues.shape[-1]
+        members = {}
+        for trial, (high, low) in enumerate(zip(ranks.max(axis=1).tolist(), (d - ranks.min(axis=1)).tolist())):
+            top = high <= low  # eigenvalues ascend, so the active ones are on top
+            members.setdefault((top, high if top else low), []).append(trial)
+        fields = (self.eigenvectors, self.q_adjoint, self.eigenvalues, self.clipped, active, ranks)
+        if len(members) == 1:
+            ((top, k),) = members
+            return _HessianGroup(*fields, top, k, metric, _scales(mu))
+        return _Hessian([
+            (rows, _HessianGroup(*(a[rows] for a in fields), top, k, metric, _scales([mu[t] for t in rows])))
+            for (top, k), rows in members.items()
+        ])
+
+
+class _HessianGroup:
+    """The Newton map of the trials of a stack that share a branch and a k.
+
+    With C the coefficient rows of the k eigenvectors Q_S,
+    Q(C o Q* Y Q)Q* = M + M* for M = Q_S (C' o Q_S* Y Q) Q* and C' equal to
+    C with its S columns halved. The k-column factors of a trial's effects
+    are concatenated, so each product is one GEMM and one batched matmul
+    each way per trial, 4 k d^2 flops per effect.
+    """
+
+    def __init__(self, q, q_adjoint, w, clipped, active, ranks, top: bool, k: int, metric: str, mu):
+        n_trials, n_outcomes, d, _ = q.shape
+        kept = slice(d - k, d) if top else slice(0, k)
+        mixed = active[..., kept, None] != active[..., None, :]  # one active, one inactive: w_k != w_l
+        gaps = np.where(mixed, w[..., kept, None] - w[..., None, :], 1.0)
+        omega = np.where(mixed, (clipped[..., kept, None] - clipped[..., None, :]) / gaps,
+                         active[..., kept, None] & active[..., None, :])  # the S rows of Omega
+        coefficients = omega if top else 1.0 - omega
+        coefficients[..., kept] *= 0.5
+        self.top, self.k, self.metric, self.mu, self.q, self.q_adjoint = top, k, metric, mu, q, q_adjoint
+        self.coefficients = coefficients.astype(complex)
+        self.rows = q_adjoint[..., kept, :].reshape(n_trials, n_outcomes * k, d)  # [Q_S1*; ...; Q_SL*]
+        self.columns = q[..., kept].transpose(0, 2, 1, 3).reshape(n_trials, d, n_outcomes * k)  # [Q_S1 ... Q_SL]
         if metric == "dav":
-            projectors = (q * active[:, None, :]) @ q_adjoint
-            flat_projectors = projectors.reshape(n_outcomes, d * d).conj()
-            row_weights = 1.0 / (1.0 + ranks)
+            self.projectors = ((q * active[..., None, :]) @ self.q_adjoint).reshape(n_trials, n_outcomes, d * d)
+            self.flat_projectors = self.projectors.conj()
+            self.row_weights = 1.0 / (1.0 + ranks)
 
-        def apply(h):
-            y = _metric_inverse(h, metric)
-            rotated = (rows @ y).reshape(n_outcomes, k, d) @ q  # rows S of Q_j* Y Q_j
-            half = columns @ ((coefficients * rotated) @ q_adjoint).reshape(n_outcomes * k, d)
-            out = half + half.conj().T
-            if not top:
-                out = n_outcomes * y - out
-            if metric == "dav":
-                inactive_traces = np.trace(y).real - (flat_projectors @ y.reshape(d * d)).real
-                out += np.tensordot(row_weights * inactive_traces, projectors, axes=1)
-            return out + mu * h
+    def take(self, keep) -> "_HessianGroup":
+        """The trials a boolean mask keeps."""
+        group = object.__new__(_HessianGroup)
+        group.__dict__ = {name: value[keep] if isinstance(value, np.ndarray) else value
+                          for name, value in vars(self).items()}
+        return group
 
-        return apply
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        n_trials, n_outcomes, d, _ = self.q.shape
+        y = _metric_inverse(h, self.metric)
+        rotated = (self.rows @ y).reshape(n_trials, n_outcomes, self.k, d) @ self.q  # rows S of Q_j* Y Q_j
+        half = self.columns @ ((self.coefficients * rotated) @ self.q_adjoint).reshape(self.rows.shape)
+        out = half + half.conj().swapaxes(-1, -2)
+        if not self.top:
+            out = n_outcomes * y - out
+        if self.metric == "dav":  # per trial: sum_j c_j P_j is the (1, L) by (L, d^2) product tensordot makes
+            for t in range(n_trials):
+                inactive_traces = np.trace(y[t]).real - (self.flat_projectors[t] @ y[t].reshape(d * d)).real
+                weights = (self.row_weights[t] * inactive_traces).reshape(1, n_outcomes)
+                out[t] += np.dot(weights, self.projectors[t]).reshape(d, d)
+        out += self.mu * h
+        return out
 
 
-def _conjugate_gradient(apply, rhs: np.ndarray, tol: float, max_iterations: int) -> np.ndarray:
-    """Solve apply(x) = rhs for a positive definite map, to ||residual||_F <= tol."""
+class _Hessian:
+    """The Newton map of a stack whose trials form several groups: (stack rows, group) pairs."""
+
+    def __init__(self, groups):
+        self.groups = groups
+
+    def take(self, keep: np.ndarray):
+        """The map of the trials a boolean mask over the stack keeps."""
+        new_rows = np.cumsum(keep) - 1
+        groups = []
+        for rows, group in self.groups:
+            kept = keep[rows]
+            if kept.any():
+                groups.append((new_rows[rows][kept], group.take(kept)))
+        return groups[0][1] if len(groups) == 1 else _Hessian(groups)
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        out = np.empty_like(h)
+        for rows, group in self.groups:
+            out[rows] = group(h[rows])
+        return out
+
+
+def _conjugate_gradient(apply, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
+    """Solve apply(x) = rhs for each trial of a (T, d, d) stack, to ||residual_t||_F <= tol_t.
+
+    The map is positive definite on every trial. A trial that meets its
+    tolerance leaves the stack, and ``apply`` with it.
+    """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
-    rr = float(np.vdot(r, r).real)
+    rr = _dots(r, r)
+    tol2 = [t * t for t in tol]
+    solution, rows = x, None  # rows: the stack rows still iterating, once a trial has left
     for _ in range(max_iterations):
-        if rr <= tol * tol:
-            break
+        if any(map(le, rr, tol2)):
+            done = list(map(le, rr, tol2))
+            if all(done):
+                break
+            if rows is None:
+                rows = np.arange(len(rhs))
+            solution[rows[done]] = x[done]
+            keep = np.logical_not(done)
+            x, r, p, rows, apply = x[keep], r[keep], p[keep], rows[keep], apply.take(keep)
+            rr, tol2 = list(compress(rr, keep)), list(compress(tol2, keep))
         ap = apply(p)
-        alpha = rr / float(np.vdot(p, ap).real)
+        alpha = _ratios(rr, _dots(p, ap))
         x += alpha * p
         r -= alpha * ap
-        rr, rr_old = float(np.vdot(r, r).real), rr
-        p = r + (rr / rr_old) * p
-    return x
+        rr, rr_old = _dots(r, r), rr
+        p = r + _ratios(rr, rr_old) * p
+    if x is not solution:
+        solution[rows] = x
+    return solution
+
+
+def _line_search(raw: np.ndarray, point: _DualPoint, direction: np.ndarray, metric: str):
+    """Backtrack from ``point`` along each trial's nonzero direction until
+    theta or ||grad|| falls by the Armijo factor, halving that trial's step.
+
+    Returns the new point and each trial's primal step ||dZ||_F, 0 where the
+    direction vanishes. Each halving evaluates only the trials still searching.
+    """
+    n_trials = len(direction)
+    rows = direction.any(axis=(1, 2)).nonzero()[0]
+    step = [0.0] * n_trials
+    if not len(rows):
+        return point, step
+    slope, theta, grad_norm = _dots(point.gradient, direction), point.theta, point.residual
+    size = [1.0] * len(rows)
+    found = []  # (stack rows, their new point)
+    for attempt in range(_LINE_SEARCH_STEPS):
+        index = slice(None) if len(rows) == n_trials else rows
+        trial = _DualPoint(raw[index], point.lam[index] + _scales(size) * direction[index], metric)
+        accept = [attempt == _LINE_SEARCH_STEPS - 1
+                  or value <= theta[t] + _ARMIJO * s * slope[t] or norm <= (1 - _ARMIJO * s) * grad_norm[t]
+                  for t, s, value, norm in zip(rows.tolist(), size, trial.theta, trial.residual)]
+        if all(accept):
+            found.append((rows, trial))
+            break
+        if any(accept):
+            found.append((rows[accept], trial.take(accept)))
+        rows, size = rows[np.logical_not(accept)], [s / 2 for s, a in zip(size, accept) if not a]
+    if len(found) == 1 and len(rows) == n_trials:
+        return trial, _norms(trial.z - point.z)
+    new = point.take(np.ones(n_trials, bool))
+    for rows, trial in found:
+        for row, norm in zip(rows.tolist(), _norms(trial.z - point.z[rows])):
+            step[row] = norm
+        new.put(rows, trial)
+    return new, step
 
 
 TOL_FEASIBILITY = 1e-9  # bound on ||sum_j Z_j - I||_F of the returned effects
@@ -286,7 +450,7 @@ _ARMIJO = 1e-4
 
 
 def project_onto_povms(raw, metric: str = "frobenius"):
-    """Metric projection of a raw estimate onto the set of physical POVMs.
+    """Metric projection of raw estimates onto the set of physical POVMs.
 
     With the ``frobenius`` metric this minimizes ``sum_j ||raw_j - Z_j||_F^2``;
     with ``dav`` it minimizes ``sum_j ||raw_j - Z_j||_G^2`` with
@@ -304,59 +468,96 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     ``||dZ||_F <= TOL_STEP``; Lambda is not unique for rank-deficient
     targets, so its own steps are no stopping criterion.
 
-    Returns ``(Povm, ProjectionDiagnostics)``, the Povm validated at
-    ``POVM_TOL``. ``duality_gap`` is the primal objective minus the dual
-    value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda), a certificate of
-    optimality. Raises ``RuntimeError`` if ``MAX_NEWTON_STEPS`` Newton steps
-    pass before both tolerances are met.
+    ``raw`` is one estimate (a ``RawEstimate``, ``Povm`` or (L, d, d)
+    array), or a list of same-shape estimates. A list is solved as one
+    (T, L, d, d) stack: each Newton step makes one stacked ``eigh``, each CG
+    iteration one Hessian product per group of trials that share its branch
+    and k, and each line-search halving one evaluation of the trials still
+    searching. Every trial keeps its own dual, CG scalars, step size and
+    stopping test and leaves the stack once it stops, so its result is bit
+    for bit the one it gets on its own; one estimate is a stack of one.
+
+    Returns ``(Povm, ProjectionDiagnostics)`` for one estimate and
+    ``(list of Povm, ProjectionDiagnostics)`` for a list, each Povm
+    validated at ``POVM_TOL``. ``duality_gap`` is the primal objective minus
+    the dual value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda), a certificate of
+    optimality. For a list, ``iterations`` counts the stack's Newton steps
+    (the largest count of any trial), and ``final_residual`` and
+    ``duality_gap`` are the largest of any trial (the gap by magnitude).
+    Raises ``RuntimeError`` if ``MAX_NEWTON_STEPS`` Newton steps pass before
+    every trial meets both tolerances.
     """
     _metric("metric", metric)
-    arr = (raw if isinstance(raw, (Povm, RawEstimate)) else RawEstimate(raw)).elements
-    n_outcomes, d, _ = arr.shape
+    estimates = raw if isinstance(raw, list) else [raw]
+    arrays = [(e if isinstance(e, (Povm, RawEstimate)) else RawEstimate(e)).elements for e in estimates]
+    shapes = {a.shape for a in arrays}
+    if len(shapes) != 1:
+        raise ValueError(f"need one or more estimates of one shape, got shapes {sorted(shapes)}")
+    arr = np.stack(arrays)
+    n_trials, n_outcomes, d, _ = arr.shape
     # start from the affine projection of raw: G^-1 Lambda_0 = (sum_j raw_j - I) / L
-    lam = (arr.sum(axis=0) - np.eye(d)) / n_outcomes
+    lam = (arr.sum(axis=1) - np.eye(d)) / n_outcomes
     if metric == "dav":
-        lam = lam + np.trace(lam).real * np.eye(d)
+        lam = lam + np.trace(lam, axis1=1, axis2=2).real[:, None, None] * np.eye(d)
     point = _DualPoint(arr, lam, metric)
+    live = np.arange(n_trials)  # the trial of each stack row
+    results = [None] * n_trials
     cg_floor = 1e-2 * TOL_FEASIBILITY
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
         grad_norm = point.residual
-        hessian = point.hessian(metric, min(1e-2, grad_norm))
-        cg_tol = max(min(0.1, grad_norm) * grad_norm, cg_floor)
+        hessian = point.hessian(metric, [min(1e-2, g) for g in grad_norm])
+        cg_tol = [max(min(0.1, g) * g, cg_floor) for g in grad_norm]
         direction = _conjugate_gradient(hessian, -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
-        step = 0.0
-        if np.any(direction):
-            slope = float(np.vdot(point.gradient, direction).real)
-            size = 1.0
-            for _ in range(_LINE_SEARCH_STEPS):
-                trial = _DualPoint(arr, point.lam + size * direction, metric)
-                if (trial.theta <= point.theta + _ARMIJO * size * slope
-                        or trial.residual <= (1 - _ARMIJO * size) * grad_norm):
-                    break
-                size /= 2
-            step = float(np.linalg.norm(trial.z - point.z))
-            point = trial
-        if point.residual <= TOL_FEASIBILITY and step <= TOL_STEP:
-            primal = 0.5 * _metric_norm2(arr - point.z, metric)
-            dual = 0.5 * _metric_norm2(arr, metric) - point.theta
-            return Povm(point.z), ProjectionDiagnostics(iterations, point.residual, True, primal - dual)
-    raise RuntimeError(
-        f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual:.3e} "
-        f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {step:.3e}, TOL_STEP {TOL_STEP:.1e})"
+        point, step = _line_search(arr, point, direction, metric)
+        done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, step)]
+        if not any(done):
+            continue
+        for row in np.flatnonzero(done):
+            primal = 0.5 * _metric_norm2(arr[row] - point.z[row], metric)
+            dual = 0.5 * _metric_norm2(arr[row], metric) - point.theta[row]
+            diagnostics = ProjectionDiagnostics(iterations, point.residual[row], True, primal - dual)
+            results[live[row]] = (Povm(point.z[row]), diagnostics)
+        if all(done):
+            break
+        keep = np.logical_not(done)
+        arr, point, live = arr[keep], point.take(keep), live[keep]
+    else:
+        worst = int(np.argmax(point.residual))
+        raise RuntimeError(
+            f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual[worst]:.3e} "
+            f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {step[worst]:.3e}, TOL_STEP {TOL_STEP:.1e})"
+        )
+    if not isinstance(raw, list):
+        return results[0]
+    solo = [diagnostics for _, diagnostics in results]
+    return [povm for povm, _ in results], ProjectionDiagnostics(
+        iterations,
+        max(diagnostics.final_residual for diagnostics in solo),
+        True,
+        max((diagnostics.duality_gap for diagnostics in solo), key=abs),
     )
+
+
+def _sqrt(x):
+    return x.sqrt() if hasattr(x, "sqrt") else math.sqrt(x)  # a Decimal has its own
 
 
 # (frame, distance, variant) -> (a, sigma^2, K, b) of the Bernstein bound
 # N > 8 a (sigma^2 + K epsilon / 6) / epsilon^2 ln(b / delta), in terms of d, L and
-# n (d = 2**n for local frames). sigma^2 and K of the op rows bound the shot-free
-# variance and range that bernstein_diagnostics measures.
+# n (d = 2**n for local frames); d and L may be ints or Decimals. sigma^2 and K of
+# the op rows bound the shot-free variance and range that bernstein_diagnostics measures.
 _BERNSTEIN_ROWS = {
     ("global", "op", "theorem"): lambda d, L, n: (1, d**3 + d**2, d**2, 2 ** (L + 1) * d),
     ("global", "av", "theorem"): lambda d, L, n: (L**2, d**2 + d, 2 * d / L, 4 * L * d),
-    ("global", "av", "proof"): lambda d, L, n: (L**2, d**2 + d, d * math.sqrt(d) / L, 4 * L * d),
+    ("global", "av", "proof"): lambda d, L, n: (L**2, d**2 + d, d * _sqrt(d) / L, 4 * L * d),
     ("local", "op", "theorem"): lambda d, L, n: (1, 10**n, 4**n, 2 ** (L + 1) * 2**n),
     ("local", "av", "theorem"): lambda d, L, n: (L**2, 5**n, 2**n, 4 * L * 2**n),
 }
+
+
+# The float bound above is a dozen roundings of exact inputs, each within half an
+# ulp, so a bound this many ulps from the nearest integer has the float's ceiling.
+_ROUNDING_ULPS = 64
 
 
 def sample_size(
@@ -377,6 +578,9 @@ def sample_size(
     the global average-case bound the ``theorem`` or ``proof`` constant. The
     returned integer is one above the ceiling of the bound, so it strictly
     exceeds the real-valued threshold even when that threshold is integral.
+    The ceiling is that of the exact bound at the given float inputs: where
+    the float evaluation lies within :data:`_ROUNDING_ULPS` ulps of an
+    integer, it is decided at 40 digits with :mod:`decimal`.
     """
     for name, value in (("d", d), ("n_outcomes", n_outcomes)):
         if integer(name, value) < 1:
@@ -389,9 +593,19 @@ def sample_size(
         raise ValueError(f"no bound for {(frame, distance, variant)}; defined: {sorted(_BERNSTEIN_ROWS)}")
     if frame == "local" and (n_qubits is None or 2**n_qubits != d):
         raise ValueError("local frames need n_qubits with d = 2**n_qubits")
-    a, sigma2, k, b = _BERNSTEIN_ROWS[frame, distance, variant](d, n_outcomes, n_qubits)
+    row = _BERNSTEIN_ROWS[frame, distance, variant]
+    a, sigma2, k, b = row(d, n_outcomes, n_qubits)
     value = 8 * a * (sigma2 + k * epsilon / 6) / epsilon**2 * math.log(b / delta)
-    return math.ceil(value) + 1
+    if abs(value - round(value)) > _ROUNDING_ULPS * math.ulp(value):
+        return math.ceil(value) + 1
+    from decimal import ROUND_CEILING, Decimal, localcontext  # rarely needed, and slow to import
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, sigma2, k, b = row(Decimal(d), Decimal(n_outcomes), n_qubits)
+        eps = Decimal(epsilon)
+        exact = 8 * a * (sigma2 + k * eps / 6) / eps**2 * (b / Decimal(delta)).ln()
+        return int(exact.to_integral_value(ROUND_CEILING)) + 1
 
 
 @dataclass(frozen=True)

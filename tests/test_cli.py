@@ -141,6 +141,44 @@ def test_scaling_beyond_exact_outcome_cap_fails_before_work(tmp_path, capsys, mo
     assert simulated == []
 
 
+def test_scaling_reports_a_projection_at_its_cap(tmp_path, capsys, monkeypatch):
+    # every trial of the stack needs more than 2 Newton steps, so the stacked
+    # projection raises its cap error before any file is written
+    path = write_config(tmp_path, povm={"kind": "random", "dim": 3, "outcomes": 12, "seed": 2},
+                        ensemble={"kind": "mub", "dim": 3})
+    monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", 2)
+    out = tmp_path / "scal"
+    argv = ["scaling", "--config", str(path), "--n-list", "1000,4000,16000", "--trials", "5", "--out", str(out)]
+    assert cli.main(argv) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "RuntimeError"
+    assert re.match(r"projection hit MAX_NEWTON_STEPS = 2 with residual .* last step", record["error"]["message"])
+    assert not (out / "scaling.csv").exists() and not (out / "scaling_report.json").exists()
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+@pytest.mark.parametrize("target", [
+    {"povm": {"kind": "random", "dim": 3, "outcomes": 12, "seed": 4}, "ensemble": {"kind": "mub", "dim": 3}},
+    {"povm": {"kind": "computational", "dim": 7}, "ensemble": {"kind": "mub", "dim": 7}},
+])
+def test_stacked_scaling_equals_one_trial_per_stack(tmp_path, monkeypatch, metric, target):
+    # scaling projects its trials as stacks; with one trial per stack every
+    # output except the wall-clock runtime_ms column is the same, byte for byte
+    path = write_config(tmp_path, seed=9, projection={"metric": metric}, **target)
+    calls, project = [], cli.project_onto_povms
+    monkeypatch.setattr(cli, "project_onto_povms", lambda raws, *args: calls.append(len(raws)) or project(raws, *args))
+    outputs = {}
+    for name, elements in (("stacked", cli.SCALING_STACK_ELEMENTS), ("one", 1)):
+        monkeypatch.setattr(cli, "SCALING_STACK_ELEMENTS", elements)
+        out = tmp_path / name
+        argv = ["scaling", "--config", str(path), "--n-list", "500,2000,8000", "--trials", "5", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = [line.rsplit(",", 1)[0] for line in (out / "scaling.csv").read_text().splitlines()]
+        outputs[name] = rows, (out / "scaling_report.json").read_bytes()
+    assert calls == [15] + [1] * 15
+    assert outputs["stacked"] == outputs["one"]
+
+
 def test_seed_and_shot_overrides(tmp_path):
     path = write_config(tmp_path)
     config = load_config(path, {"seed": 9, "shots": 123})

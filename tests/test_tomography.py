@@ -440,6 +440,69 @@ def test_projection_stops_on_the_primal_step(metric, monkeypatch):
     assert tight.iterations > loose.iterations
 
 
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
+    # A stack shares each Newton step's eigh, Hessian products and line search, but every
+    # trial keeps its own dual, CG scalars, step size and stopping test, so it gets the bits
+    # it gets alone. The d = 7 inputs mix top and bottom branches and ranks, so their Hessian
+    # products come in several groups; the one-shot Pauli-6 inputs backtrack where their
+    # 1000-shot neighbours take the full step.
+    pauli6 = frames.pauli6_product(2)
+    backtracking = [_lse(povm.random_povm(4, 4, seed), pauli6, shots, seed) for seed in range(3) for shots in (1, 1000)]
+    stacks = {}
+    for raw in [*hard_projection_inputs(), *backtracking]:
+        stacks.setdefault(raw.elements.shape, []).append(raw)
+    grouped, takes = [], []
+    hessian, take = tomography._Hessian, tomography._DualPoint.take
+
+    class CountingHessian(hessian):
+        def __init__(self, groups):
+            grouped.append(len(groups))
+            super().__init__(groups)
+
+    monkeypatch.setattr(tomography, "_Hessian", CountingHessian)
+    monkeypatch.setattr(tomography._DualPoint, "take", lambda self, keep: takes.append(1) or take(self, keep))
+    compactions = 0
+    for raws in stacks.values():
+        solo = [project_onto_povms(raw, metric=metric) for raw in raws]
+        povms, diagnostics = project_onto_povms(raws, metric=metric)
+        assert len(povms) == len(raws)
+        for stacked, (alone, _) in zip(povms, solo):
+            assert np.array_equal(stacked.elements, alone.elements)
+        steps = [alone.iterations for _, alone in solo]
+        assert diagnostics.iterations == max(steps)
+        assert diagnostics.final_residual == max(alone.final_residual for _, alone in solo) <= TOL_FEASIBILITY
+        assert diagnostics.converged is True
+        compactions += len(set(steps)) - 1  # a trial that stops before the last leaves the stack
+    assert max(grouped) >= 2  # a Hessian product over several (branch, k) groups
+    assert len(takes) > compactions  # a line search in which some trials accepted and others halved
+
+
+def test_a_hard_trial_in_a_stack_changes_no_neighbour(monkeypatch):
+    # the hard input of test_projection_reaches_the_cap_on_a_hard_input takes over 100 Newton
+    # steps; its easy neighbours leave the stack after a few and keep their solo bits
+    rng = np.random.default_rng(0)
+    hard = np.array([random_hermitian(8, rng, 1e3) for _ in range(4)])
+    pauli6 = frames.pauli6_product(3)
+    easy = [_lse(povm.random_povm(8, 4, seed), pauli6, 2000, seed).elements for seed in range(4)]
+    raws = [easy[0], easy[1], hard, easy[2], easy[3]]
+    solo = [project_onto_povms(raw) for raw in raws]
+    povms, diagnostics = project_onto_povms(raws)
+    for stacked, (alone, _) in zip(povms, solo):
+        assert np.array_equal(stacked.elements, alone.elements)
+    assert diagnostics.iterations == solo[2][1].iterations > 100 > max(alone.iterations for _, alone in solo[:2])
+    monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", 20)
+    with pytest.raises(RuntimeError, match=r"MAX_NEWTON_STEPS = 20 with residual .* last step"):
+        project_onto_povms(raws)
+
+
+def test_projection_rejects_mixed_or_empty_stacks():
+    with pytest.raises(ValueError, match="one shape"):
+        project_onto_povms([np.array([np.eye(2)]), np.array([np.eye(3)])])
+    with pytest.raises(ValueError, match="one shape"):
+        project_onto_povms([])
+
+
 def _random_raw_stacks(rng):
     for _ in range(20):
         d, n_outcomes = int(rng.integers(1, 6)), int(rng.integers(2, 7))
@@ -469,10 +532,10 @@ def test_projection_hessian_matches_finite_differences(metric):
             raw = np.array([random_hermitian(d, rng, scale) + bias * np.eye(d) for _ in range(n_outcomes)])
             lam, h = random_hermitian(d, rng, 0.3), random_hermitian(d, rng)
             eps = 1e-6
-            plus = tomography._DualPoint(raw, lam + eps * h, metric).gradient
-            minus = tomography._DualPoint(raw, lam - eps * h, metric).gradient
-            hessian = tomography._DualPoint(raw, lam, metric).hessian(metric, 0.0)
-            np.testing.assert_allclose(hessian(h), (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
+            plus = tomography._DualPoint(raw[None], (lam + eps * h)[None], metric).gradient[0]
+            minus = tomography._DualPoint(raw[None], (lam - eps * h)[None], metric).gradient[0]
+            hessian = tomography._DualPoint(raw[None], lam[None], metric).hessian(metric, np.zeros(1))
+            np.testing.assert_allclose(hessian(h[None])[0], (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
 
 
 def test_projection_validates_at_the_package_tolerance():
@@ -572,12 +635,15 @@ def test_sample_size_table_matches_closed_forms():
             if table != closed:
                 differing.append((args, table, closed))
     assert checked == 318_384
-    # The two float evaluations round differently, so they may differ by one shot, and only
-    # where the exact bound lies within a few ulps of an integer (one input on this grid).
+    # A float evaluation can be one shot off where the exact bound lies within a few ulps
+    # of an integer; sample_size decides those at 40 digits, so wherever the closed forms
+    # differ from it, sample_size is the correctly rounded one.
+    assert differing
     for args, table, closed in differing:
         exact = _exact_sample_bound(*args)
         assert abs(table - closed) == 1
         assert abs(exact - exact.to_integral_value()) <= Decimal(4e-15) * exact, (args, exact)
+        assert table == math.ceil(exact) + 1, (args, exact)
 
 
 def test_bernstein_examples():
