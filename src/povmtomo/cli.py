@@ -216,14 +216,15 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     the study is reproducible and trials are independent. The trials run in
     consecutive stacks of at most :data:`SCALING_STACK_ELEMENTS` raw entries
     (at least one trial each): every trial of a stack is simulated and
-    estimated on its own, the stack is projected by one
-    ``project_onto_povms`` call, and then each trial's distances are taken.
-    Stacking changes no estimate. Medians per N feed a least-squares line in
+    estimated on its own, then the stack is projected by one
+    ``project_onto_povms`` call and measured against the target by one
+    ``d_op_exact`` and one ``d_av`` call. Stacking changes no estimate and
+    no distance. Medians per N feed a least-squares line in
     log space; slopes near -1/2 reflect the shot-noise-limited regime.
     Returns the rows (N, trial, d_op, d_av, runtime_ms) of ``scaling.csv``
     and the ``scaling_report.json`` document. A row's ``runtime_ms`` is its
-    trial's own simulate, LSE and distance time plus an equal share of the
-    stacked projection it was part of.
+    trial's own simulate and LSE time plus an equal share of the stacked
+    projection and distance calls it was part of.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or sorted(set(n_list)) != n_list:
@@ -249,12 +250,10 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
             seconds.append(time.perf_counter() - start)
         start = time.perf_counter()
         estimates, _ = project_onto_povms(raws, config.metric)
+        reports = zip(distances.d_op_exact(target, estimates), distances.d_av(target, estimates))
         share = (time.perf_counter() - start) / len(stack)
-        for (_, n_shots, trial), estimated, own in zip(stack, estimates, seconds):
-            start = time.perf_counter()
-            err_op = distances.d_op_exact(target, estimated).value
-            err_av = distances.d_av(target, estimated).value
-            rows.append((n_shots, trial, err_op, err_av, (own + share + time.perf_counter() - start) * 1000))
+        for (_, n_shots, trial), (err_op, err_av), own in zip(stack, reports, seconds):
+            rows.append((n_shots, trial, err_op.value, err_av.value, (own + share) * 1000))
     errors = np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2)
     log_n = np.log(np.asarray(n_list, dtype=float))
     medians, fit = {"n_list": n_list}, {}

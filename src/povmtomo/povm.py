@@ -51,6 +51,14 @@ def _as_element_stack(elements) -> np.ndarray:
     return arr
 
 
+def _checks(arr: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Per candidate of a Hermitian (T, L, d, d) stack: the smallest eigenvalue of its effects, from
+    one stacked ``eigvalsh``, and its completeness residual ||sum_j E_j - I||_F."""
+    eye = np.eye(arr.shape[-1])
+    residuals = [float(np.linalg.norm(total - eye)) for total in arr.sum(axis=1)]
+    return np.linalg.eigvalsh(arr)[..., 0].min(axis=-1), residuals
+
+
 def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
     """Check positivity and completeness of a POVM candidate.
 
@@ -64,9 +72,21 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
     arr = _as_element_stack(candidate)
     if not isinstance(candidate, (Povm, RawEstimate)):  # whose effects are exactly Hermitian
         arr = linalg.require_hermitian(arr, tol)
-    min_eig = float(np.linalg.eigvalsh(arr)[:, 0].min())
-    residual = float(np.linalg.norm(arr.sum(axis=0) - np.eye(arr.shape[1])))
-    return ValidationReport(min_eig >= -tol and residual <= tol, min_eig, residual)
+    (min_eig,), (residual,) = _checks(arr[None])
+    return ValidationReport(bool(min_eig >= -tol and residual <= tol), float(min_eig), residual)
+
+
+def _valid_povms(stack: np.ndarray) -> np.ndarray:
+    """The exact Hermitian part of a (T, L, d, d) stack of candidates that are each a POVM at
+    :data:`POVM_TOL`, or a ``PovmValidationError`` for the first that is not."""
+    arr = linalg.require_hermitian(stack, POVM_TOL)
+    for min_eig, residual in zip(*_checks(arr)):
+        if not (min_eig >= -POVM_TOL and residual <= POVM_TOL):
+            raise PovmValidationError(
+                f"not a valid POVM at tol {POVM_TOL:.1e}: min eigenvalue "
+                f"{min_eig:.3e}, completeness residual {residual:.3e}"
+            )
+    return arr
 
 
 class Povm:
@@ -78,18 +98,22 @@ class Povm:
     """
 
     def __init__(self, elements):
-        arr = linalg.require_hermitian(_as_element_stack(elements), POVM_TOL)
+        self._adopt(_valid_povms(_as_element_stack(elements)[None])[0])
+
+    @classmethod
+    def stack(cls, elements: np.ndarray) -> list[Povm]:
+        """One Povm per candidate of a (T, L, d, d) stack, with the constructor's checks made in one
+        pass: one ``require_hermitian`` and one stacked ``eigvalsh`` for the whole stack."""
+        povms = [object.__new__(cls) for _ in range(len(elements))]
+        for povm, arr in zip(povms, _valid_povms(elements)):
+            povm._adopt(arr)
+        return povms
+
+    def _adopt(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         self.elements = arr
         self.outcomes = arr.shape[0]
         self.dim = arr.shape[1]
-        report = validate(self)
-        if not report.ok:
-            raise PovmValidationError(
-                f"not a valid POVM at tol {POVM_TOL:.1e}: min eigenvalue "
-                f"{report.min_eigenvalue:.3e}, completeness residual "
-                f"{report.completeness_residual:.3e}"
-            )
 
     def __repr__(self):
         return f"Povm(dim={self.dim}, outcomes={self.outcomes})"

@@ -479,8 +479,9 @@ def project_onto_povms(raw, metric: str = "frobenius"):
 
     Returns ``(Povm, ProjectionDiagnostics)`` for one estimate and
     ``(list of Povm, ProjectionDiagnostics)`` for a list, each Povm
-    validated at ``POVM_TOL``. ``duality_gap`` is the primal objective minus
-    the dual value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda), a certificate of
+    validated at ``POVM_TOL`` in one :meth:`Povm.stack` pass once every
+    trial has stopped. ``duality_gap`` is the primal objective minus the
+    dual value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda), a certificate of
     optimality. For a list, ``iterations`` counts the stack's Newton steps
     (the largest count of any trial), and ``final_residual`` and
     ``duality_gap`` are the largest of any trial (the gap by magnitude).
@@ -516,7 +517,7 @@ def project_onto_povms(raw, metric: str = "frobenius"):
             primal = 0.5 * _metric_norm2(arr[row] - point.z[row], metric)
             dual = 0.5 * _metric_norm2(arr[row], metric) - point.theta[row]
             diagnostics = ProjectionDiagnostics(iterations, point.residual[row], True, primal - dual)
-            results[live[row]] = (Povm(point.z[row]), diagnostics)
+            results[live[row]] = (point.z[row], diagnostics)
         if all(done):
             break
         keep = np.logical_not(done)
@@ -527,10 +528,11 @@ def project_onto_povms(raw, metric: str = "frobenius"):
             f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual[worst]:.3e} "
             f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {step[worst]:.3e}, TOL_STEP {TOL_STEP:.1e})"
         )
+    povms = Povm.stack(np.stack([z for z, _ in results]))
     if not isinstance(raw, list):
-        return results[0]
+        return povms[0], results[0][1]
     solo = [diagnostics for _, diagnostics in results]
-    return [povm for povm, _ in results], ProjectionDiagnostics(
+    return povms, ProjectionDiagnostics(
         iterations,
         max(diagnostics.final_residual for diagnostics in solo),
         True,

@@ -241,8 +241,18 @@ def bit_identity_cases():
     raw = lse_estimate(simulate_shots(target, ensemble, 5000, 193), ensemble)
     cases.append((target, project_onto_povms(raw, metric="dav")[0]))
     cases += [(random_povm(16, 4, (194, trial)), random_povm(16, 4, (195, trial))) for trial in range(2)]
+    huge = 1e160 * np.array([random_hermitian(3, rng) for _ in range(4)])
+    cases.append((huge, np.zeros_like(huge)))  # squares overflow: every bound is inf and nothing is pruned
     cases.append((random_povm(2, 16, 185), random_povm(2, 16, 186)))  # 2^15 subsets: two chunks
     return cases
+
+
+def shape_groups(cases):
+    """The cases of each effect-stack shape, in first-seen order."""
+    groups = {}
+    for e, f in cases:
+        groups.setdefault(povm._as_element_stack(e).shape, []).append((e, f))
+    return list(groups.values())
 
 
 def test_exact_is_bit_identical_to_gray_code_oracle(monkeypatch):
@@ -254,19 +264,82 @@ def test_exact_is_bit_identical_to_gray_code_oracle(monkeypatch):
         assert d_op_exact(e, f) == gray_code_d_op(e, f)
 
 
+def test_stacked_exact_equals_solo_and_the_oracle(monkeypatch):
+    # one reference against a list of same-shape estimates: each report is the solo one, bit for bit,
+    # in chunks of 36 // d^2 subsets (4 at d = 3) and in groups of one pair too
+    chunk, stack = distances.SUBSET_CHUNK_ELEMENTS, distances.SUBSET_STACK_ELEMENTS
+    for chunk_elements, stack_elements in ((chunk, stack), (36, stack), (chunk, 1)):
+        monkeypatch.setattr(distances, "SUBSET_CHUNK_ELEMENTS", chunk_elements)
+        monkeypatch.setattr(distances, "SUBSET_STACK_ELEMENTS", stack_elements)
+        cases = bit_identity_cases()
+        for group in shape_groups(cases if chunk_elements > 36 else cases[:-1]):
+            estimates = [f for _, f in group]
+            for e, _ in group:
+                reports = d_op_exact(e, estimates)
+                assert reports == [d_op_exact(e, f) for f in estimates] == [gray_code_d_op(e, f) for f in estimates]
+
+
+def test_stacked_exact_takes_mixed_estimates_per_pair():
+    # a POVM and a raw estimate enumerate 2^(L-1) and 2^L subsets in one call
+    e, f = random_povm(3, 6, 210), random_povm(3, 6, 211)
+    raw = RawEstimate(f.elements + 1e-3 * np.eye(3))
+    reports = d_op_exact(e, [f, raw, f])
+    assert reports == [gray_code_d_op(e, x) for x in (f, raw, f)]
+    assert reports[0] == reports[2] and 5 not in reports[0].witness and 5 in reports[1].witness
+
+
+def test_stacked_distances_reject_empty_mixed_and_oversized_lists():
+    e = random_povm(2, 3, 212)
+    for distance in (d_op_exact, d_av):
+        with pytest.raises(ValueError, match="one or more estimates"):
+            distance(e, [])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            distance(e, [random_povm(2, 3, 213), random_povm(2, 4, 214)])
+    big = RawEstimate(np.zeros((25, 2, 2), dtype=complex))
+    with pytest.raises(ValueError, match="exceeds the exact-enumeration cap"):
+        d_op_exact(big, [big, big])
+
+
+def test_stacked_d_av_equals_solo_and_the_definition():
+    finite = [(e, f) for e, f in bit_identity_cases() if np.abs(povm._as_element_stack(e)).max() < 1e100]
+    for group in shape_groups(finite):  # without the pair whose squares overflow
+        estimates = [f for _, f in group]
+        for e, _ in group:
+            reports = d_av(e, estimates)
+            assert reports == [d_av(e, f) for f in estimates]
+            for report, f in zip(reports, estimates):
+                expected = definition_d_av(povm._as_element_stack(e), povm._as_element_stack(f))
+                assert report.value == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
 def test_exact_prunes_most_subsets(monkeypatch):
-    evaluated = []
-    norm = linalg.matrix_norm
+    # every formed subset sum is eigensolved once; at most a tenth of each pair's 2047 subsets are
+    evaluated, formed = [], {}
+    norms, sums = distances._spectral_norms, distances._subset_sums
 
-    def counting_norm(a, kind):
-        evaluated.append(len(a))
-        return norm(a, kind)
+    def counting_norms(stack):
+        evaluated.append(len(stack))
+        return norms(stack)
 
-    monkeypatch.setattr(linalg, "matrix_norm", counting_norm)
-    for trial in range(5):
+    def counting_sums(bits, deltas):
+        key = deltas.__array_interface__["data"][0]  # one pair of the stack
+        formed[key] = formed.get(key, 0) + len(bits)
+        return sums(bits, deltas)
+
+    monkeypatch.setattr(distances, "_spectral_norms", counting_norms)
+    monkeypatch.setattr(distances, "_subset_sums", counting_sums)
+    pairs = [(random_povm(3, 12, (187, trial)), random_povm(3, 12, (188, trial))) for trial in range(5)]
+    for e, f in pairs:
         evaluated.clear()
-        d_op_exact(random_povm(3, 12, (187, trial)), random_povm(3, 12, (188, trial)))
+        d_op_exact(e, f)
         assert evaluated and sum(evaluated) <= 2047 // 10
+    e = pairs[0][0]
+    estimates = [pairs[0][1]] + [random_povm(3, 12, (188, trial)) for trial in range(1, 5)]
+    evaluated.clear()
+    formed.clear()
+    d_op_exact(e, estimates)
+    assert len(evaluated) <= 2 and len(formed) == 5
+    assert sum(evaluated) == sum(formed.values()) and max(formed.values()) <= 2047 // 10
 
 
 def test_exact_rejects_non_finite_effects():
@@ -302,6 +375,21 @@ def test_subset_sums_are_exactly_hermitian(d):
         assert np.array_equal(linalg.hermitize(sums).view(np.uint64), sums.view(np.uint64))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
+def test_subset_sums_do_not_depend_on_the_rows_formed_with_them(d):
+    # d_op_exact forms only the subsets it eigensolves: one row alone, or any few rows, give the
+    # chunk's sums bit for bit (a one-row product would take a matrix-vector kernel)
+    rng = np.random.default_rng(220 + d)
+    n_bits = 6
+    deltas = np.array([random_hermitian(d, rng, 10.0 ** rng.uniform(-3, 3)) for _ in range(n_bits)])
+    bits = distances._gray_bits(1, 2**n_bits, n_bits)
+    sums = distances._subset_sums(bits, deltas)
+    for k in range(len(bits)):
+        assert np.array_equal(distances._subset_sums(bits[[k]], deltas), sums[[k]])
+    for rows in (rng.choice(len(bits), size, replace=False) for size in (2, 3, 8, 40)):
+        assert np.array_equal(distances._subset_sums(bits[rows], deltas), sums[rows])
+
+
 @settings(max_examples=60)
 @given(
     d=st.integers(1, 8),
@@ -310,18 +398,26 @@ def test_subset_sums_are_exactly_hermitian(d):
     seed=st.integers(0, 2**16),
 )
 def test_trace_bound_on_the_spectral_norm(d, exponent, spread, seed):
-    # ||A|| <= |m| + s sqrt(d-1) within the slack, with equality on (m + (d-1)t, m - t, ..., m - t);
-    # t/m down to 1e-12 needs s^2 free of cancellation
+    # ||D_S|| <= |m_S| + s_S sqrt(d-1) within the slack on every subset, also where D_1 ~ -D_0 makes
+    # b^T G b cancel; equality on (m + (d-1)t, m - t, ..., m - t), t/m down to 1e-12, to the rounding
+    # of the trace and the eigensolve alone
     rng = np.random.default_rng(seed)
     scale = 10.0**exponent
     stack = np.array([random_hermitian(d, rng, scale) for _ in range(5)])
-    bounds, slack = distances._spectral_bounds(stack)
-    assert np.all(np.max(np.abs(np.linalg.eigvalsh(stack)), axis=1) <= bounds + slack)
+    cancelling = stack.copy()
+    cancelling[1] = -stack[0] + random_hermitian(d, rng, scale * 10.0**spread)
+    bits = distances._gray_bits(1, 2**5, 5).astype(float)
+    for deltas in (stack, cancelling):
+        form, slack = distances._bound_form(deltas)
+        norms = distances._spectral_norms(distances._subset_sums(bits, deltas))
+        assert np.all(norms <= distances._trace_bounds(bits, form) + slack)
     m = scale * rng.uniform(0.5, 1)
     t = m * 10.0**spread
     spectrum = np.full(d, m - t)
     spectrum[0] = m + (d - 1) * t
     u = haar_unitary(d, seed)
     tight = linalg.hermitize((u * spectrum) @ u.conj().T)[None]
-    bounds, slack = distances._spectral_bounds(tight)
-    assert abs(bounds[0] - np.max(np.abs(np.linalg.eigvalsh(tight)))) <= slack
+    form, _ = distances._bound_form(tight)
+    bound = distances._trace_bounds(np.ones((1, 1)), form)[0]
+    rounding = 16 * d * d * np.finfo(float).eps * np.linalg.norm(tight)
+    assert abs(bound - np.max(np.abs(np.linalg.eigvalsh(tight)))) <= rounding
