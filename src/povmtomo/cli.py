@@ -215,15 +215,15 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     Trial t at shot count N uses the derived stream (seed, index(N), t), so
     the study is reproducible and trials are independent. The trials run in
     consecutive stacks of at most :data:`SCALING_STACK_ELEMENTS` raw entries
-    (at least one trial each): every trial of a stack is simulated and
-    estimated on its own, then the stack is projected by one
-    ``project_onto_povms`` call and measured against the target by one
-    ``d_op_exact`` and one ``d_av`` call. Stacking changes no estimate and
-    no distance. Medians per N feed a least-squares line in
+    (at least one trial each): every trial of a stack is simulated on its
+    own, then the stack is estimated by one ``lse_estimate`` call, projected
+    by one ``project_onto_povms`` call and measured against the target by
+    one ``d_op_exact`` and one ``d_av`` call. Stacking changes no estimate
+    and no distance. Medians per N feed a least-squares line in
     log space; slopes near -1/2 reflect the shot-noise-limited regime.
     Returns the rows (N, trial, d_op, d_av, runtime_ms) of ``scaling.csv``
     and the ``scaling_report.json`` document. A row's ``runtime_ms`` is its
-    trial's own simulate and LSE time plus an equal share of the stacked
+    trial's own simulate time plus an equal share of the stacked LSE,
     projection and distance calls it was part of.
     """
     n_list = [int(n) for n in n_list]
@@ -242,14 +242,13 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     rows = []
     for first in range(0, len(jobs), per_stack):
         stack = jobs[first:first + per_stack]
-        raws, seconds = [], []
+        tables, seconds = [], []
         for n_index, n_shots, trial in stack:
             start = time.perf_counter()
-            table = simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial))
-            raws.append(lse_estimate(table, ensemble))
+            tables.append(simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial)))
             seconds.append(time.perf_counter() - start)
         start = time.perf_counter()
-        estimates, _ = project_onto_povms(raws, config.metric)
+        estimates, _ = project_onto_povms(lse_estimate(tables, ensemble), config.metric)
         reports = zip(distances.d_op_exact(target, estimates), distances.d_av(target, estimates))
         share = (time.perf_counter() - start) / len(stack)
         for (_, n_shots, trial), (err_op, err_av), own in zip(stack, reports, seconds):

@@ -198,9 +198,11 @@ def d_op_exact(e, f) -> DistanceReport | list[DistanceReport]:
     more stacked call, for every other subset whose bound is not below that
     pair's running maximum minus its slack. Only those subsets are formed,
     by :func:`_subset_sums`, and each call eigensolves them for every pair
-    at once. A chunk of at most 8 subsets skips the bound. Every subset left
-    out has a computed norm below the maximum, so the value and witness are
-    those of evaluating every subset.
+    at once. A chunk of at most 63 subsets skips the bound and eigensolves
+    them all: below 64 subsets the bound costs more than the eigensolves it
+    skips, at every d from 2 to 16. Every subset left out has a computed
+    norm below the maximum, so the value and witness are those of
+    evaluating every subset.
     """
     deltas, both_valid = _delta_stack(e, f)
     n_trials, n_outcomes, d, _ = deltas.shape
@@ -222,14 +224,14 @@ def _largest_subset_norms(deltas: np.ndarray, n_bits: list[int], chunk: int) -> 
     """:func:`d_op_exact`'s enumeration of a (T, L, d, d) group of pairs, each over its first n_bits
     differences, ``chunk`` Gray-code subsets at a time."""
     n_trials = len(deltas)
-    if chunk > 8 and 2 ** max(n_bits) > 9:  # some chunk holds more than 8 subsets
+    if chunk > 63 and 2 ** max(n_bits) > 64:  # some chunk holds more than 63 subsets
         forms, slacks = _bound_form(deltas)
     best, witness = [0.0] * n_trials, [()] * n_trials
     for start in range(1, 2 ** max(n_bits), chunk):
         gray = _gray_bits(start, min(start + chunk, 2 ** max(n_bits)), max(n_bits)).astype(float)
         trials = [t for t in range(n_trials) if start < 2 ** n_bits[t]]
         bits = [gray[:2 ** n_bits[t] - start, :n_bits[t]] for t in trials]
-        bounds = [_trace_bounds(rows, forms[t]) if len(rows) > 8 else None for t, rows in zip(trials, bits)]
+        bounds = [_trace_bounds(rows, forms[t]) if len(rows) > 63 else None for t, rows in zip(trials, bits)]
         picked = [np.arange(len(rows)) if bound is None else np.argpartition(bound, -8)[-8:]  # NaN sorts last
                   for rows, bound in zip(bits, bounds)]
         norms = [np.full(len(rows), -np.inf) for rows in bits]

@@ -183,20 +183,27 @@ def build_ensemble(spec: dict) -> ProbeEnsemble:
 
 
 def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:
-    """``sum_i w[j, i] (x)_k factors[i_k]`` for every row j of an (L, m^n) array.
+    """``sum_i w[..., j, i] (x)_k factors[i_k]`` for every row j of an (..., L, m^n) array.
 
     The flat index i enumerates multi-indices (i_1, ..., i_n) with the first
     factor most significant, as :func:`numpy.unravel_index` does, and
     the Kronecker product puts the first factor first, as
-    :func:`frame_operator` does. Runs n tensordots; returns (L, q^n, q^n).
+    :func:`frame_operator` does. Runs n matmuls, each one GEMM per (L, m^n)
+    slice of a leading stack, of the shape that slice alone gives: BLAS
+    picks its kernel and threads by shape, so each slice sums as it would
+    alone. Returns (..., L, q^n, q^n).
     """
     m, q, _ = factors.shape
-    rows = weights.shape[0]
-    out = np.reshape(weights, (rows,) + (m,) * n)
-    for _ in range(n):  # contract i_k; axes become (rows, i_k+1.., a_1, b_1, .., a_k, b_k)
-        out = np.tensordot(out, factors, axes=([1], [0]))
-    order = (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2))
-    return out.transpose(order).reshape(rows, q**n, q**n)
+    *stack, rows, _ = np.shape(weights)
+    lead = len(stack) + 1
+    flat = factors.reshape(m, q * q)
+    out = np.reshape(weights, (*stack, rows) + (m,) * n)
+    for _ in range(n):  # contract i_k; axes become (..., rows, i_k+1.., a_1 b_1, .., a_k b_k)
+        out = out.transpose(*range(lead), *range(lead + 1, out.ndim), lead)
+        out = np.matmul(out.reshape(*stack, -1, m), flat).reshape(out.shape[:-1] + (q * q,))
+    out = out.reshape(*stack, rows, *(q,) * (2 * n))  # axes (..., rows, a_1, b_1, .., a_n, b_n)
+    order = (*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2))
+    return out.transpose(order).reshape(*stack, rows, q**n, q**n)
 
 
 def frame_traces(operators, factors: np.ndarray, n: int) -> np.ndarray:

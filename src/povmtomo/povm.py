@@ -54,8 +54,7 @@ def _as_element_stack(elements) -> np.ndarray:
 def _checks(arr: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Per candidate of a Hermitian (T, L, d, d) stack: the smallest eigenvalue of its effects, from
     one stacked ``eigvalsh``, and its completeness residual ||sum_j E_j - I||_F."""
-    eye = np.eye(arr.shape[-1])
-    residuals = [float(np.linalg.norm(total - eye)) for total in arr.sum(axis=1)]
+    residuals = linalg.frobenius_norms(arr.sum(axis=1) - np.eye(arr.shape[-1])).tolist()
     return np.linalg.eigvalsh(arr)[..., 0].min(axis=-1), residuals
 
 
@@ -89,6 +88,14 @@ def _valid_povms(stack: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _adopt(holder, arr: np.ndarray) -> None:
+    """Freeze a checked (L, d, d) stack and make it the effects of a Povm or RawEstimate."""
+    arr.flags.writeable = False
+    holder.elements = arr
+    holder.outcomes = arr.shape[0]
+    holder.dim = arr.shape[1]
+
+
 class Povm:
     """An L-outcome POVM on C^d: PSD effects summing to the identity.
 
@@ -98,7 +105,7 @@ class Povm:
     """
 
     def __init__(self, elements):
-        self._adopt(_valid_povms(_as_element_stack(elements)[None])[0])
+        _adopt(self, _valid_povms(_as_element_stack(elements)[None])[0])
 
     @classmethod
     def stack(cls, elements: np.ndarray) -> list[Povm]:
@@ -106,14 +113,8 @@ class Povm:
         pass: one ``require_hermitian`` and one stacked ``eigvalsh`` for the whole stack."""
         povms = [object.__new__(cls) for _ in range(len(elements))]
         for povm, arr in zip(povms, _valid_povms(elements)):
-            povm._adopt(arr)
+            _adopt(povm, arr)
         return povms
-
-    def _adopt(self, arr: np.ndarray) -> None:
-        arr.flags.writeable = False
-        self.elements = arr
-        self.outcomes = arr.shape[0]
-        self.dim = arr.shape[1]
 
     def __repr__(self):
         return f"Povm(dim={self.dim}, outcomes={self.outcomes})"
@@ -124,11 +125,16 @@ class RawEstimate:
     Hermitian within :data:`linalg.HERMITICITY_TOL`."""
 
     def __init__(self, elements):
-        arr = linalg.require_hermitian(_as_element_stack(elements))
-        arr.flags.writeable = False
-        self.elements = arr
-        self.outcomes = arr.shape[0]
-        self.dim = arr.shape[1]
+        _adopt(self, linalg.require_hermitian(_as_element_stack(elements)))
+
+    @classmethod
+    def stack(cls, elements: np.ndarray) -> list[RawEstimate]:
+        """One RawEstimate per (L, d, d) estimate of a finite (T, L, d, d) stack, with one
+        ``require_hermitian`` for the whole stack."""
+        estimates = [object.__new__(cls) for _ in range(len(elements))]
+        for estimate, arr in zip(estimates, linalg.require_hermitian(elements)):
+            _adopt(estimate, arr)
+        return estimates
 
     def __repr__(self):
         return f"RawEstimate(dim={self.dim}, outcomes={self.outcomes})"

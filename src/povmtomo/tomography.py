@@ -21,6 +21,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from operator import le, truediv
 
@@ -121,21 +122,39 @@ def exact_frequencies(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
     return _probabilities(povm, ensemble) / ensemble.size
 
 
-def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate:
+#: Frequency entries (trials x M x L) that one ``frame_sum`` of :func:`lse_estimate` contracts at most.
+LSE_STACK_ELEMENTS = 1 << 16
+
+
+def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate | list[RawEstimate]:
     """Closed-form least-squares estimator ``E_hat_j = sum_i f_ij nu_i``.
 
     ``frequencies`` is a :class:`FrequencyTable` or an (M, L) array of
-    relative frequencies; all M dual frame operators are contracted at once.
+    relative frequencies, giving one :class:`RawEstimate`, or a non-empty
+    list of same-shape ones, giving one estimate per entry. All M dual frame
+    operators are contracted at once, for a list by one :func:`frame_sum`
+    per slice of at most :data:`LSE_STACK_ELEMENTS` frequencies (a larger
+    stack contracts more slowly than one table at a time, as its copies
+    outgrow the cache), and the estimates' Hermiticity is checked in one
+    pass; each estimate is bit for bit its solo one.
     """
-    if isinstance(frequencies, FrequencyTable):
-        frequencies = frequencies.frequencies()
-    freqs = np.asarray(frequencies, dtype=float)
-    if freqs.ndim != 2 or freqs.shape[0] != ensemble.size:
-        raise ValueError(
-            f"frequencies have shape {freqs.shape}, ensemble has {ensemble.size} states"
-        )
-    elements = frame_sum(freqs.T, ensemble.dual_factors(), ensemble.n_factors)
-    return RawEstimate(elements)
+    tables = frequencies if isinstance(frequencies, list) else [frequencies]
+    shapes = {(t.counts if isinstance(t, FrequencyTable) else np.asarray(t)).shape for t in tables}
+    if len(shapes) != 1:
+        raise ValueError(f"need one or more frequency tables of one shape, got shapes {sorted(shapes)}")
+    (shape,) = shapes
+    if len(shape) != 2 or shape[0] != ensemble.size or shape[1] < 1:
+        raise ValueError(f"frequencies have shape {shape}, need (M, L >= 1) with M = {ensemble.size} states")
+    per = max(1, LSE_STACK_ELEMENTS // math.prod(shape))
+    dual, n = ensemble.dual_factors(), ensemble.n_factors
+    elements = [frame_sum(np.stack([_frequencies(t).T for t in tables[first:first + per]]), dual, n)
+                for first in range(0, len(tables), per)]
+    estimates = RawEstimate.stack(elements[0] if len(elements) == 1 else np.concatenate(elements))
+    return estimates if isinstance(frequencies, list) else estimates[0]
+
+
+def _frequencies(table) -> np.ndarray:
+    return table.frequencies() if isinstance(table, FrequencyTable) else np.asarray(table, dtype=float)
 
 
 def _metric(name: str, value) -> str:
@@ -172,35 +191,35 @@ def _metric_inverse(y: np.ndarray, metric: str) -> np.ndarray:
     """G^-1 Y for the metric G X = X (frobenius) or G X = X + tr(X) I (dav), over a (..., d, d) stack."""
     if metric == "frobenius":
         return y
-    d = y.shape[-1]
-    return y - (np.trace(y, axis1=-2, axis2=-1).real / (d + 1))[..., None, None] * np.eye(d)
+    out = y.copy()
+    diagonal = np.einsum("...ii->...i", out)  # a writable view; y - c I leaves the rest as it is
+    diagonal -= (np.trace(y, axis1=-2, axis2=-1).real / (y.shape[-1] + 1))[..., None]
+    return out
 
 
-def _metric_norm2(x: np.ndarray, metric: str) -> float:
-    """sum_j ||X_j||_G^2 = sum_j <X_j, G X_j> over an (L, d, d) stack."""
-    value = float(np.vdot(x, x).real)
+def _metric_norm2(x: np.ndarray, metric: str) -> np.ndarray:
+    """sum_j ||X_tj||_G^2 = sum_j <X_tj, G X_tj> for each trial t of a (T, L, d, d) stack."""
+    flat = x.reshape(len(x), -1)
+    value = np.vecdot(flat, flat).real
     if metric == "dav":
-        value += float(np.sum(np.trace(x, axis1=1, axis2=2).real ** 2))
+        value = value + np.sum(np.trace(x, axis1=-2, axis2=-1).real ** 2, axis=-1)
     return value
 
 
-# The per-trial scalars of a stack are lists of floats. A stack of one trial
-# is that trial's contiguous data, so the helpers below treat it whole: the
-# same BLAS call on the same data, without a Python loop over one trial.
+# A stack's per-trial reductions are one vecdot over its (T, ...) flattening: a
+# BLAS dot per trial that sums as np.vdot and np.linalg.norm do on that trial
+# alone. The per-trial scalars the solver branches on are lists of floats, as
+# a float op costs far less than a numpy scalar op; one trial is a stack of one.
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> list:
-    """Re <A_t, B_t> for each trial t of two stacks, one BLAS dot per trial."""
-    if len(a) == 1:
-        return [float(np.vdot(a, b).real)]
-    return [float(np.vdot(x, y).real) for x, y in zip(a, b)]
+    """Re <A_t, B_t> for each trial t of two stacks."""
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)).real.tolist()
 
 
 def _norms(a: np.ndarray) -> list:
     """||A_t||_F for each trial t of a stack."""
-    if len(a) == 1:
-        return [float(np.linalg.norm(a))]
-    return [float(np.linalg.norm(x)) for x in a]
+    return linalg.frobenius_norms(a).tolist()
 
 
 def _scales(values: list):
@@ -238,7 +257,7 @@ class _DualPoint:
         q = self.eigenvectors
         self.q_adjoint = q.conj().swapaxes(-1, -2)
         self.z = (q * self.clipped[..., None, :]) @ self.q_adjoint
-        self.theta = [0.5 * _metric_norm2(z, metric) + float(np.trace(l).real) for z, l in zip(self.z, lam)]
+        self.theta = (0.5 * _metric_norm2(self.z, metric) + np.trace(lam, axis1=-2, axis2=-1).real).tolist()
         self.gradient = np.eye(raw.shape[-1]) - self.z.sum(axis=1)
         self.residual = _norms(self.gradient)
 
@@ -338,11 +357,11 @@ class _HessianGroup:
         out = half + half.conj().swapaxes(-1, -2)
         if not self.top:
             out = n_outcomes * y - out
-        if self.metric == "dav":  # per trial: sum_j c_j P_j is the (1, L) by (L, d^2) product tensordot makes
-            for t in range(n_trials):
-                inactive_traces = np.trace(y[t]).real - (self.flat_projectors[t] @ y[t].reshape(d * d)).real
-                weights = (self.row_weights[t] * inactive_traces).reshape(1, n_outcomes)
-                out[t] += np.dot(weights, self.projectors[t]).reshape(d, d)
+        if self.metric == "dav":  # sum_j c_j P_j: one (T, 1, L) by (T, L, d^2) product
+            inactive_traces = (np.trace(y, axis1=-2, axis2=-1).real[:, None]
+                               - (self.flat_projectors @ y.reshape(n_trials, d * d, 1))[..., 0].real)
+            weights = (self.row_weights * inactive_traces)[:, None]
+            out += (weights @ self.projectors).reshape(n_trials, d, d)
         out += self.mu * h
         return out
 
@@ -370,17 +389,21 @@ class _Hessian:
         return out
 
 
-def _conjugate_gradient(apply, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
+def _conjugate_gradient(build, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
     """Solve apply(x) = rhs for each trial of a (T, d, d) stack, to ||residual_t||_F <= tol_t.
 
-    The map is positive definite on every trial. A trial that meets its
-    tolerance leaves the stack, and ``apply`` with it.
+    ``build()`` makes the map, positive definite on every trial, once some
+    trial needs a product. A trial that meets its tolerance leaves the
+    stack, and the map with it.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
     rr = _dots(r, r)
     tol2 = [t * t for t in tol]
+    if all(map(le, rr, tol2)):
+        return x
+    apply = build()
     solution, rows = x, None  # rows: the stack rows still iterating, once a trial has left
     for _ in range(max_iterations):
         if any(map(le, rr, tol2)):
@@ -506,18 +529,17 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     cg_floor = 1e-2 * TOL_FEASIBILITY
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
         grad_norm = point.residual
-        hessian = point.hessian(metric, [min(1e-2, g) for g in grad_norm])
+        mu = [min(1e-2, g) for g in grad_norm]
         cg_tol = [max(min(0.1, g) * g, cg_floor) for g in grad_norm]
-        direction = _conjugate_gradient(hessian, -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
+        direction = _conjugate_gradient(partial(point.hessian, metric, mu), -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
         point, step = _line_search(arr, point, direction, metric)
         done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, step)]
         if not any(done):
             continue
-        for row in np.flatnonzero(done):
-            primal = 0.5 * _metric_norm2(arr[row] - point.z[row], metric)
-            dual = 0.5 * _metric_norm2(arr[row], metric) - point.theta[row]
-            diagnostics = ProjectionDiagnostics(iterations, point.residual[row], True, primal - dual)
-            results[live[row]] = (point.z[row], diagnostics)
+        primal = 0.5 * _metric_norm2(arr - point.z, metric)
+        dual = 0.5 * _metric_norm2(arr, metric) - np.array(point.theta)
+        for row, gap in compress(enumerate((primal - dual).tolist()), done):
+            results[live[row]] = (point.z[row], ProjectionDiagnostics(iterations, point.residual[row], True, gap))
         if all(done):
             break
         keep = np.logical_not(done)

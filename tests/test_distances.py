@@ -342,6 +342,21 @@ def test_exact_prunes_most_subsets(monkeypatch):
     assert sum(evaluated) == sum(formed.values()) and max(formed.values()) <= 2047 // 10
 
 
+def test_exact_eigensolves_a_chunk_of_at_most_63_subsets_whole(monkeypatch):
+    # below 64 subsets the trace bound costs more than the eigensolves it would skip: an ingest-like
+    # pair (computational d = 7 target, dav projection) solves its 63 subsets in one call, unbounded
+    evaluated = []
+    norms = distances._spectral_norms
+    monkeypatch.setattr(distances, "_bound_form", lambda deltas: pytest.fail("bounded a 63-subset chunk"))
+    monkeypatch.setattr(distances, "_spectral_norms", lambda stack: evaluated.append(len(stack)) or norms(stack))
+    target, ensemble = computational_povm(7), build_ensemble({"kind": "mub", "dim": 7})
+    estimates = [project_onto_povms(lse_estimate(simulate_shots(target, ensemble, 5000, seed), ensemble), "dav")[0]
+                 for seed in range(3)]
+    reports = d_op_exact(target, estimates)
+    assert evaluated == [3 * 63]
+    assert reports == [gray_code_d_op(target, f) for f in estimates]
+
+
 def test_exact_rejects_non_finite_effects():
     base = random_povm(3, 4, 189).elements
     for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
