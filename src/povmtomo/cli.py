@@ -157,6 +157,11 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
     report dict. Ingested counts must carry the config's ensemble hash and
     match the ensemble and the target in shape; both are checked before any work.
     """
+    return _reconstruct(config, counts_path)[0]
+
+
+def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dict, str]:
+    """:func:`run_reconstruction`'s report and the JSON text of ``report.json``."""
     target, ensemble = config.build()
     if counts_path is None:
         table = _simulate_counts(config, target, ensemble)
@@ -201,11 +206,11 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
             target.dim, target.outcomes, config.epsilon, config.delta, ensemble.n_qubits
         ),
     }
-    dump(report, _output(config.out_dir, "report.json"))
-    return report
+    return report, dump(report, _output(config.out_dir, "report.json"))
 
 
-#: Raw complex entries (trials x L x d^2) of one stacked projection in ``run_scaling``.
+#: Bound on the raw complex entries (trials x L x d^2) and on the count cells (trials x M x L)
+#: of one stack in ``run_scaling``.
 SCALING_STACK_ELEMENTS = 1 << 18
 
 
@@ -215,12 +220,13 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     Trial t at shot count N uses the derived stream (seed, index(N), t), so
     the study is reproducible and trials are independent. The trials run in
     consecutive stacks of at most :data:`SCALING_STACK_ELEMENTS` raw entries
-    (at least one trial each): every trial of a stack is simulated on its
-    own, then the stack is estimated by one ``lse_estimate`` call, projected
-    by one ``project_onto_povms`` call and measured against the target by
-    one ``d_op_exact`` and one ``d_av`` call. Stacking changes no estimate
-    and no distance. Medians per N feed a least-squares line in
-    log space; slopes near -1/2 reflect the shot-noise-limited regime.
+    and as many count cells (at least one trial each): every trial of a stack
+    is simulated on its own, then the stack is estimated by one
+    ``lse_estimate`` call, projected by one ``project_onto_povms`` call and
+    measured against the target by one ``d_op_exact`` and one ``d_av`` call.
+    Stacking changes no estimate and no distance. Medians per N feed a
+    least-squares line in log space; slopes near -1/2 reflect the
+    shot-noise-limited regime.
     Returns the rows (N, trial, d_op, d_av, runtime_ms) of ``scaling.csv``
     and the ``scaling_report.json`` document. A row's ``runtime_ms`` is its
     trial's own simulate time plus an equal share of the stacked LSE,
@@ -238,7 +244,7 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
             f"{distances.MAX_EXACT_OUTCOMES} outcomes; the target has {target.outcomes}"
         )
     jobs = [(n_index, n_shots, trial) for n_index, n_shots in enumerate(n_list) for trial in range(trials)]
-    per_stack = max(1, SCALING_STACK_ELEMENTS // (target.outcomes * target.dim**2))
+    per_stack = max(1, SCALING_STACK_ELEMENTS // (target.outcomes * max(target.dim**2, ensemble.size)))
     rows = []
     for first in range(0, len(jobs), per_stack):
         stack = jobs[first:first + per_stack]
@@ -272,7 +278,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     config = load_config(args.config, vars(args))
-    sys.stdout.write(dump(run_reconstruction(config, counts_path=args.from_counts)))
+    sys.stdout.write(_reconstruct(config, args.from_counts)[1])
     return 0
 
 

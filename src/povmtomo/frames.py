@@ -128,12 +128,9 @@ def mub_states(d: int) -> np.ndarray:
     if d == 2:
         return PAULI6_BASE.copy()
     omega = np.exp(2j * np.pi / d)
-    ell = np.arange(d)
-    states = [np.eye(d, dtype=complex)[k] for k in range(d)]
-    for a in range(d):
-        for b in range(d):
-            states.append(omega ** ((a * ell * ell + b * ell) % d) / np.sqrt(d))
-    return np.array(states)
+    a, b, ell = np.ix_(range(d), range(d), range(d))
+    phases = omega ** ((a * ell * ell + b * ell) % d) / np.sqrt(d)  # row (a, b) is basis a's state b
+    return np.concatenate([np.eye(d, dtype=complex), phases.reshape(d * d, d)])
 
 
 def pauli6_product(n_qubits: int) -> ProbeEnsemble:

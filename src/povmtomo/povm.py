@@ -152,7 +152,7 @@ def computational_povm(d: int) -> Povm:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     eye = np.eye(d, dtype=complex)
-    return Povm(np.array([np.outer(eye[j], eye[j]) for j in range(d)]))
+    return Povm(eye[:, :, None] * eye[:, None, :])
 
 
 def rotated_povm(u) -> Povm:
@@ -187,7 +187,7 @@ def random_povm(d: int, n_outcomes: int, seed) -> Povm:
     rng = make_rng(seed)
     v = haar_isometry(d * n_outcomes, d, rng)
     blocks = v.reshape(n_outcomes, d, d)
-    return Povm(np.einsum("jak,jal->jkl", blocks.conj(), blocks))
+    return Povm(blocks.conj().swapaxes(1, 2) @ blocks)
 
 
 def packing_op_povm(u, epsilon: float, n_flat: int) -> Povm:
@@ -303,12 +303,41 @@ def measurement_channel(ideal: Povm, estimated: Povm) -> np.ndarray:
 
 def _povm_file_template(n_outcomes: int, d: int) -> str:
     """The text of ``json.dump(doc, sort_keys=True, indent=2)`` plus a newline, with
-    ``%d`` for ``dim`` and ``outcomes`` and ``%r`` for each float of ``elements``."""
-    pair = "        [\n          %r,\n          %r\n        ]"
+    ``%d`` for ``dim`` and ``outcomes`` and ``%s`` for each float of ``elements``."""
+    pair = "        [\n          %s,\n          %s\n        ]"
     row = "      [\n" + ",\n".join([pair] * d) + "\n      ]"
     matrix = "    [\n" + ",\n".join([row] * d) + "\n    ]"
     elements = "[\n" + ",\n".join([matrix] * n_outcomes) + "\n  ]"
     return '{\n  "dim": %d,\n  "elements": ' + elements + ',\n  "outcomes": %d\n}\n'
+
+
+#: The bits that conjugation flips in an entry's float64 [re, im] pair: the sign of im.
+_CONJUGATE_BITS = np.array([0, np.iinfo(np.int64).min])
+_repr = np.frompyfunc(float.__repr__, 1, 1)
+_negated = np.frompyfunc(lambda text: text[1:] if text[0] == "-" else "-" + text, 1, 1)
+
+
+def _element_values(arr: np.ndarray) -> list:
+    """The floats of an (L, d, d) stack's [re, im] pairs in file order, each as ``%s`` writes it.
+
+    A stack whose entry below the diagonal is bitwise the conjugate of its mirror above it
+    (the sign of a zero counts) is the ``repr`` of each float on and above the diagonal once:
+    an entry below reuses its mirror's real string and its mirror's imaginary string with
+    the leading ``-`` toggled. Any other stack is its floats, of which ``%s`` writes the repr.
+    """
+    parts = np.stack([arr.real, arr.imag], axis=-1)
+    rows, cols = np.triu_indices(arr.shape[1], 1)
+    bits = parts.view(np.int64)
+    if not np.array_equal(bits[:, cols, rows], bits[:, rows, cols] ^ _CONJUGATE_BITS):
+        return parts.ravel().tolist()
+    strings = np.empty(parts.shape, dtype=object)
+    diagonal = np.arange(arr.shape[1])
+    strings[:, diagonal, diagonal] = _repr(parts[:, diagonal, diagonal])
+    upper = _repr(parts[:, rows, cols])
+    strings[:, rows, cols] = upper
+    strings[:, cols, rows, 0] = upper[..., 0]
+    strings[:, cols, rows, 1] = _negated(upper[..., 1])
+    return strings.ravel().tolist()
 
 
 def save_povm(povm, path) -> None:
@@ -316,14 +345,13 @@ def save_povm(povm, path) -> None:
 
     The file is ``json.dump(..., sort_keys=True, indent=2)`` of ``dim``,
     ``elements`` (nested ``[re, im]`` pairs) and ``outcomes``, byte for byte;
-    ``%r`` of a finite float is the shortest round-trip repr that ``json``
+    the repr of a finite float is the shortest round-trip form that ``json``
     writes, and :func:`_as_element_stack` rejects non-finite entries.
     """
     arr = _as_element_stack(povm)
     n_outcomes, d, _ = arr.shape
-    values = np.stack([arr.real, arr.imag], axis=-1).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write(_povm_file_template(n_outcomes, d) % (d, *values, n_outcomes))
+        fh.write(_povm_file_template(n_outcomes, d) % (d, *_element_values(arr), n_outcomes))
 
 
 def read_povm_file(path) -> np.ndarray:

@@ -676,20 +676,25 @@ def spec_hash(spec: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+#: Rows that ``save_counts`` formats and writes in one piece.
+COUNTS_CHUNK_ROWS = 8192
+
+
 def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) -> None:
     """Write counts as CSV plus a `<path>.meta.json` sidecar.
 
     The CSV has header ``state_index,outcome_index,count`` and one row per
-    nonzero cell in row-major order, with CRLF line ends; the sidecar
-    records M, L, N and, when given, the ensemble spec and its hash so
-    ingestion can verify compatibility.
+    nonzero cell in row-major order, with CRLF line ends, formatted in chunks
+    of :data:`COUNTS_CHUNK_ROWS` rows; the sidecar records M, L, N and, when
+    given, the ensemble spec and its hash so ingestion can verify compatibility.
     """
     path = str(path)
     states, outcomes = np.nonzero(table.counts)
     rows = np.stack([states, outcomes, table.counts[states, outcomes]], axis=1)
     with open(path, "wb") as fh:
         fh.write(b"state_index,outcome_index,count\r\n")
-        fh.write(b"%d,%d,%d\r\n" * len(rows) % tuple(rows.ravel().tolist()))
+        for chunk in np.split(rows, range(COUNTS_CHUNK_ROWS, len(rows), COUNTS_CHUNK_ROWS)):
+            fh.write(b"%d,%d,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
     meta = {
         "n_states": table.n_states,
         "n_outcomes": table.n_outcomes,

@@ -66,6 +66,15 @@ def test_reconstruct_outputs_and_determinism(tmp_path):
         assert (run_dir / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 
 
+def test_reconstruct_stdout_is_the_report_file(tmp_path, capsys):
+    path = write_config(tmp_path)
+    capsys.readouterr()
+    for extra in ([], ["--from-counts", str(tmp_path / "run" / "counts.csv"), "--out", str(tmp_path / "ingest")]):
+        assert cli.main(["reconstruct", "--config", str(path), *extra]) == 0
+        out_dir = Path(extra[-1]) if extra else tmp_path / "run"
+        assert capsys.readouterr().out.encode() == (out_dir / "report.json").read_bytes()
+
+
 def test_reconstruct_from_counts_and_hash_check(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["reconstruct", "--config", str(path)]) == 0
@@ -177,6 +186,17 @@ def test_stacked_scaling_equals_one_trial_per_stack(tmp_path, monkeypatch, metri
         outputs[name] = rows, (out / "scaling_report.json").read_bytes()
     assert calls == [15] + [1] * 15
     assert outputs["stacked"] == outputs["one"]
+
+
+def test_scaling_stacks_are_bounded_by_count_cells(tmp_path, monkeypatch):
+    # Pauli-6 n = 2 with L = 4: a trial holds 4 x 16 = 64 raw entries and 36 x 4 = 144 count cells
+    target = {"povm": {"kind": "computational", "dim": 4}, "ensemble": {"kind": "pauli6_product", "n_qubits": 2}}
+    config = load_config(write_config(tmp_path, **target))
+    calls, project = [], cli.project_onto_povms
+    monkeypatch.setattr(cli, "project_onto_povms", lambda raws, *args: calls.append(len(raws)) or project(raws, *args))
+    monkeypatch.setattr(cli, "SCALING_STACK_ELEMENTS", 600)
+    run_scaling(config, [500, 2000, 8000], 5)
+    assert calls == [4, 4, 4, 3]
 
 
 def test_seed_and_shot_overrides(tmp_path):

@@ -44,6 +44,19 @@ def test_sic_qubit_overlaps():
         assert value == pytest.approx(1 / 3, abs=1e-12)
 
 
+def test_mub_states_equal_the_loop_form_bit_for_bit():
+    # the broadcast phases against the row-by-row construction, compared as float bits
+    for d in (2, 3, 5, 7, 11, 13):
+        omega = np.exp(2j * np.pi / d)
+        ell = np.arange(d)
+        rows = [np.eye(d, dtype=complex)[k] for k in range(d)]
+        rows += [omega ** ((a * ell * ell + b * ell) % d) / np.sqrt(d) for a in range(d) for b in range(d)]
+        expected = frames.PAULI6_BASE if d == 2 else np.array(rows)
+        states = frames.mub_states(d)
+        assert states.shape == expected.shape == (d * (d + 1), d)
+        assert np.array_equal(states.view(np.int64), expected.view(np.int64))
+
+
 def test_mub_requires_prime():
     with pytest.raises(ValueError):
         frames.mub_ensemble(4)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from povmtomo import distances, povm
+from povmtomo._rng import haar_isometry, make_rng
 from povmtomo.packing_lab import haar_unitary
 from oracles import dense_measurement_channel, json_save_povm, pauli_strings
 
@@ -14,6 +15,24 @@ def test_computational_povm():
     assert report.ok
     assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
     assert report.completeness_residual == pytest.approx(0.0, abs=1e-12)
+
+
+def test_computational_povm_equals_the_outer_products_bit_for_bit():
+    for d in range(1, 14):
+        eye = np.eye(d, dtype=complex)
+        expected = povm.Povm(np.array([np.outer(eye[j], eye[j]) for j in range(d)])).elements
+        assert np.array_equal(povm.computational_povm(d).elements.view(np.int64), expected.view(np.int64))
+
+
+def test_random_povm_equals_the_einsum_form_within_a_few_ulps():
+    # the batched matmul and einsum sum each entry in another order: both are exact
+    # Hermitian parts of the same products, a few ulps of the unit scale apart
+    for d, n_outcomes, seed in [(1, 2, 0), (2, 3, 70), (3, 12, 4), (7, 4, 1), (16, 4, 1), (32, 5, 9)]:
+        blocks = haar_isometry(d * n_outcomes, d, make_rng(seed)).reshape(n_outcomes, d, d)
+        expected = povm.Povm(np.einsum("jak,jal->jkl", blocks.conj(), blocks)).elements
+        target = povm.random_povm(d, n_outcomes, seed)
+        assert np.abs(target.elements - expected).max() <= 4 * np.finfo(float).eps
+        assert povm.validate(target).ok
 
 
 def test_validate_rejects_bad_candidate():
@@ -242,6 +261,12 @@ SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e2
                   0.1, 1e-7, 1.7976931348623157e308, 123456789012345678.0)
 
 
+def _hermitian_file_values(candidate) -> bool:
+    """Whether ``save_povm`` writes the strings of a bitwise-Hermitian stack rather than its floats."""
+    values = povm._element_values(povm._as_element_stack(candidate))
+    return not any(isinstance(value, float) for value in values)
+
+
 @settings(max_examples=60)
 @given(
     n_outcomes=st.integers(1, 6),
@@ -249,20 +274,57 @@ SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 1e2
     seed=st.integers(0, 2**32 - 1),
     exponent=st.integers(-30, 30),
     specials=st.lists(st.tuples(st.integers(0, 2**20), st.sampled_from(SPECIAL_FLOATS)), max_size=16),
+    hermitian=st.booleans(),
 )
-@example(n_outcomes=1, d=1, seed=0, exponent=0, specials=[(0, -0.0), (1, 5e-324)])
-@example(n_outcomes=6, d=8, seed=1, exponent=0, specials=list(enumerate(SPECIAL_FLOATS)))
-def test_povm_file_matches_json_dump(tmp_path_factory, n_outcomes, d, seed, exponent, specials):
+@example(n_outcomes=1, d=1, seed=0, exponent=0, specials=[(0, -0.0), (1, 5e-324)], hermitian=False)
+@example(n_outcomes=6, d=8, seed=1, exponent=0, specials=list(enumerate(SPECIAL_FLOATS)), hermitian=False)
+@example(n_outcomes=1, d=1, seed=0, exponent=0, specials=[(0, 1.7976931348623157e308), (1, -0.0)], hermitian=True)
+@example(n_outcomes=6, d=8, seed=1, exponent=0, specials=list(enumerate(SPECIAL_FLOATS)), hermitian=True)
+@example(n_outcomes=2, d=3, seed=2, exponent=0,  # +-0.0, +-5e-324 and the largest float on and above the diagonal
+         specials=[(0, -0.0), (3, 0.0), (4, -0.0), (5, 5e-324), (10, -5e-324), (11, 1.7976931348623157e308),
+                   (21, -0.0)],
+         hermitian=True)
+def test_povm_file_matches_json_dump(tmp_path_factory, n_outcomes, d, seed, exponent, specials, hermitian):
     values = np.random.default_rng(seed).normal(size=2 * n_outcomes * d * d) * 10.0**exponent
     for position, value in specials:
         values[position % values.size] = value
     stack = values[0::2] + 1j * values[1::2]
     stack = stack.reshape(n_outcomes, d, d)
+    candidates = [stack]
+    if hermitian:  # a real diagonal, and each entry below it the bitwise conjugate of its mirror
+        rows, cols = np.triu_indices(d, 1)
+        stack[:, cols, rows] = stack[:, rows, cols].conj()
+        stack[:, range(d), range(d)] = stack[:, range(d), range(d)].real
+        if np.abs(values).max() <= 1e307:  # RawEstimate's exact Hermitian part doubles each entry
+            candidates.append(povm.RawEstimate(stack))
+    target = povm.random_povm(d, max(n_outcomes, 2), seed)
+    candidates.append(target)
     folder = tmp_path_factory.mktemp("povm")
-    povm.save_povm(stack, folder / "template.json")
-    json_save_povm(stack, folder / "json.json")
-    assert (folder / "template.json").read_bytes() == (folder / "json.json").read_bytes()
-    assert np.array_equal(povm.read_povm_file(folder / "template.json"), stack)
+    for candidate in candidates:
+        povm.save_povm(candidate, folder / "template.json")
+        json_save_povm(candidate, folder / "json.json")
+        assert (folder / "template.json").read_bytes() == (folder / "json.json").read_bytes()
+        assert np.array_equal(povm.read_povm_file(folder / "template.json"), povm._as_element_stack(candidate))
+    # a RawEstimate's exact Hermitian part may give a zero imaginary part the same sign on both sides
+    assert _hermitian_file_values(stack) == (hermitian or d == 1)
+    assert _hermitian_file_values(target)
+
+
+def test_povm_file_of_a_stack_hermitian_but_for_one_bit(tmp_path):
+    rng = np.random.default_rng(3)
+    stack = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+    stack[0, 0, 1] = 0.25  # a real entry, whose mirror's imaginary part is -0.0
+    rows, cols = np.triu_indices(4, 1)
+    stack[:, cols, rows] = stack[:, rows, cols].conj()
+    assert _hermitian_file_values(stack)
+    # (effect, row, column, re or im) below the diagonal, and the bit of its float64 to flip
+    for entry, bit in [((0, 1, 0, 1), 63), ((0, 1, 0, 0), 0), ((1, 3, 2, 1), 0), ((1, 3, 2, 0), 63)]:
+        broken = stack.copy()
+        broken.view(np.uint64).reshape(2, 4, 4, 2)[entry] ^= np.uint64(1 << bit)
+        assert not _hermitian_file_values(broken)
+        povm.save_povm(broken, tmp_path / "template.json")
+        json_save_povm(broken, tmp_path / "json.json")
+        assert (tmp_path / "template.json").read_bytes() == (tmp_path / "json.json").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])

@@ -794,6 +794,10 @@ def test_counts_roundtrip(tmp_path):
 @example(n_states=1, n_outcomes=1, cells=[(0, 7)], with_spec=False)  # a single-row table
 @example(n_states=5, n_outcomes=3, cells=[(14, 2)], with_spec=True)  # the last cell only
 @example(n_states=150_000, n_outcomes=4, cells=[(400_000, 3), (599_999, 10**9), (123_457, 1)], with_spec=True)
+@example(n_states=9_000, n_outcomes=3, cells=[(k, 1 + k % 7) for k in range(3 * tomography.COUNTS_CHUNK_ROWS + 1)],
+         with_spec=True)  # four chunks of rows, the last of one row
+@example(n_states=2 * tomography.COUNTS_CHUNK_ROWS, n_outcomes=5,  # two whole chunks
+         cells=[(5 * k + k % 5, k + 1) for k in range(2 * tomography.COUNTS_CHUNK_ROWS)], with_spec=False)
 def test_counts_file_matches_csv_writer(tmp_path_factory, n_states, n_outcomes, cells, with_spec):
     counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
     for position, count in cells:
