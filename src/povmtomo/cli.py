@@ -30,6 +30,7 @@ from .tomography import (
     bernstein_diagnostics,
     lse_estimate,
     load_counts,
+    load_counts_meta,
     project_onto_povms,
     sample_size,
     save_counts,
@@ -166,7 +167,7 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
     if counts_path is None:
         table = _simulate_counts(config, target, ensemble)
     else:
-        table, meta = load_counts(counts_path)
+        meta = load_counts_meta(counts_path)  # checked before the CSV is read into a table
         expected = spec_hash(config.ensemble_spec)
         recorded = meta["ensemble_spec_sha256"]
         if not isinstance(recorded, str):
@@ -176,14 +177,15 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
                 "counts file was produced for a different ensemble spec "
                 f"(sidecar hash {recorded[:12]}..., config hash {expected[:12]}...)"
             )
-        if table.n_states != ensemble.size:
+        if meta["n_states"] != ensemble.size:
             raise ValueError(
-                f"counts table has {table.n_states} states, ensemble has {ensemble.size}"
+                f"counts table has {meta['n_states']} states, ensemble has {ensemble.size}"
             )
-        if table.n_outcomes != target.outcomes:
+        if meta["n_outcomes"] != target.outcomes:
             raise ValueError(
-                f"counts table has {table.n_outcomes} outcomes, target POVM has {target.outcomes}"
+                f"counts table has {meta['n_outcomes']} outcomes, target POVM has {target.outcomes}"
             )
+        table, _ = load_counts(counts_path)
 
     raw = lse_estimate(table, ensemble)
     estimated, diagnostics = project_onto_povms(raw, config.metric)

@@ -179,25 +179,35 @@ def build_ensemble(spec: dict) -> ProbeEnsemble:
     return build("ensemble spec", spec, KINDS)
 
 
+def _mode_products(out: np.ndarray, matrix: np.ndarray, n: int, lead: int) -> np.ndarray:
+    """Contract the n axes after the first ``lead`` of ``out`` with ``matrix``, first axis first.
+
+    Each mode product moves its axis to the end and is one matmul: one GEMM
+    per index of the first ``lead - 1`` axes, over the flattening of all the
+    others. The new axes come out last, in order.
+    """
+    inner, outer = matrix.shape
+    for _ in range(n):
+        out = out.transpose(*range(lead), *range(lead + 1, out.ndim), lead)
+        out = np.matmul(out.reshape(*out.shape[:lead - 1], -1, inner), matrix).reshape(out.shape[:-1] + (outer,))
+    return out
+
+
 def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:
     """``sum_i w[..., j, i] (x)_k factors[i_k]`` for every row j of an (..., L, m^n) array.
 
     The flat index i enumerates multi-indices (i_1, ..., i_n) with the first
     factor most significant, as :func:`numpy.unravel_index` does, and
     the Kronecker product puts the first factor first, as
-    :func:`frame_operator` does. Runs n matmuls, each one GEMM per (L, m^n)
-    slice of a leading stack, of the shape that slice alone gives: BLAS
-    picks its kernel and threads by shape, so each slice sums as it would
-    alone. Returns (..., L, q^n, q^n).
+    :func:`frame_operator` does. Runs n mode products (:func:`_mode_products`),
+    each one GEMM per (L, m^n) slice of a leading stack, of the shape that
+    slice alone gives: BLAS picks its kernel and threads by shape, so each
+    slice sums as it would alone. Returns (..., L, q^n, q^n).
     """
     m, q, _ = factors.shape
     *stack, rows, _ = np.shape(weights)
     lead = len(stack) + 1
-    flat = factors.reshape(m, q * q)
-    out = np.reshape(weights, (*stack, rows) + (m,) * n)
-    for _ in range(n):  # contract i_k; axes become (..., rows, i_k+1.., a_1 b_1, .., a_k b_k)
-        out = out.transpose(*range(lead), *range(lead + 1, out.ndim), lead)
-        out = np.matmul(out.reshape(*stack, -1, m), flat).reshape(out.shape[:-1] + (q * q,))
+    out = _mode_products(np.reshape(weights, (*stack, rows) + (m,) * n), factors.reshape(m, q * q), n, lead)
     out = out.reshape(*stack, rows, *(q,) * (2 * n))  # axes (..., rows, a_1, b_1, .., a_n, b_n)
     order = (*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2))
     return out.transpose(order).reshape(*stack, rows, q**n, q**n)
@@ -206,14 +216,16 @@ def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:
 def frame_traces(operators, factors: np.ndarray, n: int) -> np.ndarray:
     """``tr(A_j (x)_k factors[i_k])`` for every A_j of an (L, q^n, q^n) stack.
 
-    The transpose of :func:`frame_sum`, with the same index order. Operators
-    and factors are Hermitian, so the traces are real; returns (L, m^n).
+    The transpose of :func:`frame_sum`, with the same index order and the
+    same mode products, here over the (a_k, b_k) pairs of all rows at once
+    against the (q^2, m) matrix of the transposed factors. Operators and
+    factors are Hermitian, so the traces are real; returns (L, m^n).
     """
     m, q, _ = factors.shape
     rows = operators.shape[0]
-    out = np.reshape(operators, (rows,) + (q,) * (2 * n))
-    for k in range(n):  # contract (a_k, b_k); axes become (rows, a_k+1.., b_k+1.., i_1, .., i_k)
-        out = np.tensordot(out, factors, axes=([1, 1 + n - k], [2, 1]))
+    order = (0, *(axis for k in range(1, n + 1) for axis in (k, n + k)))  # axes (rows, a_1, b_1, .., a_n, b_n)
+    pairs = np.reshape(operators, (rows,) + (q,) * (2 * n)).transpose(order).reshape((rows,) + (q * q,) * n)
+    out = _mode_products(pairs, factors.transpose(2, 1, 0).reshape(q * q, m), n, 1)
     return out.reshape(rows, m**n).real
 
 

@@ -232,13 +232,6 @@ def _scales(values: list):
     return np.array(values, dtype=complex).reshape(-1, 1, 1)
 
 
-def _ratios(numerators: list, denominators: list):
-    """The scales (as :func:`_scales`) numerator_t / denominator_t."""
-    if len(numerators) == 1:
-        return numerators[0] / denominators[0]
-    return _scales(list(map(truediv, numerators, denominators)))
-
-
 class _DualPoint:
     """The dual function of each trial t of a (T, L, d, d) stack at its own Lambda_t:
     theta(Lambda) = 1/2 sum_j ||Z_j||_G^2 + tr Lambda.
@@ -295,23 +288,21 @@ class _DualPoint:
         bottom k = d - min_j m_j with 1 - Omega, whose active block vanishes,
         in ``Y - Q((1 - Omega) o Q* Y Q)Q*``. The trials that share a branch
         and a k form one :class:`_HessianGroup`, so each trial's product uses
-        exactly its own k columns; a stack of several groups is a :class:`_Hessian`.
+        exactly its own k columns. Returns a (stack rows, builder) pair per group;
+        ``builder()`` makes its map, from the stack's fields if it holds every trial.
         """
         active = self.clipped > 0
         ranks = active.sum(axis=-1)
         d = self.eigenvalues.shape[-1]
         members = {}
-        for trial, (high, low) in enumerate(zip(ranks.max(axis=1).tolist(), (d - ranks.min(axis=1)).tolist())):
+        for trial, counts in enumerate(ranks.tolist()):
+            high, low = max(counts), d - min(counts)
             top = high <= low  # eigenvalues ascend, so the active ones are on top
             members.setdefault((top, high if top else low), []).append(trial)
         fields = (self.eigenvectors, self.q_adjoint, self.eigenvalues, self.clipped, active, ranks)
-        if len(members) == 1:
-            ((top, k),) = members
-            return _HessianGroup(*fields, top, k, metric, _scales(mu))
-        return _Hessian([
-            (rows, _HessianGroup(*(a[rows] for a in fields), top, k, metric, _scales([mu[t] for t in rows])))
-            for (top, k), rows in members.items()
-        ])
+        return [(rows, partial(_HessianGroup, *(fields if len(members) == 1 else (a[rows] for a in fields)),
+                               top, k, metric, _scales([mu[t] for t in rows])))
+                for (top, k), rows in members.items()]
 
 
 class _HessianGroup:
@@ -366,29 +357,6 @@ class _HessianGroup:
         return out
 
 
-class _Hessian:
-    """The Newton map of a stack whose trials form several groups: (stack rows, group) pairs."""
-
-    def __init__(self, groups):
-        self.groups = groups
-
-    def take(self, keep: np.ndarray):
-        """The map of the trials a boolean mask over the stack keeps."""
-        new_rows = np.cumsum(keep) - 1
-        groups = []
-        for rows, group in self.groups:
-            kept = keep[rows]
-            if kept.any():
-                groups.append((new_rows[rows][kept], group.take(kept)))
-        return groups[0][1] if len(groups) == 1 else _Hessian(groups)
-
-    def __call__(self, h: np.ndarray) -> np.ndarray:
-        out = np.empty_like(h)
-        for rows, group in self.groups:
-            out[rows] = group(h[rows])
-        return out
-
-
 def _conjugate_gradient(build, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
     """Solve apply(x) = rhs for each trial of a (T, d, d) stack, to ||residual_t||_F <= tol_t.
 
@@ -417,11 +385,11 @@ def _conjugate_gradient(build, rhs: np.ndarray, tol: list, max_iterations: int) 
             x, r, p, rows, apply = x[keep], r[keep], p[keep], rows[keep], apply.take(keep)
             rr, tol2 = list(compress(rr, keep)), list(compress(tol2, keep))
         ap = apply(p)
-        alpha = _ratios(rr, _dots(p, ap))
+        alpha = _scales(list(map(truediv, rr, _dots(p, ap))))
         x += alpha * p
         r -= alpha * ap
         rr, rr_old = _dots(r, r), rr
-        p = r + _ratios(rr, rr_old) * p
+        p = r + _scales(list(map(truediv, rr, rr_old))) * p
     if x is not solution:
         solution[rows] = x
     return solution
@@ -493,9 +461,10 @@ def project_onto_povms(raw, metric: str = "frobenius"):
 
     ``raw`` is one estimate (a ``RawEstimate``, ``Povm`` or (L, d, d)
     array), or a list of same-shape estimates. A list is solved as one
-    (T, L, d, d) stack: each Newton step makes one stacked ``eigh``, each CG
-    iteration one Hessian product per group of trials that share its branch
-    and k, and each line-search halving one evaluation of the trials still
+    (T, L, d, d) stack: each Newton step makes one stacked ``eigh`` and runs
+    one CG solve per group of trials that share a branch and a k, each CG
+    iteration one Hessian product over the group's trials still iterating,
+    and each line-search halving one evaluation of the trials still
     searching. Every trial keeps its own dual, CG scalars, step size and
     stopping test and leaves the stack once it stops, so its result is bit
     for bit the one it gets on its own; one estimate is a stack of one.
@@ -531,7 +500,14 @@ def project_onto_povms(raw, metric: str = "frobenius"):
         grad_norm = point.residual
         mu = [min(1e-2, g) for g in grad_norm]
         cg_tol = [max(min(0.1, g) * g, cg_floor) for g in grad_norm]
-        direction = _conjugate_gradient(partial(point.hessian, metric, mu), -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
+        groups = point.hessian(metric, mu)
+        if len(groups) == 1:  # the whole stack: nothing to gather or scatter
+            direction = _conjugate_gradient(groups[0][1], -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
+        else:
+            direction = np.empty_like(point.gradient)
+            for rows, build in groups:
+                direction[rows] = _conjugate_gradient(build, -point.gradient[rows], [cg_tol[t] for t in rows],
+                                                      _CG_MAX_ITERATIONS)
         point, step = _line_search(arr, point, direction, metric)
         done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, step)]
         if not any(done):
@@ -554,12 +530,8 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     if not isinstance(raw, list):
         return povms[0], results[0][1]
     solo = [diagnostics for _, diagnostics in results]
-    return povms, ProjectionDiagnostics(
-        iterations,
-        max(diagnostics.final_residual for diagnostics in solo),
-        True,
-        max((diagnostics.duality_gap for diagnostics in solo), key=abs),
-    )
+    gap = max((diagnostics.duality_gap for diagnostics in solo), key=abs)
+    return povms, ProjectionDiagnostics(iterations, max(diagnostics.final_residual for diagnostics in solo), True, gap)
 
 
 def _sqrt(x):
@@ -695,11 +667,7 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
         fh.write(b"state_index,outcome_index,count\r\n")
         for chunk in np.split(rows, range(COUNTS_CHUNK_ROWS, len(rows), COUNTS_CHUNK_ROWS)):
             fh.write(b"%d,%d,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
-    meta = {
-        "n_states": table.n_states,
-        "n_outcomes": table.n_outcomes,
-        "n_shots": table.n_shots,
-    }
+    meta = {"n_states": table.n_states, "n_outcomes": table.n_outcomes, "n_shots": table.n_shots}
     if ensemble_spec is not None:
         meta["ensemble_spec"] = ensemble_spec
         meta["ensemble_spec_sha256"] = spec_hash(ensemble_spec)
@@ -718,15 +686,19 @@ _SIDECAR_SCHEMA = {"n_states": _size, "n_outcomes": _size, "n_shots": _size,
 _SIDECAR_DEFAULTS = {"ensemble_spec": None, "ensemble_spec_sha256": None}
 
 
-def load_counts(path) -> tuple[FrequencyTable, dict]:
-    """Read a counts CSV and its sidecar; returns (table, metadata).
+def load_counts_meta(path) -> dict:
+    """Read the sidecar of the counts CSV ``path`` against :data:`_SIDECAR_SCHEMA`, without the CSV."""
+    with open(str(path) + ".meta.json") as fh:
+        return read("counts sidecar", json.load(fh), _SIDECAR_SCHEMA, _SIDECAR_DEFAULTS)
 
-    The sidecar is read against :data:`_SIDECAR_SCHEMA`. Repeated cells add up; a negative count is rejected
-    before it can cancel one, and a count above ``n_shots`` or rows that do not sum to it before they are added.
+
+def load_counts(path) -> tuple[FrequencyTable, dict]:
+    """Read a counts CSV and its sidecar (:func:`load_counts_meta`); returns (table, metadata).
+
+    Repeated cells add up; a negative count is rejected before it can cancel one,
+    and a count above ``n_shots`` or rows that do not sum to it before they are added.
     """
-    path = str(path)
-    with open(path + ".meta.json") as fh:
-        meta = read("counts sidecar", json.load(fh), _SIDECAR_SCHEMA, _SIDECAR_DEFAULTS)
+    meta = load_counts_meta(path)
     n_states, n_outcomes, n_shots = meta["n_states"], meta["n_outcomes"], meta["n_shots"]
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")

@@ -154,6 +154,20 @@ def product_state(ensemble, index):
     return psi
 
 
+def tensordot_frame_traces(operators, factors, n):
+    """Bit reference for ``frames.frame_traces``: one ``np.tensordot`` per factor.
+
+    Each step contracts the leading (a_k, b_k) pair of every row against all m
+    factors, tr(A F_i) = sum_ab A_ab F_i,ba, and appends the index i_k last.
+    """
+    m, q, _ = factors.shape
+    rows = operators.shape[0]
+    out = np.reshape(operators, (rows,) + (q,) * (2 * n))
+    for k in range(n):  # axes become (rows, a_k+1.., b_k+1.., i_1, .., i_k)
+        out = np.tensordot(out, factors, axes=([1, 1 + n - k], [2, 1]))
+    return out.reshape(rows, m**n).real
+
+
 def stabilizer_states(n_qubits):
     """All pure stabilizer states on n qubits (a projective 2-design).
 

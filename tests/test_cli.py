@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,28 @@ def test_from_counts_requires_sidecar_hash(tmp_path, capsys):
     out = tmp_path / "ingest"
     code = cli.main(["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out", str(out)])
     assert "ensemble_spec_sha256" in _assert_rejected_before_work(code, capsys, out)
+
+
+def test_from_counts_rejects_a_sidecar_shape_before_allocating_the_table(tmp_path, capsys):
+    # the sidecar claims 4 * 10^6 states for the 6-state ensemble; its rows are valid, so only
+    # the sidecar check stops a dense (4 * 10^6, 2) table and its copy, 128 MB, from being built
+    path = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    counts = tmp_path / "run" / "counts.csv"
+    sidecar = counts.parent / "counts.csv.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_states": 4_000_000}))
+    out = tmp_path / "ingest"
+    argv = ["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out", str(out)]
+    assert cli.main(argv) == 1  # first-call imports and caches stay out of the peak
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "4000000 states" in _assert_rejected_before_work(code, capsys, out)
+    assert peak < 2**20
 
 
 def test_from_counts_rejects_outcome_mismatch(tmp_path, capsys):

@@ -1,5 +1,10 @@
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +266,42 @@ def test_frame_kernels_match_oracles(make_ensemble):
     expected = np.array([[np.trace(a @ nu).real for nu in nus] for a in ops])
     got = frames.frame_traces(ops, ensemble.dual_factors(), n)
     assert np.max(np.abs(got - expected)) < 1e-10
+
+
+# Run under a fixed BLAS thread count, which OpenBLAS reads once at start-up: every case whose
+# frame_traces differs in any bit from the tensordot form is printed.
+TRACES_VS_TENSORDOT = """
+import json
+import numpy as np
+from oracles import random_hermitian, tensordot_frame_traces
+from povmtomo import frames
+
+ensembles = [*(frames.pauli6_product(n) for n in (1, 3, 4)), frames.mub_ensemble(3), frames.mub_ensemble(7),
+             frames.sic_qubit_product(2)]
+rng = np.random.default_rng(7)
+differ = []
+for ensemble in ensembles:
+    for n_rows in (1, 4, 12):
+        operators = np.array([random_hermitian(ensemble.dim, rng) for _ in range(n_rows)])
+        for factors in (ensemble.projector_factors(), ensemble.dual_factors()):
+            got = frames.frame_traces(operators, factors, ensemble.n_factors)
+            if not np.array_equal(got, tensordot_frame_traces(operators, factors, ensemble.n_factors)):
+                differ.append([ensemble.kind, ensemble.dim, n_rows])
+print(json.dumps(differ))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_frame_traces_equal_the_tensordot_form_bit_for_bit(threads):
+    # frame_traces runs frame_sum's mode products; folding the rows into each GEMM keeps the
+    # tensordot form's bits (a (1, q^2) product per row took a matrix-vector kernel and did not)
+    tests = Path(__file__).resolve().parent
+    paths = [str(Path(frames.__file__).resolve().parents[1]), str(tests), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", TRACES_VS_TENSORDOT], cwd=tests, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 ADJOINT_ENSEMBLES = {

@@ -498,15 +498,15 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
     stacks = {}
     for raw in [*hard_projection_inputs(), *backtracking]:
         stacks.setdefault(raw.elements.shape, []).append(raw)
-    grouped, takes = [], []
-    hessian, take = tomography._Hessian, tomography._DualPoint.take
+    grouped, takes = [], []  # grouped: per Newton step, the groups whose map a CG solve built
+    hessian, take = tomography._DualPoint.hessian, tomography._DualPoint.take
 
-    class CountingHessian(hessian):
-        def __init__(self, groups):
-            grouped.append(len(groups))
-            super().__init__(groups)
+    def counting_hessian(self, *args):
+        built = []
+        grouped.append(built)
+        return [(rows, lambda build=build: built.append(1) or build()) for rows, build in hessian(self, *args)]
 
-    monkeypatch.setattr(tomography, "_Hessian", CountingHessian)
+    monkeypatch.setattr(tomography._DualPoint, "hessian", counting_hessian)
     monkeypatch.setattr(tomography._DualPoint, "take", lambda self, keep: takes.append(1) or take(self, keep))
     compactions = 0
     for raws in stacks.values():
@@ -520,7 +520,7 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
         assert diagnostics.final_residual == max(alone.final_residual for _, alone in solo) <= TOL_FEASIBILITY
         assert diagnostics.converged is True
         compactions += len(set(steps)) - 1  # a trial that stops before the last leaves the stack
-    assert max(grouped) >= 2  # a Hessian product over several (branch, k) groups
+    assert max(map(len, grouped)) >= 2  # a Newton step with Hessian products over several (branch, k) groups
     assert len(takes) > compactions  # a line search in which some trials accepted and others halved
 
 
@@ -580,8 +580,29 @@ def test_projection_hessian_matches_finite_differences(metric):
             eps = 1e-6
             plus = tomography._DualPoint(raw[None], (lam + eps * h)[None], metric).gradient[0]
             minus = tomography._DualPoint(raw[None], (lam - eps * h)[None], metric).gradient[0]
-            hessian = tomography._DualPoint(raw[None], lam[None], metric).hessian(metric, np.zeros(1))
-            np.testing.assert_allclose(hessian(h[None])[0], (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
+            ((_, build),) = tomography._DualPoint(raw[None], lam[None], metric).hessian(metric, [0.0])
+            np.testing.assert_allclose(build()(h[None])[0], (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_stacked_hessian_groups_match_each_trials_finite_differences(metric):
+    # a T = 2 stack whose trials take the top-k and the bottom-k product: each group's map,
+    # applied to its own stack rows, must give each trial the derivative of its own gradient
+    rng = np.random.default_rng(47)
+    d, n_outcomes, eps = 5, 3, 1e-6
+    raw = np.array([[random_hermitian(d, rng) + bias * np.eye(d) for _ in range(n_outcomes)] for bias in (0.8, -0.4)])
+    lam = np.array([random_hermitian(d, rng, 0.3) for _ in range(2)])
+    h = np.array([random_hermitian(d, rng) for _ in range(2)])
+    groups = tomography._DualPoint(raw, lam, metric).hessian(metric, [0.0, 0.0])
+    assert sorted(rows for rows, _ in groups) == [[0], [1]]
+    assert sorted((build().top, build().k > 0) for _, build in groups) == [(False, True), (True, True)]
+    product = np.empty_like(h)
+    for rows, build in groups:
+        product[rows] = build()(h[rows])
+    plus = tomography._DualPoint(raw, lam + eps * h, metric).gradient
+    minus = tomography._DualPoint(raw, lam - eps * h, metric).gradient
+    for t in range(2):
+        np.testing.assert_allclose(product[t], (plus[t] - minus[t]) / (2 * eps), rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("n_trials", [1, 2, 15])
