@@ -70,8 +70,9 @@ def build(what: str, spec, kinds: dict):
 
 
 def dump(doc, path=None) -> str:
-    """``doc`` as JSON with sorted keys, indented by 2 and ending in a newline; written to ``path`` if given."""
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """``doc`` as JSON with sorted keys, indented by 2 and ending in a newline; written to ``path`` if given.
+    A NaN or infinite float, which JSON cannot hold, is a ``ValueError``."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)

@@ -240,6 +240,9 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     if trials < 5:
         raise ValueError("need >= 5 trials per shot count")
     target, ensemble = config.build()
+    if target.outcomes < 2:
+        raise ValueError("scaling needs a target with >= 2 outcomes: the one-outcome POVM {I} is estimated "
+                         "exactly at every N, so its errors have no slope")
     if target.outcomes > distances.MAX_EXACT_OUTCOMES:
         raise ValueError(
             f"scaling needs the exact d_op, which is capped at "

@@ -261,16 +261,6 @@ class _DualPoint:
                           for name, value in vars(self).items()}
         return point
 
-    def put(self, rows: np.ndarray, other: "_DualPoint") -> None:
-        """Overwrite the trials ``rows`` with those of ``other``, in order."""
-        for name, value in vars(other).items():
-            field = getattr(self, name)
-            if isinstance(field, list):
-                for row, item in zip(rows.tolist(), value):
-                    field[row] = item
-            else:
-                field[rows] = value
-
     def hessian(self, metric: str, mu: list):
         """The map H -> sum_j Q_j (Omega_j o Q_j* G^-1(H) Q_j) Q_j* + mu H of each trial.
 
@@ -362,74 +352,51 @@ def _conjugate_gradient(build, rhs: np.ndarray, tol: list, max_iterations: int) 
 
     ``build()`` makes the map, positive definite on every trial, once some
     trial needs a product. A trial that meets its tolerance leaves the
-    stack, and the map with it.
+    stack, and the map with it; a trial that meets it on entry gets x = 0.
     """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
+    x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
     rr = _dots(r, r)
     tol2 = [t * t for t in tol]
     if all(map(le, rr, tol2)):
         return x
     apply = build()
-    solution, rows = x, None  # rows: the stack rows still iterating, once a trial has left
+    rows = slice(None)  # the rows of x still iterating
     for _ in range(max_iterations):
         if any(map(le, rr, tol2)):
             done = list(map(le, rr, tol2))
             if all(done):
                 break
-            if rows is None:
-                rows = np.arange(len(rhs))
-            solution[rows[done]] = x[done]
             keep = np.logical_not(done)
-            x, r, p, rows, apply = x[keep], r[keep], p[keep], rows[keep], apply.take(keep)
+            r, p, rows, apply = r[keep], p[keep], np.arange(len(x))[rows][keep], apply.take(keep)
             rr, tol2 = list(compress(rr, keep)), list(compress(tol2, keep))
         ap = apply(p)
         alpha = _scales(list(map(truediv, rr, _dots(p, ap))))
-        x += alpha * p
+        x[rows] += alpha * p
         r -= alpha * ap
         rr, rr_old = _dots(r, r), rr
         p = r + _scales(list(map(truediv, rr, rr_old))) * p
-    if x is not solution:
-        solution[rows] = x
-    return solution
+    return x
 
 
 def _line_search(raw: np.ndarray, point: _DualPoint, direction: np.ndarray, metric: str):
-    """Backtrack from ``point`` along each trial's nonzero direction until
-    theta or ||grad|| falls by the Armijo factor, halving that trial's step.
+    """Backtrack from ``point`` along each trial's direction until theta or
+    ||grad|| falls by the Armijo factor, halving that trial's step.
 
-    Returns the new point and each trial's primal step ||dZ||_F, 0 where the
-    direction vanishes. Each halving evaluates only the trials still searching.
+    Returns the new point and each trial's primal step ||dZ||_F. Each halving
+    evaluates the whole stack again, every trial that has accepted at the
+    step it accepted, which gives it the bits of its accepting evaluation.
     """
-    n_trials = len(direction)
-    rows = direction.any(axis=(1, 2)).nonzero()[0]
-    step = [0.0] * n_trials
-    if not len(rows):
-        return point, step
-    slope, theta, grad_norm = _dots(point.gradient, direction), point.theta, point.residual
-    size = [1.0] * len(rows)
-    found = []  # (stack rows, their new point)
-    for attempt in range(_LINE_SEARCH_STEPS):
-        index = slice(None) if len(rows) == n_trials else rows
-        trial = _DualPoint(raw[index], point.lam[index] + _scales(size) * direction[index], metric)
-        accept = [attempt == _LINE_SEARCH_STEPS - 1
-                  or value <= theta[t] + _ARMIJO * s * slope[t] or norm <= (1 - _ARMIJO * s) * grad_norm[t]
-                  for t, s, value, norm in zip(rows.tolist(), size, trial.theta, trial.residual)]
-        if all(accept):
-            found.append((rows, trial))
+    slope = _dots(point.gradient, direction)
+    size, searching = [1.0] * len(direction), [True] * len(direction)
+    for _ in range(_LINE_SEARCH_STEPS):  # the last evaluation is taken as it is
+        trial = _DualPoint(raw, point.lam + _scales(size) * direction, metric)
+        searching = [busy and not (value <= old + _ARMIJO * s * g or norm <= (1 - _ARMIJO * s) * n)
+                     for busy, s, g, old, n, value, norm
+                     in zip(searching, size, slope, point.theta, point.residual, trial.theta, trial.residual)]
+        if not any(searching):
             break
-        if any(accept):
-            found.append((rows[accept], trial.take(accept)))
-        rows, size = rows[np.logical_not(accept)], [s / 2 for s, a in zip(size, accept) if not a]
-    if len(found) == 1 and len(rows) == n_trials:
-        return trial, _norms(trial.z - point.z)
-    new = point.take(np.ones(n_trials, bool))
-    for rows, trial in found:
-        for row, norm in zip(rows.tolist(), _norms(trial.z - point.z[rows])):
-            step[row] = norm
-        new.put(rows, trial)
-    return new, step
+        size = [s / 2 if busy else s for s, busy in zip(size, searching)]
+    return trial, _norms(trial.z - point.z)
 
 
 TOL_FEASIBILITY = 1e-9  # bound on ||sum_j Z_j - I||_F of the returned effects
@@ -460,25 +427,26 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     targets, so its own steps are no stopping criterion.
 
     ``raw`` is one estimate (a ``RawEstimate``, ``Povm`` or (L, d, d)
-    array), or a list of same-shape estimates. A list is solved as one
-    (T, L, d, d) stack: each Newton step makes one stacked ``eigh`` and runs
-    one CG solve per group of trials that share a branch and a k, each CG
-    iteration one Hessian product over the group's trials still iterating,
-    and each line-search halving one evaluation of the trials still
-    searching. Every trial keeps its own dual, CG scalars, step size and
-    stopping test and leaves the stack once it stops, so its result is bit
-    for bit the one it gets on its own; one estimate is a stack of one.
+    array), or a list of same-shape estimates, solved as one (T, L, d, d)
+    stack; one estimate is a stack of one. Each Newton step makes one
+    stacked ``eigh``, one CG solve per group of trials that share a branch
+    and a k (each CG iteration one Hessian product over the group's trials
+    still iterating), and one evaluation of the whole stack per line-search
+    halving, a trial that has accepted at its accepted step. Every trial
+    keeps its own dual, CG scalars, step size and stopping test and leaves
+    the stack once it stops, so its result is bit for bit its solo one. A
+    zero CG direction, which only ||grad|| <= 1e-2 TOL_FEASIBILITY gives,
+    stops its trial before the line search.
 
     Returns ``(Povm, ProjectionDiagnostics)`` for one estimate and
     ``(list of Povm, ProjectionDiagnostics)`` for a list, each Povm
-    validated at ``POVM_TOL`` in one :meth:`Povm.stack` pass once every
-    trial has stopped. ``duality_gap`` is the primal objective minus the
-    dual value 1/2 sum_j ||raw_j||_G^2 - theta(Lambda), a certificate of
-    optimality. For a list, ``iterations`` counts the stack's Newton steps
-    (the largest count of any trial), and ``final_residual`` and
-    ``duality_gap`` are the largest of any trial (the gap by magnitude).
-    Raises ``RuntimeError`` if ``MAX_NEWTON_STEPS`` Newton steps pass before
-    every trial meets both tolerances.
+    validated at ``POVM_TOL`` in one :meth:`Povm.stack` pass. ``iterations``
+    counts the stack's Newton steps; ``final_residual`` and ``duality_gap``
+    (primal objective minus the dual value 1/2 sum_j ||raw_j||_G^2 -
+    theta(Lambda), a certificate of optimality) are the largest of any
+    trial, the gap by magnitude. Raises ``RuntimeError`` if
+    ``MAX_NEWTON_STEPS`` Newton steps pass before every trial meets both
+    tolerances.
     """
     _metric("metric", metric)
     estimates = raw if isinstance(raw, list) else [raw]
@@ -494,7 +462,21 @@ def project_onto_povms(raw, metric: str = "frobenius"):
         lam = lam + np.trace(lam, axis1=1, axis2=2).real[:, None, None] * np.eye(d)
     point = _DualPoint(arr, lam, metric)
     live = np.arange(n_trials)  # the trial of each stack row
-    results = [None] * n_trials
+    effects, solo = np.empty_like(arr), [None] * n_trials
+
+    def stop(done: list):
+        """Record the stack rows ``done`` as stopped; the mask of the other rows, None if there are none."""
+        nonlocal arr, point, live
+        primal = 0.5 * _metric_norm2(arr - point.z, metric)
+        dual = 0.5 * _metric_norm2(arr, metric) - np.array(point.theta)
+        for row, gap in compress(enumerate((primal - dual).tolist()), done):
+            effects[live[row]] = point.z[row]
+            solo[live[row]] = ProjectionDiagnostics(iterations, point.residual[row], True, gap)
+        if not all(done):
+            keep = np.logical_not(done)
+            arr, point, live = arr[keep], point.take(keep), live[keep]
+            return keep
+
     cg_floor = 1e-2 * TOL_FEASIBILITY
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
         grad_norm = point.residual
@@ -508,30 +490,25 @@ def project_onto_povms(raw, metric: str = "frobenius"):
             for rows, build in groups:
                 direction[rows] = _conjugate_gradient(build, -point.gradient[rows], [cg_tol[t] for t in rows],
                                                       _CG_MAX_ITERATIONS)
+        moving = direction.any(axis=(1, 2))
+        if not moving.all():  # a zero step: stop where ||grad|| <= TOL_FEASIBILITY, as after a line search
+            keep = stop([not m and r <= TOL_FEASIBILITY for m, r in zip(moving.tolist(), point.residual)])
+            if keep is None:
+                break
+            direction = direction[keep]
         point, step = _line_search(arr, point, direction, metric)
         done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, step)]
-        if not any(done):
-            continue
-        primal = 0.5 * _metric_norm2(arr - point.z, metric)
-        dual = 0.5 * _metric_norm2(arr, metric) - np.array(point.theta)
-        for row, gap in compress(enumerate((primal - dual).tolist()), done):
-            results[live[row]] = (point.z[row], ProjectionDiagnostics(iterations, point.residual[row], True, gap))
-        if all(done):
+        if any(done) and stop(done) is None:
             break
-        keep = np.logical_not(done)
-        arr, point, live = arr[keep], point.take(keep), live[keep]
     else:
         worst = int(np.argmax(point.residual))
         raise RuntimeError(
             f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual[worst]:.3e} "
             f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {step[worst]:.3e}, TOL_STEP {TOL_STEP:.1e})"
         )
-    povms = Povm.stack(np.stack([z for z, _ in results]))
-    if not isinstance(raw, list):
-        return povms[0], results[0][1]
-    solo = [diagnostics for _, diagnostics in results]
-    gap = max((diagnostics.duality_gap for diagnostics in solo), key=abs)
-    return povms, ProjectionDiagnostics(iterations, max(diagnostics.final_residual for diagnostics in solo), True, gap)
+    povms, gap = Povm.stack(effects), max((diagnostics.duality_gap for diagnostics in solo), key=abs)
+    diagnostics = ProjectionDiagnostics(iterations, max(diagnostics.final_residual for diagnostics in solo), True, gap)
+    return (povms if isinstance(raw, list) else povms[0]), diagnostics
 
 
 def _sqrt(x):
@@ -576,7 +553,8 @@ def sample_size(
     exceeds the real-valued threshold even when that threshold is integral.
     The ceiling is that of the exact bound at the given float inputs: where
     the float evaluation lies within :data:`_ROUNDING_ULPS` ulps of an
-    integer, it is decided at 40 digits with :mod:`decimal`.
+    integer or beyond the float range, it is decided at 40 digits with
+    :mod:`decimal` (a bound of 10^40 shots or more keeps 40 leading digits).
     """
     for name, value in (("d", d), ("n_outcomes", n_outcomes)):
         if integer(name, value) < 1:
@@ -591,9 +569,12 @@ def sample_size(
         raise ValueError("local frames need n_qubits with d = 2**n_qubits")
     row = _BERNSTEIN_ROWS[frame, distance, variant]
     a, sigma2, k, b = row(d, n_outcomes, n_qubits)
-    value = 8 * a * (sigma2 + k * epsilon / 6) / epsilon**2 * math.log(b / delta)
-    if abs(value - round(value)) > _ROUNDING_ULPS * math.ulp(value):
-        return math.ceil(value) + 1
+    try:  # b / delta, epsilon**2 (underflowed to 0) or round(inf) may leave the float range
+        value = 8 * a * (sigma2 + k * epsilon / 6) / epsilon**2 * math.log(b / delta)
+        if abs(value - round(value)) > _ROUNDING_ULPS * math.ulp(value):
+            return math.ceil(value) + 1
+    except (OverflowError, ZeroDivisionError):
+        pass
     from decimal import ROUND_CEILING, Decimal, localcontext  # rarely needed, and slow to import
 
     with localcontext() as ctx:

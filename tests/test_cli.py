@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from povmtomo import cli, frames, povm, tomography
-from povmtomo._schema import integer, real
+from povmtomo._schema import dump, integer, real
 from povmtomo.cli import ExperimentConfig, load_config, run_reconstruction, run_scaling
 
 
@@ -171,6 +171,42 @@ def test_scaling_beyond_exact_outcome_cap_fails_before_work(tmp_path, capsys, mo
     assert record["error"]["type"] == "ValueError" and "24" in record["error"]["message"]
     assert not (out / "scaling.csv").exists()
     assert simulated == []
+
+
+def test_scaling_rejects_a_one_outcome_target_before_work(tmp_path, capsys, monkeypatch):
+    # the one-outcome POVM {I} is estimated exactly at every N: its errors are 0 and have no log-log slope
+    path = write_config(tmp_path, povm={"kind": "computational", "dim": 1},
+                        ensemble={"kind": "explicit", "states": [[[1, 0]]]})
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_shots", lambda *args: simulated.append(args))
+    out = tmp_path / "scal"
+    code = cli.main(["scaling", "--config", str(path), "--n-list", "10,20,40", "--trials", "5", "--out", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ValueError" and ">= 2 outcomes" in record["error"]["message"]
+    assert not out.exists()
+    assert simulated == []
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_written_documents_hold_no_nan_or_infinity(tmp_path, value):
+    # NaN and Infinity are not JSON: the writer of every JSON document rejects them before writing
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump({"fit": {"slope": value}}, path)
+    assert not path.exists()
+
+
+def test_reconstruct_reports_sample_sizes_beyond_the_float_range(tmp_path, capsys):
+    # at L = 1100 the op bounds' 2**(L + 1) d / delta leaves the float range; the bound does not
+    path = write_config(tmp_path, povm={"kind": "random", "dim": 2, "outcomes": 1100, "seed": 3}, shots=100000)
+    assert cli.main(["reconstruct", "--config", str(path)]) == 0
+    panel = json.loads((tmp_path / "run" / "report.json").read_text())["sample_size"]
+    assert panel["global_op"] == tomography.sample_size(2, 1100, 0.25, 0.05) > 10**6
+    for flags in (["--outcomes", "1020", "--epsilon", "0.1"], ["--outcomes", "4", "--epsilon", "1e-170"]):
+        capsys.readouterr()
+        assert cli.main(["bounds", "--dim", "2", *flags, "--delta", "0.1", "--n-qubits", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["local_op"] > 10**6
 
 
 def test_scaling_reports_a_projection_at_its_cap(tmp_path, capsys, monkeypatch):

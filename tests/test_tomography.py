@@ -491,24 +491,37 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
     # A stack shares each Newton step's eigh, Hessian products and line search, but every
     # trial keeps its own dual, CG scalars, step size and stopping test, so it gets the bits
     # it gets alone. The d = 7 inputs mix top and bottom branches and ranks, so their Hessian
-    # products come in several groups; the one-shot Pauli-6 inputs backtrack where their
-    # 1000-shot neighbours take the full step.
-    pauli6 = frames.pauli6_product(2)
+    # products come in several groups; the one-shot Pauli-6 inputs backtrack in dav where their
+    # 1000-shot neighbours take the full step, and some effects of scale 10 backtrack in frobenius.
+    pauli6, rng = frames.pauli6_product(2), np.random.default_rng(0)
     backtracking = [_lse(povm.random_povm(4, 4, seed), pauli6, shots, seed) for seed in range(3) for shots in (1, 1000)]
+    backtracking += [povm.RawEstimate([random_hermitian(4, rng, 10) for _ in range(4)]) for _ in range(3)]
     stacks = {}
     for raw in [*hard_projection_inputs(), *backtracking]:
         stacks.setdefault(raw.elements.shape, []).append(raw)
-    grouped, takes = [], []  # grouped: per Newton step, the groups whose map a CG solve built
-    hessian, take = tomography._DualPoint.hessian, tomography._DualPoint.take
+    grouped = []  # per Newton step, the groups whose map a CG solve built
+    duals, searches = [], []  # the dual of every evaluated point; per line search, those it evaluated
+    hessian, line_search = tomography._DualPoint.hessian, tomography._line_search
 
     def counting_hessian(self, *args):
         built = []
         grouped.append(built)
         return [(rows, lambda build=build: built.append(1) or build()) for rows, build in hessian(self, *args)]
 
+    class RecordingPoint(tomography._DualPoint):
+        def __init__(self, raw, lam, metric):
+            duals.append(lam)
+            super().__init__(raw, lam, metric)
+
+    def recording_line_search(*args):
+        first = len(duals)
+        result = line_search(*args)
+        searches.append(duals[first:])
+        return result
+
     monkeypatch.setattr(tomography._DualPoint, "hessian", counting_hessian)
-    monkeypatch.setattr(tomography._DualPoint, "take", lambda self, keep: takes.append(1) or take(self, keep))
-    compactions = 0
+    monkeypatch.setattr(tomography, "_DualPoint", RecordingPoint)
+    monkeypatch.setattr(tomography, "_line_search", recording_line_search)
     for raws in stacks.values():
         solo = [project_onto_povms(raw, metric=metric) for raw in raws]
         povms, diagnostics = project_onto_povms(raws, metric=metric)
@@ -519,9 +532,11 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
         assert diagnostics.iterations == max(steps)
         assert diagnostics.final_residual == max(alone.final_residual for _, alone in solo) <= TOL_FEASIBILITY
         assert diagnostics.converged is True
-        compactions += len(set(steps)) - 1  # a trial that stops before the last leaves the stack
     assert max(map(len, grouped)) >= 2  # a Newton step with Hessian products over several (branch, k) groups
-    assert len(takes) > compactions  # a line search in which some trials accepted and others halved
+    # a halving that evaluated a stack holding both accepted trials, each at the dual it accepted
+    # (so unchanged since the evaluation before), and searching ones, each at a halved step
+    assert any(0 < np.all(before == after, axis=(1, 2)).sum() < len(after)
+               for lams in searches for before, after in zip(lams, lams[1:]))
 
 
 def test_a_hard_trial_in_a_stack_changes_no_neighbour(monkeypatch):
@@ -651,6 +666,40 @@ def test_conjugate_gradient_builds_no_map_for_a_solved_stack():
     assert not built and not x.any()
 
 
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_conjugate_gradient_gives_a_zero_row_exactly_where_the_rhs_meets_its_tolerance(metric):
+    # the projection stops a trial with a zero direction before its line search; CG gives one
+    # exactly to a trial whose ||rhs||^2 <= tol^2 on entry. Every other trial leaves the stack
+    # at its own iteration with the bits of its solo solve.
+    rng = np.random.default_rng(53)
+    d, n_outcomes = 4, 3
+    raw = np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])
+    lam = random_hermitian(d, rng, 0.3)
+    boundary = np.zeros((d, d), dtype=complex)
+    boundary[0, 0] = 0.5  # ||rhs||^2 = 0.25 = tol^2 exactly
+    rhs = np.array([random_hermitian(d, rng), random_hermitian(d, rng, 1e-3), random_hermitian(d, rng), boundary,
+                    np.zeros((d, d), dtype=complex), random_hermitian(d, rng, 1e-12)])
+    tol = [1e-8, 1.0, 1e-3, 0.5, 0.0, 1e-14]
+    n_trials = len(rhs)
+
+    def build(trials):
+        point = tomography._DualPoint(np.repeat(raw[None], trials, axis=0), np.repeat(lam[None], trials, axis=0),
+                                      metric)
+        ((_, builder),) = point.hessian(metric, [1e-2] * trials)
+        return builder
+
+    x = tomography._conjugate_gradient(build(n_trials), rhs, tol, 200)
+    entry = [float(np.vdot(r, r).real) for r in rhs]
+    assert [bool(row.any()) for row in x] == [rr > t * t for rr, t in zip(entry, tol)] \
+        == [True, False, True, False, False, True]
+    apply = build(n_trials)()
+    residuals = np.linalg.norm(apply(x) - rhs, axis=(1, 2))
+    for t in range(n_trials):
+        assert np.array_equal(x[t], tomography._conjugate_gradient(build(1), rhs[t:t + 1], [tol[t]], 200)[0])
+        if x[t].any():
+            assert residuals[t] <= 2 * tol[t]
+
+
 def test_projection_validates_at_the_package_tolerance():
     raw = _lse(povm.computational_povm(7), frames.mub_ensemble(7), 200, 0)
     projected, _ = project_onto_povms(raw)
@@ -670,6 +719,26 @@ def test_sample_size_pinned_values():
         == int(mp.ceil(bound_av)) + 1
         == 142441
     )
+
+
+def test_sample_size_beyond_the_float_range_matches_mpmath():
+    # finite bounds whose float evaluation leaves the float range: 2**(L + 1) d / delta overflows
+    # at L = 1020 and 3000, and epsilon^2 is subnormal at 1e-154 (the bound is inf) and 0 at 1e-300
+    mp = pytest.importorskip("mpmath")
+
+    def bound(L, eps, delta, n=None):  # the op row, global for d = 2 or local for d = 2**n
+        eps, delta, d = mp.mpf(eps), mp.mpf(delta), 2 if n is None else 2**n
+        sigma2, k = (d**3 + d**2, d**2) if n is None else (10**n, 4**n)
+        return 8 * (sigma2 + k * eps / 6) / eps**2 * mp.log(mp.mpf(2) ** (L + 1) * d / delta)
+
+    with mp.workdps(700):
+        for L in (1020, 3000):
+            assert sample_size(2, L, 0.1, 0.1) == int(mp.ceil(bound(L, 0.1, 0.1))) + 1
+            assert sample_size(4, L, 0.05, 0.01, "local", "op", n_qubits=2) == int(mp.ceil(bound(L, 0.05, 0.01, 2))) + 1
+        assert sample_size(2, 3000, 0.1, 0.1) == 20_109_154
+        for eps in (1e-154, 1e-300):  # bounds of 10^309 and 10^601 shots, evaluated to 40 digits
+            value = bound(4, eps, 0.1)
+            assert abs(sample_size(2, 4, eps, 0.1) - value) <= value * mp.mpf(10) ** -38
 
 
 def test_sample_size_quarter_scaling():
