@@ -43,7 +43,6 @@ from .povm import (
 from .tomography import (
     FrequencyTable,
     bernstein_diagnostics,
-    exact_frequencies,
     lse_estimate,
     project_onto_povms,
     sample_size,

@@ -57,7 +57,7 @@ class UpperSurrogates:
 
 def _deltas(e, f) -> tuple[np.ndarray, bool]:
     """Finite, exactly Hermitian effect differences (arrays go through RawEstimate) and whether both are POVMs."""
-    a, b = (x.elements if isinstance(x, (Povm, RawEstimate)) else RawEstimate(x).elements for x in (e, f))
+    a, b = (x.elements if isinstance(x, RawEstimate) else RawEstimate(x).elements for x in (e, f))
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     deltas = a - b
@@ -71,7 +71,7 @@ def _delta_stack(e, f) -> tuple[np.ndarray, list[bool]]:
     whether each pair is two POVMs."""
     if isinstance(f, list) and not f:
         raise ValueError("need one or more estimates to compare")
-    e = e if isinstance(e, (Povm, RawEstimate)) else RawEstimate(e)
+    e = e if isinstance(e, RawEstimate) else RawEstimate(e)
     pairs = [_deltas(e, x) for x in (f if isinstance(f, list) else [f])]
     return np.stack([deltas for deltas, _ in pairs]), [valid for _, valid in pairs]
 
@@ -294,7 +294,7 @@ def d_av(e, f) -> DistanceReport | list[DistanceReport]:
     Equals sqrt((d+1)/2 * E_psi sum_j <psi|D_j|psi>^2) over Haar-random pure
     states. For two valid POVMs d_av <= sqrt(d+1) * d_op, with equality for
     {(1/2+t)I, (1/2-t)I} vs {I/2, I/2}; the proof uses sum_j D_j = 0, so the
-    ordering need not hold when either input is a ``RawEstimate``. As in
+    ordering need not hold when either input is not a ``Povm``. As in
     :func:`d_op_exact`, a list ``f`` gives one report per estimate.
     """
     deltas, _ = _delta_stack(e, f)

@@ -1,9 +1,9 @@
 """POVM representation, constructors, Born-rule evaluation, and file I/O.
 
-A POVM is stored as an (L, d, d) stack of Hermitian effects that are positive
-semidefinite and sum to the identity within a validation tolerance. The
-unconstrained least-squares output lives in :class:`RawEstimate`, which only
-requires hermiticity. Both keep the exact Hermitian part of effects that are
+The unconstrained least-squares output lives in :class:`RawEstimate`, an
+(L, d, d) stack of effects that need only be Hermitian. A :class:`Povm` is a
+RawEstimate whose effects also passed positivity and completeness within a
+validation tolerance. Both keep the exact Hermitian part of effects that are
 Hermitian within their tolerance and reject any others.
 """
 
@@ -39,7 +39,7 @@ class ValidationReport:
 
 
 def _as_element_stack(elements) -> np.ndarray:
-    if isinstance(elements, (Povm, RawEstimate)):
+    if isinstance(elements, RawEstimate):
         return elements.elements
     arr = np.asarray(elements, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
@@ -69,7 +69,7 @@ def validate(candidate, tol: float = POVM_TOL) -> ValidationReport:
     if not real("tol", tol) >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     arr = _as_element_stack(candidate)
-    if not isinstance(candidate, (Povm, RawEstimate)):  # whose effects are exactly Hermitian
+    if not isinstance(candidate, RawEstimate):  # whose effects are exactly Hermitian
         arr = linalg.require_hermitian(arr, tol)
     (min_eig,), (residual,) = _checks(arr[None])
     return ValidationReport(bool(min_eig >= -tol and residual <= tol), float(min_eig), residual)
@@ -88,56 +88,46 @@ def _valid_povms(stack: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _adopt(holder, arr: np.ndarray) -> None:
-    """Freeze a checked (L, d, d) stack and make it the effects of a Povm or RawEstimate."""
-    arr.flags.writeable = False
-    holder.elements = arr
-    holder.outcomes = arr.shape[0]
-    holder.dim = arr.shape[1]
-
-
-class Povm:
-    """An L-outcome POVM on C^d: PSD effects summing to the identity.
-
-    Validation runs at construction with tolerance :data:`POVM_TOL`:
-    Hermiticity, then positivity and completeness. Element arrays are frozen
-    so values can be shared freely.
-    """
-
-    def __init__(self, elements):
-        _adopt(self, _valid_povms(_as_element_stack(elements)[None])[0])
-
-    @classmethod
-    def stack(cls, elements: np.ndarray) -> list[Povm]:
-        """One Povm per candidate of a (T, L, d, d) stack, with the constructor's checks made in one
-        pass: one ``require_hermitian`` and one stacked ``eigvalsh`` for the whole stack."""
-        povms = [object.__new__(cls) for _ in range(len(elements))]
-        for povm, arr in zip(povms, _valid_povms(elements)):
-            _adopt(povm, arr)
-        return povms
-
-    def __repr__(self):
-        return f"Povm(dim={self.dim}, outcomes={self.outcomes})"
-
-
 class RawEstimate:
     """An unconstrained tuple of Hermitian matrices (no positivity required),
-    Hermitian within :data:`linalg.HERMITICITY_TOL`."""
+    Hermitian within :data:`linalg.HERMITICITY_TOL`.
+
+    Construction keeps the exact Hermitian part of the effects that
+    :attr:`_check` passes, one candidate as a stack of one. Element arrays
+    are frozen so values can be shared freely.
+    """
+
+    #: Maps a (T, L, d, d) stack of candidates to its checked exact Hermitian part.
+    _check = staticmethod(linalg.require_hermitian)
 
     def __init__(self, elements):
-        _adopt(self, linalg.require_hermitian(_as_element_stack(elements)))
+        self.__dict__ = vars(self.stack(_as_element_stack(elements)[None])[0])
 
     @classmethod
-    def stack(cls, elements: np.ndarray) -> list[RawEstimate]:
-        """One RawEstimate per (L, d, d) estimate of a finite (T, L, d, d) stack, with one
-        ``require_hermitian`` for the whole stack."""
-        estimates = [object.__new__(cls) for _ in range(len(elements))]
-        for estimate, arr in zip(estimates, linalg.require_hermitian(elements)):
-            _adopt(estimate, arr)
-        return estimates
+    def stack(cls, elements: np.ndarray) -> list:
+        """One value per candidate of a (T, L, d, d) stack, each bit for bit its constructor's, with
+        the checks made in one pass over the whole stack."""
+        checked = cls._check(elements)
+        checked.flags.writeable = False
+        values = [object.__new__(cls) for _ in range(len(checked))]
+        for value, arr in zip(values, checked):
+            value.elements, value.outcomes, value.dim = arr, arr.shape[0], arr.shape[1]
+        return values
 
     def __repr__(self):
-        return f"RawEstimate(dim={self.dim}, outcomes={self.outcomes})"
+        return f"{type(self).__name__}(dim={self.dim}, outcomes={self.outcomes})"
+
+
+class Povm(RawEstimate):
+    """An L-outcome POVM on C^d: a :class:`RawEstimate` whose effects are also
+    PSD and sum to the identity.
+
+    Validation runs at construction with tolerance :data:`POVM_TOL`:
+    Hermiticity, then positivity and completeness; :meth:`stack` makes them
+    with one ``require_hermitian`` and one stacked ``eigvalsh``.
+    """
+
+    _check = staticmethod(_valid_povms)
 
 
 def leading_projector(d: int) -> np.ndarray:

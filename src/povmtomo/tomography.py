@@ -80,19 +80,6 @@ def _exact_sum(values: np.ndarray, bound: int) -> int:
     return int(values.sum(dtype=object))
 
 
-def _probabilities(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
-    """Born probabilities ``<psi_i|E_j|psi_i>`` as an (M, L) array.
-
-    Tiny negative values from validation slack are clipped to zero and each
-    row is renormalized, as :func:`povm.born` does, so rows feed a sampler.
-    """
-    if povm.dim != ensemble.dim:
-        raise ValueError(f"POVM dim {povm.dim} != ensemble dim {ensemble.dim}")
-    probs = frame_traces(povm.elements, ensemble.projector_factors(), ensemble.n_factors).T
-    probs = np.clip(probs, 0.0, 1.0)
-    return probs / probs.sum(axis=1, keepdims=True)
-
-
 def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> FrequencyTable:
     """Sample N shots: a uniform probe state, then a Born-rule outcome.
 
@@ -100,26 +87,22 @@ def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> F
     N shots over the M probe states with probabilities ``1/M`` (O(M) time and
     memory, whatever N), then one multinomial per observed state in
     ascending order. This equals per-shot sampling in distribution, up to
-    the rounding of 1/M to a float.
+    the rounding of 1/M to a float. The Born probabilities
+    ``<psi_i|E_j|psi_i>`` are clipped to [0, 1] against validation slack and
+    each row renormalized, as :func:`povm.born` does.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
-    probs = _probabilities(povm, ensemble)
+    if povm.dim != ensemble.dim:
+        raise ValueError(f"POVM dim {povm.dim} != ensemble dim {ensemble.dim}")
+    probs = np.clip(frame_traces(povm.elements, ensemble.projector_factors(), ensemble.n_factors).T, 0.0, 1.0)
+    probs /= probs.sum(axis=1, keepdims=True)
     rng = make_rng(seed)
     per_state = rng.multinomial(n_shots, np.full(ensemble.size, 1.0 / ensemble.size))
     observed = np.flatnonzero(per_state)
     counts = np.zeros(probs.shape, dtype=np.int64)
     counts[observed] = rng.multinomial(per_state[observed], probs[observed])
     return FrequencyTable(counts, n_shots)
-
-
-def exact_frequencies(povm: Povm, ensemble: ProbeEnsemble) -> np.ndarray:
-    """Expected frequencies ``<psi_i|E_j|psi_i> / M`` as an (M, L) array.
-
-    Substituting these for measured frequencies makes the least-squares
-    estimator reproduce the POVM exactly.
-    """
-    return _probabilities(povm, ensemble) / ensemble.size
 
 
 #: Frequency entries (trials x M x L) that one ``frame_sum`` of :func:`lse_estimate` contracts at most.
@@ -239,7 +222,8 @@ class _DualPoint:
     Z_j = P_G(A_j - G^-1 Lambda) is the metric projection onto the PSD cone,
     one shifted eigenvalue clip ``max(lambda - S, 0)`` over the whole stack,
     and the gradient of theta is I - sum_j Z_j. Every array attribute has
-    the trial axis first; ``theta`` and ``residual`` are lists of floats.
+    the trial axis first; ``theta``, ``residual`` and the ``step`` that
+    :func:`_line_search` sets are lists of floats.
     """
 
     def __init__(self, raw: np.ndarray, lam: np.ndarray, metric: str):
@@ -382,9 +366,10 @@ def _line_search(raw: np.ndarray, point: _DualPoint, direction: np.ndarray, metr
     """Backtrack from ``point`` along each trial's direction until theta or
     ||grad|| falls by the Armijo factor, halving that trial's step.
 
-    Returns the new point and each trial's primal step ||dZ||_F. Each halving
-    evaluates the whole stack again, every trial that has accepted at the
-    step it accepted, which gives it the bits of its accepting evaluation.
+    Returns the new point, whose ``step`` lists each trial's primal step
+    ||dZ||_F. Each halving evaluates the whole stack again, every trial that
+    has accepted at the step it accepted, which gives it the bits of its
+    accepting evaluation.
     """
     slope = _dots(point.gradient, direction)
     size, searching = [1.0] * len(direction), [True] * len(direction)
@@ -396,7 +381,8 @@ def _line_search(raw: np.ndarray, point: _DualPoint, direction: np.ndarray, metr
         if not any(searching):
             break
         size = [s / 2 if busy else s for s, busy in zip(size, searching)]
-    return trial, _norms(trial.z - point.z)
+    trial.step = _norms(trial.z - point.z)
+    return trial
 
 
 TOL_FEASIBILITY = 1e-9  # bound on ||sum_j Z_j - I||_F of the returned effects
@@ -450,7 +436,7 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     """
     _metric("metric", metric)
     estimates = raw if isinstance(raw, list) else [raw]
-    arrays = [(e if isinstance(e, (Povm, RawEstimate)) else RawEstimate(e)).elements for e in estimates]
+    arrays = [(e if isinstance(e, RawEstimate) else RawEstimate(e)).elements for e in estimates]
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise ValueError(f"need one or more estimates of one shape, got shapes {sorted(shapes)}")
@@ -496,15 +482,15 @@ def project_onto_povms(raw, metric: str = "frobenius"):
             if keep is None:
                 break
             direction = direction[keep]
-        point, step = _line_search(arr, point, direction, metric)
-        done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, step)]
+        point = _line_search(arr, point, direction, metric)
+        done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, point.step)]
         if any(done) and stop(done) is None:
             break
     else:
         worst = int(np.argmax(point.residual))
         raise RuntimeError(
             f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual[worst]:.3e} "
-            f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {step[worst]:.3e}, TOL_STEP {TOL_STEP:.1e})"
+            f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {point.step[worst]:.3e}, TOL_STEP {TOL_STEP:.1e})"
         )
     povms, gap = Povm.stack(effects), max((diagnostics.duality_gap for diagnostics in solo), key=abs)
     diagnostics = ProjectionDiagnostics(iterations, max(diagnostics.final_residual for diagnostics in solo), True, gap)
@@ -553,8 +539,8 @@ def sample_size(
     exceeds the real-valued threshold even when that threshold is integral.
     The ceiling is that of the exact bound at the given float inputs: where
     the float evaluation lies within :data:`_ROUNDING_ULPS` ulps of an
-    integer or beyond the float range, it is decided at 40 digits with
-    :mod:`decimal` (a bound of 10^40 shots or more keeps 40 leading digits).
+    integer or beyond the float range, it is decided with :mod:`decimal` to 40
+    digits after the point.
     """
     for name, value in (("d", d), ("n_outcomes", n_outcomes)):
         if integer(name, value) < 1:
@@ -577,12 +563,17 @@ def sample_size(
         pass
     from decimal import ROUND_CEILING, Decimal, localcontext  # rarely needed, and slow to import
 
-    with localcontext() as ctx:
-        ctx.prec = 40
-        a, sigma2, k, b = row(Decimal(d), Decimal(n_outcomes), n_qubits)
-        eps = Decimal(epsilon)
-        exact = 8 * a * (sigma2 + k * eps / 6) / eps**2 * (b / Decimal(delta)).ln()
-        return int(exact.to_integral_value(ROUND_CEILING)) + 1
+    def exact(digits: int):
+        with localcontext() as ctx:
+            ctx.prec = digits
+            a, sigma2, k, b = row(Decimal(d), Decimal(n_outcomes), n_qubits)
+            eps = Decimal(epsilon)
+            return 8 * a * (sigma2 + k * eps / 6) / eps**2 * (b / Decimal(delta)).ln()
+
+    value = exact(40)
+    if value.adjusted() >= 0:  # 40 digits after the point: the first evaluation counts those before it
+        value = exact(41 + value.adjusted())
+    return int(value.to_integral_value(ROUND_CEILING)) + 1
 
 
 @dataclass(frozen=True)

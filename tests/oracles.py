@@ -154,6 +154,13 @@ def product_state(ensemble, index):
     return psi
 
 
+def exact_frequencies(povm, ensemble):
+    """Expected frequencies ``<psi_i|E_j|psi_i> / M`` as an (M, L) array, by the Born rule on each
+    :func:`product_state`: in place of measured frequencies they make least squares exact."""
+    states = np.array([product_state(ensemble, i) for i in range(ensemble.size)])
+    return np.einsum("ik,jkl,il->ij", states.conj(), povm.elements, states).real / ensemble.size
+
+
 def tensordot_frame_traces(operators, factors, n):
     """Bit reference for ``frames.frame_traces``: one ``np.tensordot`` per factor.
 

@@ -16,13 +16,12 @@ from povmtomo import cli, povm
 from povmtomo.distances import d_av, d_op_exact, upper_surrogates
 from povmtomo.tomography import (
     bernstein_diagnostics,
-    exact_frequencies,
     lse_estimate,
     project_onto_povms,
     sample_size,
     simulate_shots,
 )
-from oracles import simplex_project, stabilizer_states
+from oracles import exact_frequencies, simplex_project, stabilizer_states
 
 
 def _global_ensemble(d):

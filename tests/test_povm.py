@@ -45,17 +45,22 @@ def test_validate_rejects_bad_candidate():
 
 
 def test_povm_stack_validates_like_the_constructor():
-    # one pass over a (T, L, d, d) stack: each Povm equals the solo one bit for bit, frozen
+    # one pass over a (T, L, d, d) stack: each value equals the solo one bit for bit, frozen; a
+    # Povm is a RawEstimate whose checks also take in positivity and completeness
     rng = np.random.default_rng(40)
     candidates = np.stack([povm.random_povm(3, 5, (41, t)).elements for t in range(4)])
     skew = 1e-10j * rng.normal(size=candidates.shape)  # non-Hermitian within POVM_TOL
     candidates = candidates + skew
-    stacked = povm.Povm.stack(candidates)
-    for made, candidate in zip(stacked, candidates):
-        solo = povm.Povm(candidate)
-        assert np.array_equal(made.elements, solo.elements) and (made.outcomes, made.dim) == (5, 3)
-        assert not made.elements.flags.writeable
-    # the first failing candidate raises the constructor's PovmValidationError, word for word
+    for cls in (povm.Povm, povm.RawEstimate):
+        stacked = cls.stack(candidates)
+        for made, candidate in zip(stacked, candidates):
+            solo = cls(candidate)
+            assert type(made) is cls and isinstance(made, povm.RawEstimate)
+            assert repr(made) == f"{cls.__name__}(dim=3, outcomes=5)"
+            assert np.array_equal(made.elements, solo.elements) and (made.outcomes, made.dim) == (5, 3)
+            assert not made.elements.flags.writeable
+    # the first failing candidate raises the constructor's PovmValidationError, word for word;
+    # a RawEstimate, which needs no positivity, takes those non-PSD Hermitian candidates
     for bad in (np.diag([1.2, -0.2, 0.0]), 1e-7 * np.eye(3)):
         broken = candidates.copy()
         broken[2, 0] += bad
@@ -65,10 +70,13 @@ def test_povm_stack_validates_like_the_constructor():
         with pytest.raises(povm.PovmValidationError) as stacked:
             povm.Povm.stack(broken)
         assert str(stacked.value) == str(solo.value)
+        for made, candidate in zip(povm.RawEstimate.stack(broken), broken):
+            assert np.array_equal(made.elements, povm.RawEstimate(candidate).elements)
     broken = candidates.copy()
     broken[1, 0, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="not Hermitian"):
-        povm.Povm.stack(broken)
+    for cls in (povm.Povm, povm.RawEstimate):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            cls.stack(broken)
 
 
 def test_constructors_all_validate():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -16,7 +17,6 @@ from povmtomo.tomography import (
     TOL_FEASIBILITY,
     FrequencyTable,
     bernstein_diagnostics,
-    exact_frequencies,
     lse_estimate,
     project_onto_povms,
     sample_size,
@@ -27,6 +27,7 @@ from oracles import (
     csv_save_counts,
     dav_clip_by_segments,
     dykstra_projection,
+    exact_frequencies,
     random_hermitian,
     simplex_project,
 )
@@ -555,6 +556,11 @@ def test_a_hard_trial_in_a_stack_changes_no_neighbour(monkeypatch):
     monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", 20)
     with pytest.raises(RuntimeError, match=r"MAX_NEWTON_STEPS = 20 with residual .* last step"):
         project_onto_povms(raws)
+    # the easy trial stops on the last allowed step; the error reports the hard trial's own step
+    monkeypatch.setattr(tomography, "MAX_NEWTON_STEPS", solo[0][1].iterations)
+    with pytest.raises(RuntimeError, match="last step") as hit:
+        project_onto_povms([easy[0], hard])
+    assert float(re.search(r"last step (\S+),", str(hit.value)).group(1)) > tomography.TOL_STEP
 
 
 def test_projection_rejects_mixed_or_empty_stacks():
@@ -726,8 +732,8 @@ def test_sample_size_beyond_the_float_range_matches_mpmath():
     # at L = 1020 and 3000, and epsilon^2 is subnormal at 1e-154 (the bound is inf) and 0 at 1e-300
     mp = pytest.importorskip("mpmath")
 
-    def bound(L, eps, delta, n=None):  # the op row, global for d = 2 or local for d = 2**n
-        eps, delta, d = mp.mpf(eps), mp.mpf(delta), 2 if n is None else 2**n
+    def bound(L, eps, delta, n=None, d=2):  # the op row, global for d or local for d = 2**n
+        eps, delta, d = mp.mpf(eps), mp.mpf(delta), d if n is None else 2**n
         sigma2, k = (d**3 + d**2, d**2) if n is None else (10**n, 4**n)
         return 8 * (sigma2 + k * eps / 6) / eps**2 * mp.log(mp.mpf(2) ** (L + 1) * d / delta)
 
@@ -739,6 +745,11 @@ def test_sample_size_beyond_the_float_range_matches_mpmath():
         for eps in (1e-154, 1e-300):  # bounds of 10^309 and 10^601 shots, evaluated to 40 digits
             value = bound(4, eps, 0.1)
             assert abs(sample_size(2, 4, eps, 0.1) - value) <= value * mp.mpf(10) ** -38
+        # bounds of 10^40 shots or more still get one above their ceiling, each digit of it exact
+        for d, L, eps, delta in ((2, 4, 1e-20, 0.1), (2, 4, 1e-154, 0.1), (16, 4, 1e-18, 0.05)):
+            value = bound(L, eps, delta, d=d)
+            assert value >= mp.mpf(10) ** 40
+            assert sample_size(d, L, eps, delta) == int(mp.ceil(value)) + 1
 
 
 def test_sample_size_quarter_scaling():
