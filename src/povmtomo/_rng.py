@@ -27,16 +27,21 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random ``rows x cols`` isometry (V^dagger V = I_cols).
+def haar_isometry(rows: int, cols: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Haar-random ``rows x cols`` isometry (V^dagger V = I_cols), or a ``(*shape, rows, cols)``
+    stack of independent ones.
 
     QR of a complex Gaussian matrix with the R-diagonal phases folded into Q,
     which makes the distribution exactly Haar rather than merely orthonormal.
+    The Gaussians come from one ``(*shape, 2, rows, cols)`` draw, each
+    isometry's real parts and then its imaginary parts, so a stack equals as
+    many single calls in a row, bit for bit.
     """
     if not 1 <= cols <= rows:
         raise ValueError(f"need 1 <= cols <= rows, got {rows}x{cols}")
-    z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+    normal = rng.standard_normal((*shape, 2, rows, cols))
+    z = normal[..., 0, :, :] + 1j * normal[..., 1, :, :]
     z *= np.sqrt(0.5)
     q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]

@@ -55,25 +55,22 @@ class UpperSurrogates:
     spec_sum: float
 
 
-def _deltas(e, f) -> tuple[np.ndarray, bool]:
-    """Finite, exactly Hermitian effect differences (arrays go through RawEstimate) and whether both are POVMs."""
-    a, b = (x.elements if isinstance(x, RawEstimate) else RawEstimate(x).elements for x in (e, f))
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    deltas = a - b
-    if not np.all(np.isfinite(deltas)):  # finite effects can differ by more than the largest float
-        raise ValueError("matrix has non-finite entries")
-    return deltas, isinstance(e, Povm) and isinstance(f, Povm)
-
-
 def _delta_stack(e, f) -> tuple[np.ndarray, list[bool]]:
-    """The (T, L, d, d) differences of ``e`` and ``f``, one estimate or a non-empty list of them, and
-    whether each pair is two POVMs."""
+    """The finite, exactly Hermitian (T, L, d, d) differences of ``e`` and ``f``, one estimate or a
+    non-empty list of them (arrays go through RawEstimate), and whether each pair is two POVMs."""
     if isinstance(f, list) and not f:
         raise ValueError("need one or more estimates to compare")
     e = e if isinstance(e, RawEstimate) else RawEstimate(e)
-    pairs = [_deltas(e, x) for x in (f if isinstance(f, list) else [f])]
-    return np.stack([deltas for deltas, _ in pairs]), [valid for _, valid in pairs]
+    estimates = []
+    for x in f if isinstance(f, list) else [f]:
+        x = x if isinstance(x, RawEstimate) else RawEstimate(x)
+        if x.elements.shape != e.elements.shape:
+            raise ValueError(f"shape mismatch: {e.elements.shape} vs {x.elements.shape}")
+        estimates.append(x)
+    deltas = e.elements - np.stack([x.elements for x in estimates])
+    if not np.all(np.isfinite(deltas)):  # finite effects can differ by more than the largest float
+        raise ValueError("matrix has non-finite entries")
+    return deltas, [isinstance(e, Povm) and isinstance(x, Povm) for x in estimates]
 
 
 def _gray_bits(start: int, stop: int, n_bits: int) -> np.ndarray:
@@ -262,7 +259,7 @@ def d_op_lower(e, f) -> DistanceReport:
     replaced by its complement, as in :func:`d_op_exact`, so the witness
     never contains it.
     """
-    deltas, both_valid = _deltas(e, f)
+    (deltas,), (both_valid,) = _delta_stack(e, f)
     n_outcomes = deltas.shape[0]
 
     eigenvalues, eigenvectors = np.linalg.eigh(deltas)
@@ -307,7 +304,7 @@ def d_av(e, f) -> DistanceReport | list[DistanceReport]:
 
 def upper_surrogates(e, f) -> UpperSurrogates:
     """Per-element norm sums; the spectral sum always dominates d_op."""
-    deltas, _ = _deltas(e, f)
+    (deltas,), _ = _delta_stack(e, f)
     frob_sum = np.sum(linalg.matrix_norm(deltas, "frobenius"))
     spec_sum = np.sum(linalg.matrix_norm(deltas, "spectral"))
     return UpperSurrogates(float(frob_sum), float(spec_sum))

@@ -18,9 +18,12 @@ NORM_KINDS = ("spectral", "frobenius", "trace")
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dagger)/2."""
+    """Hermitian part (A + A^dagger)/2, halved through its float view, which keeps every sign: a
+    bitwise Hermitian A comes back bit for bit, where a division by complex 2 turns some -0.0 into +0.0."""
     a = np.asarray(a, dtype=complex)
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    out = np.add(a, a.conj().swapaxes(-1, -2), order="C")
+    out.view(float)[...] *= 0.5
+    return out
 
 
 def require_square(a) -> np.ndarray:

@@ -150,24 +150,20 @@ def rotated_povm(u) -> Povm:
     u = linalg.require_square(u)
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) > 1e-10:
         raise ValueError("rotation matrix is not unitary")
-    return Povm(np.array([np.outer(u[:, j], u[:, j].conj()) for j in range(u.shape[0])]))
+    return Povm(u.T[:, :, None] * u.T.conj()[:, None, :])
 
 
 def sic_qubit_povm() -> Povm:
     """The qubit SIC measurement: effects (1/2)|phi_k><phi_k| over the tetrahedron."""
-    return Povm(np.array([0.5 * np.outer(s, s.conj()) for s in SIC_QUBIT_STATES]))
+    return Povm(0.5 * (SIC_QUBIT_STATES[:, :, None] * SIC_QUBIT_STATES.conj()[:, None, :]))
 
 
 def depolarized(base: Povm, p: float) -> Povm:
     """Mix each effect with white noise: E_j -> (1-p) E_j + p tr(E_j) I / d."""
     if not 0 <= p <= 1:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {p}")
-    d = base.dim
-    eye = np.eye(d)
-    elements = np.array(
-        [(1 - p) * e + p * np.trace(e).real * eye / d for e in base.elements]
-    )
-    return Povm(elements)
+    traces = np.trace(base.elements, axis1=1, axis2=2).real[:, None, None]
+    return Povm((1 - p) * base.elements + p * traces * np.eye(base.dim) / base.dim)
 
 
 def random_povm(d: int, n_outcomes: int, seed) -> Povm:

@@ -215,6 +215,17 @@ def _scales(values: list):
     return np.array(values, dtype=complex).reshape(-1, 1, 1)
 
 
+def _take(stack, keep):
+    """A copy of a :class:`_DualPoint` or :class:`_HessianGroup` with the trials a boolean mask
+    keeps: its lists compressed and its arrays masked, anything else (``top``, ``k``, ``metric``, a
+    float ``mu``) shared."""
+    taken = object.__new__(type(stack))
+    taken.__dict__ = {name: list(compress(value, keep)) if isinstance(value, list)
+                      else value[keep] if isinstance(value, np.ndarray) else value
+                      for name, value in vars(stack).items()}
+    return taken
+
+
 class _DualPoint:
     """The dual function of each trial t of a (T, L, d, d) stack at its own Lambda_t:
     theta(Lambda) = 1/2 sum_j ||Z_j||_G^2 + tr Lambda.
@@ -237,13 +248,6 @@ class _DualPoint:
         self.theta = (0.5 * _metric_norm2(self.z, metric) + np.trace(lam, axis1=-2, axis2=-1).real).tolist()
         self.gradient = np.eye(raw.shape[-1]) - self.z.sum(axis=1)
         self.residual = _norms(self.gradient)
-
-    def take(self, keep) -> "_DualPoint":
-        """The trials a boolean mask keeps, copied."""
-        point = object.__new__(type(self))
-        point.__dict__ = {name: list(compress(value, keep)) if isinstance(value, list) else value[keep]
-                          for name, value in vars(self).items()}
-        return point
 
     def hessian(self, metric: str, mu: list):
         """The map H -> sum_j Q_j (Omega_j o Q_j* G^-1(H) Q_j) Q_j* + mu H of each trial.
@@ -307,13 +311,6 @@ class _HessianGroup:
             self.flat_projectors = self.projectors.conj()
             self.row_weights = 1.0 / (1.0 + ranks)
 
-    def take(self, keep) -> "_HessianGroup":
-        """The trials a boolean mask keeps."""
-        group = object.__new__(_HessianGroup)
-        group.__dict__ = {name: value[keep] if isinstance(value, np.ndarray) else value
-                          for name, value in vars(self).items()}
-        return group
-
     def __call__(self, h: np.ndarray) -> np.ndarray:
         n_trials, n_outcomes, d, _ = self.q.shape
         y = _metric_inverse(h, self.metric)
@@ -351,7 +348,7 @@ def _conjugate_gradient(build, rhs: np.ndarray, tol: list, max_iterations: int) 
             if all(done):
                 break
             keep = np.logical_not(done)
-            r, p, rows, apply = r[keep], p[keep], np.arange(len(x))[rows][keep], apply.take(keep)
+            r, p, rows, apply = r[keep], p[keep], np.arange(len(x))[rows][keep], _take(apply, keep)
             rr, tol2 = list(compress(rr, keep)), list(compress(tol2, keep))
         ap = apply(p)
         alpha = _scales(list(map(truediv, rr, _dots(p, ap))))
@@ -448,7 +445,7 @@ def project_onto_povms(raw, metric: str = "frobenius"):
         lam = lam + np.trace(lam, axis1=1, axis2=2).real[:, None, None] * np.eye(d)
     point = _DualPoint(arr, lam, metric)
     live = np.arange(n_trials)  # the trial of each stack row
-    effects, solo = np.empty_like(arr), [None] * n_trials
+    effects, residuals, gaps = np.empty_like(arr), [0.0] * n_trials, [0.0] * n_trials
 
     def stop(done: list):
         """Record the stack rows ``done`` as stopped; the mask of the other rows, None if there are none."""
@@ -456,11 +453,10 @@ def project_onto_povms(raw, metric: str = "frobenius"):
         primal = 0.5 * _metric_norm2(arr - point.z, metric)
         dual = 0.5 * _metric_norm2(arr, metric) - np.array(point.theta)
         for row, gap in compress(enumerate((primal - dual).tolist()), done):
-            effects[live[row]] = point.z[row]
-            solo[live[row]] = ProjectionDiagnostics(iterations, point.residual[row], True, gap)
+            effects[live[row]], residuals[live[row]], gaps[live[row]] = point.z[row], point.residual[row], gap
         if not all(done):
             keep = np.logical_not(done)
-            arr, point, live = arr[keep], point.take(keep), live[keep]
+            arr, point, live = arr[keep], _take(point, keep), live[keep]
             return keep
 
     cg_floor = 1e-2 * TOL_FEASIBILITY
@@ -492,8 +488,8 @@ def project_onto_povms(raw, metric: str = "frobenius"):
             f"projection hit MAX_NEWTON_STEPS = {MAX_NEWTON_STEPS} with residual {point.residual[worst]:.3e} "
             f"(TOL_FEASIBILITY {TOL_FEASIBILITY:.1e}, last step {point.step[worst]:.3e}, TOL_STEP {TOL_STEP:.1e})"
         )
-    povms, gap = Povm.stack(effects), max((diagnostics.duality_gap for diagnostics in solo), key=abs)
-    diagnostics = ProjectionDiagnostics(iterations, max(diagnostics.final_residual for diagnostics in solo), True, gap)
+    povms = Povm.stack(effects)
+    diagnostics = ProjectionDiagnostics(iterations, max(residuals), True, max(gaps, key=abs))
     return (povms if isinstance(raw, list) else povms[0]), diagnostics
 
 

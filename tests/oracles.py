@@ -80,7 +80,7 @@ def gray_code_d_op(e, f):
     sums in one matmul and every spectral norm in one stacked ``eigvalsh``;
     the witness is the first subset in Gray-code order to reach the maximum.
     """
-    deltas, both_valid = distances._deltas(e, f)
+    (deltas,), (both_valid,) = distances._delta_stack(e, f)
     n_outcomes, d, _ = deltas.shape
     n_bits = n_outcomes - 1 if both_valid else n_outcomes
     rows = max(1, distances.SUBSET_CHUNK_ELEMENTS // (d * d))

@@ -384,7 +384,7 @@ def test_subset_sums_are_exactly_hermitian(d):
     huge = 1e160 * np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])
     pairs.append((huge, np.zeros_like(huge)))
     for e, f in pairs:
-        deltas, _ = distances._deltas(e, f)
+        (deltas,), _ = distances._delta_stack(e, f)
         sums = distances._subset_sums(distances._gray_bits(1, 2**n_outcomes, n_outcomes), deltas)
         assert np.array_equal(sums, sums.conj().swapaxes(1, 2))
         assert np.array_equal(linalg.hermitize(sums).view(np.uint64), sums.view(np.uint64))

@@ -43,6 +43,17 @@ def test_matrix_norm_of_a_stack_matches_each_matrix():
         np.testing.assert_allclose(norms.ravel(), expected, rtol=1e-14)
 
 
+def test_hermitize_returns_a_bitwise_hermitian_matrix_bit_for_bit():
+    # halving by complex 2 turned a -0.0 imaginary part under a negative real part, and a -0.0
+    # real part beside a positive imaginary one, into +0.0
+    signed_zeros = (
+        np.array([[1, -2], [complex(-2, -0.0), 3]], dtype=complex),
+        np.array([[1, complex(-0.0, 1)], [complex(-0.0, -1), 3]], dtype=complex),
+    )
+    for a in (*signed_zeros, np.asfortranarray(signed_zeros[0]), np.stack(signed_zeros)):
+        assert np.array_equal(linalg.hermitize(a).view(np.uint64), np.ascontiguousarray(a).view(np.uint64))
+
+
 def test_norm_ordering():
     rng = np.random.default_rng(11)
     for d in (2, 3, 4, 8):

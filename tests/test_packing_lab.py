@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from povmtomo import packing_lab, povm
-from povmtomo.distances import d_op_exact
+from povmtomo.distances import d_av, d_op_exact
 from povmtomo.packing_lab import (
     PackingBudgetError,
     build_packing,
@@ -28,10 +28,14 @@ def test_haar_first_moment():
     from povmtomo._rng import haar_isometry, make_rng
 
     rng = make_rng(rng_seed)
+    sequential = [haar_isometry(d, d, rng) for _ in range(trials)]
     for t in range(trials):
-        values[t] = abs(haar_isometry(d, d, rng)[0, 0]) ** 2
+        values[t] = abs(sequential[t][0, 0]) ** 2
     se = values.std(ddof=1) / np.sqrt(trials)
     assert abs(values.mean() - 1 / d) <= 3 * se
+    # one stacked draw is the sequential draws bit for bit
+    stack = haar_isometry(d, d, make_rng(rng_seed), (trials // 2, 2))
+    assert np.array_equal(stack.reshape(trials, d, d).view(np.uint64), np.array(sequential).view(np.uint64))
 
 
 def test_build_packing_op_family():
@@ -53,6 +57,7 @@ def test_build_packing_op_family():
 def test_packing_identity_transfer():
     family = build_packing("op", 4, 3, 0.3, 4, 11)
     proj = povm.leading_projector(4)
+    solo = []
     for a in range(4):
         for b in range(a + 1, 4):
             u, v = family.unitaries[a], family.unitaries[b]
@@ -60,6 +65,8 @@ def test_packing_identity_transfer():
                 u @ proj @ u.conj().T - v @ proj @ v.conj().T)))
             got = d_op_exact(family.members[a], family.members[b]).value
             assert got == pytest.approx(expected, abs=1e-9)
+            solo.append(got)
+    assert verify_separation(family).min_pairwise == min(solo)  # bit for bit, from stacked calls
 
 
 def test_build_packing_rejects_bad_parameters():
@@ -95,14 +102,29 @@ def test_av_family_constructs_and_mostly_separates():
         for member in family.members:
             assert member.outcomes == 4
             assert povm.validate(member).ok
-        ok_count += verify_separation(family).ok
+        report = verify_separation(family)
+        members = family.members
+        solo = [np.sqrt(4) * d_av(a, b).value for i, a in enumerate(members) for b in members[i + 1:]]
+        assert report.min_pairwise == min(solo)  # bit for bit, from stacked calls
+        ok_count += report.ok
     assert ok_count >= 9
 
 
-def test_haar_moment_check_targets():
+def test_haar_moment_check_targets(monkeypatch):
     report = haar_moment_check(4, 200, 0)
     assert report.f2_target == pytest.approx(2.0)
     assert report.f4_target == pytest.approx(256 / 60)
+    # blocks of 7 pairs, the last one partial, give the moments of the sequential draws bit for bit
+    from povmtomo._rng import haar_isometry, make_rng
+
+    rng, projector = make_rng(0), povm.leading_projector(4)
+    f2 = np.empty(200)
+    for t in range(200):
+        u, v = haar_isometry(4, 4, rng), haar_isometry(4, 4, rng)
+        f2[t] = np.linalg.norm(u @ projector @ u.conj().T - v @ projector @ v.conj().T) ** 2
+    monkeypatch.setattr(packing_lab, "_MOMENT_BLOCK_ENTRIES", 7 * 4 * 4)
+    assert haar_moment_check(4, 200, 0) == report
+    assert (report.f2_mean, report.f4_mean) == (np.mean(f2), np.mean(f2**2))
     report = haar_moment_check(2, 10_000, 1)
     assert report.f2_target == pytest.approx(1.0)
     assert abs(report.f2_z) <= 3
