@@ -57,12 +57,16 @@ class UpperSurrogates:
 
 def _delta_stack(e, f) -> tuple[np.ndarray, list[bool]]:
     """The finite, exactly Hermitian (T, L, d, d) differences of ``e`` and ``f``, one estimate or a
-    non-empty list of them (arrays go through RawEstimate), and whether each pair is two POVMs."""
+    non-empty list of them (arrays go through RawEstimate), and whether each pair is two POVMs. A
+    list in the list is refused: the single-estimate distances pass their ``f`` as ``[f]``."""
     if isinstance(f, list) and not f:
         raise ValueError("need one or more estimates to compare")
     e = e if isinstance(e, RawEstimate) else RawEstimate(e)
     estimates = []
     for x in f if isinstance(f, list) else [f]:
+        if isinstance(x, list):
+            raise ValueError("d_op, d_op_lower and upper_surrogates take one estimate; "
+                             "d_op_exact and d_av take a list")
         x = x if isinstance(x, RawEstimate) else RawEstimate(x)
         if x.elements.shape != e.elements.shape:
             raise ValueError(f"shape mismatch: {e.elements.shape} vs {x.elements.shape}")
@@ -182,10 +186,11 @@ def d_op_exact(e, f) -> DistanceReport | list[DistanceReport]:
 
     ``f`` is one estimate, giving one ``DistanceReport``, or a non-empty list
     of estimates of one shape, giving one report per estimate, each that of
-    its own pair with ``e``. The pairs share each chunk's Gray-code bits and
-    its eigensolves, and nothing else, in groups small enough that a chunk's
-    subset sums for the whole group hold at most ``SUBSET_STACK_ELEMENTS``
-    matrix entries. Each pair enumerates its own 2^(L-1) or 2^L subsets.
+    its own pair with ``e``. The pairs are all of one kind, two POVMs or
+    not, so every pair enumerates the same 2^(L-1) or 2^L subsets; they
+    share each chunk's Gray-code bits and its eigensolves, and nothing else,
+    in groups small enough that a chunk's subset sums for the whole group
+    hold at most ``SUBSET_STACK_ELEMENTS`` matrix entries.
 
     Bound, then verify: :func:`_bound_form` reads each pair's trace bounds
     |m| + s sqrt(d-1) from the traces and the Gram matrix of its
@@ -208,44 +213,44 @@ def d_op_exact(e, f) -> DistanceReport | list[DistanceReport]:
             f"L = {n_outcomes} exceeds the exact-enumeration cap "
             f"{MAX_EXACT_OUTCOMES}; use d_op_lower"
         )
-    n_bits = [n_outcomes - 1 if valid else n_outcomes for valid in both_valid]
+    if len(set(both_valid)) > 1:
+        raise ValueError("d_op_exact takes a list of POVMs or a list of raw estimates, not both")
+    n_bits = n_outcomes - 1 if both_valid[0] else n_outcomes
     chunk = max(1, SUBSET_CHUNK_ELEMENTS // (d * d))
-    group = max(1, SUBSET_STACK_ELEMENTS // (min(chunk, 2 ** max(n_bits)) * d * d))  # pairs per enumeration
+    group = max(1, SUBSET_STACK_ELEMENTS // (min(chunk, 2 ** n_bits) * d * d))  # pairs per enumeration
     reports = []
     for first in range(0, n_trials, group):
-        reports += _largest_subset_norms(deltas[first:first + group], n_bits[first:first + group], chunk)
+        reports += _largest_subset_norms(deltas[first:first + group], n_bits, chunk)
     return reports if isinstance(f, list) else reports[0]
 
 
-def _largest_subset_norms(deltas: np.ndarray, n_bits: list[int], chunk: int) -> list[DistanceReport]:
-    """:func:`d_op_exact`'s enumeration of a (T, L, d, d) group of pairs, each over its first n_bits
+def _largest_subset_norms(deltas: np.ndarray, n_bits: int, chunk: int) -> list[DistanceReport]:
+    """:func:`d_op_exact`'s enumeration of a (T, L, d, d) group of pairs over their first n_bits
     differences, ``chunk`` Gray-code subsets at a time."""
     n_trials = len(deltas)
-    if chunk > 63 and 2 ** max(n_bits) > 64:  # some chunk holds more than 63 subsets
+    if chunk > 63 and 2 ** n_bits > 64:  # some chunk holds more than 63 subsets
         forms, slacks = _bound_form(deltas)
     best, witness = [0.0] * n_trials, [()] * n_trials
-    for start in range(1, 2 ** max(n_bits), chunk):
-        gray = _gray_bits(start, min(start + chunk, 2 ** max(n_bits)), max(n_bits)).astype(float)
-        trials = [t for t in range(n_trials) if start < 2 ** n_bits[t]]
-        bits = [gray[:2 ** n_bits[t] - start, :n_bits[t]] for t in trials]
-        bounds = [_trace_bounds(rows, forms[t]) if len(rows) > 63 else None for t, rows in zip(trials, bits)]
-        picked = [np.arange(len(rows)) if bound is None else np.argpartition(bound, -8)[-8:]  # NaN sorts last
-                  for rows, bound in zip(bits, bounds)]
-        norms = [np.full(len(rows), -np.inf) for rows in bits]
+    for start in range(1, 2 ** n_bits, chunk):
+        bits = _gray_bits(start, min(start + chunk, 2 ** n_bits), n_bits).astype(float)
+        bounds = [_trace_bounds(bits, form) for form in forms] if len(bits) > 63 else [None] * n_trials
+        picked = [np.arange(len(bits)) if bound is None else np.argpartition(bound, -8)[-8:]  # NaN sorts last
+                  for bound in bounds]
+        norms = [np.full(len(bits), -np.inf) for _ in range(n_trials)]
         for _ in range(2):  # the 8 largest bounds, then every other subset against the raised maxima
             picked = [p if bound is None else p[~(bound[p] < max(best[t], values.max()) - slacks[t])]
-                      for t, p, bound, values in zip(trials, picked, bounds, norms)]
-            sums = [_subset_sums(rows[p], deltas[t]) for t, rows, p in zip(trials, bits, picked) if len(p)]
+                      for t, (p, bound, values) in enumerate(zip(picked, bounds, norms))]
+            sums = [_subset_sums(bits[p], delta) for delta, p in zip(deltas, picked) if len(p)]
             if not sums:
                 break
             solved = _spectral_norms(np.concatenate(sums) if len(sums) > 1 else sums[0])
             for p, values in zip(picked, norms):
                 values[p], solved = solved[:len(p)], solved[len(p):]
             picked = [np.flatnonzero(values == -np.inf) for values in norms]
-        for t, rows, values in zip(trials, bits, norms):
+        for t, values in enumerate(norms):
             top = int(np.argmax(values))
             if values[top] > best[t]:
-                best[t], witness[t] = float(values[top]), tuple(np.flatnonzero(rows[top]).tolist())
+                best[t], witness[t] = float(values[top]), tuple(np.flatnonzero(bits[top]).tolist())
     return [DistanceReport(value, "op_exact", subset) for value, subset in zip(best, witness)]
 
 
@@ -259,7 +264,7 @@ def d_op_lower(e, f) -> DistanceReport:
     replaced by its complement, as in :func:`d_op_exact`, so the witness
     never contains it.
     """
-    (deltas,), (both_valid,) = _delta_stack(e, f)
+    (deltas,), (both_valid,) = _delta_stack(e, [f])
     n_outcomes = deltas.shape[0]
 
     eigenvalues, eigenvectors = np.linalg.eigh(deltas)
@@ -278,10 +283,10 @@ def d_op_lower(e, f) -> DistanceReport:
 
 
 def d_op(e, f) -> DistanceReport:
-    """Operational distance: exact up to ``MAX_EXACT_OUTCOMES`` outcomes, else
-    :func:`d_op_lower`; the report's ``kind`` says which."""
+    """Operational distance of one estimate ``f``: exact up to ``MAX_EXACT_OUTCOMES`` outcomes,
+    else :func:`d_op_lower`; the report's ``kind`` says which. A list ``f`` is refused at every L."""
     if _as_element_stack(e).shape[0] <= MAX_EXACT_OUTCOMES:
-        return d_op_exact(e, f)
+        return d_op_exact(e, [f])[0]
     return d_op_lower(e, f)
 
 
@@ -304,7 +309,7 @@ def d_av(e, f) -> DistanceReport | list[DistanceReport]:
 
 def upper_surrogates(e, f) -> UpperSurrogates:
     """Per-element norm sums; the spectral sum always dominates d_op."""
-    (deltas,), _ = _delta_stack(e, f)
+    (deltas,), _ = _delta_stack(e, [f])
     frob_sum = np.sum(linalg.matrix_norm(deltas, "frobenius"))
     spec_sum = np.sum(linalg.matrix_norm(deltas, "spectral"))
     return UpperSurrogates(float(frob_sum), float(spec_sum))

@@ -41,7 +41,8 @@ class FrequencyTable:
     """Outcome counts from N shots over an M-state ensemble.
 
     ``counts`` is a read-only dense (M, L) int64 array; cell (i, j) counts
-    the shots on probe state i that gave outcome j. Relative frequencies are
+    the shots on probe state i that gave outcome j. A read-only int64 array
+    is kept as given, anything else copied. Relative frequencies are
     counts divided by the total shot number N, so the whole table sums to one
     and each cell is an unbiased estimate of ``<psi_i|E_j|psi_i> / M``.
     """
@@ -49,7 +50,8 @@ class FrequencyTable:
     def __init__(self, counts, n_shots: int):
         if n_shots < 1:
             raise ValueError("n_shots must be >= 1")
-        counts = np.array(counts)
+        if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64 and not counts.flags.writeable):
+            counts = np.array(counts)
         if counts.ndim != 2 or not np.issubdtype(counts.dtype, np.integer):
             raise ValueError(f"counts must be a 2-d integer array, got {counts.dtype} {counts.shape}")
         if np.any(counts < 0) or np.any(counts > n_shots):
@@ -102,6 +104,7 @@ def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> F
     observed = np.flatnonzero(per_state)
     counts = np.zeros(probs.shape, dtype=np.int64)
     counts[observed] = rng.multinomial(per_state[observed], probs[observed])
+    counts.flags.writeable = False  # FrequencyTable keeps it without a copy
     return FrequencyTable(counts, n_shots)
 
 
@@ -620,13 +623,13 @@ def spec_hash(spec: dict) -> str:
 COUNTS_CHUNK_ROWS = 8192
 
 
-def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) -> None:
+def save_counts(table: FrequencyTable, path, ensemble_spec: dict) -> None:
     """Write counts as CSV plus a `<path>.meta.json` sidecar.
 
     The CSV has header ``state_index,outcome_index,count`` and one row per
     nonzero cell in row-major order, with CRLF line ends, formatted in chunks
-    of :data:`COUNTS_CHUNK_ROWS` rows; the sidecar records M, L, N and, when
-    given, the ensemble spec and its hash so ingestion can verify compatibility.
+    of :data:`COUNTS_CHUNK_ROWS` rows; the sidecar records M, L, N, the
+    ensemble spec and its hash so ingestion can verify compatibility.
     """
     path = str(path)
     states, outcomes = np.nonzero(table.counts)
@@ -635,10 +638,8 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict | None = None) 
         fh.write(b"state_index,outcome_index,count\r\n")
         for chunk in np.split(rows, range(COUNTS_CHUNK_ROWS, len(rows), COUNTS_CHUNK_ROWS)):
             fh.write(b"%d,%d,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
-    meta = {"n_states": table.n_states, "n_outcomes": table.n_outcomes, "n_shots": table.n_shots}
-    if ensemble_spec is not None:
-        meta["ensemble_spec"] = ensemble_spec
-        meta["ensemble_spec_sha256"] = spec_hash(ensemble_spec)
+    meta = {"n_states": table.n_states, "n_outcomes": table.n_outcomes, "n_shots": table.n_shots,
+            "ensemble_spec": ensemble_spec, "ensemble_spec_sha256": spec_hash(ensemble_spec)}
     dump(meta, path + ".meta.json")
 
 
@@ -694,4 +695,5 @@ def load_counts(path) -> tuple[FrequencyTable, dict]:
         raise ValueError(f"counts sum to {total}, expected n_shots = {n_shots}")
     counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
     np.add.at(counts, states * n_outcomes + outcomes, cells)
+    counts.flags.writeable = False  # FrequencyTable keeps it without a copy
     return FrequencyTable(counts.reshape(n_states, n_outcomes), n_shots), meta

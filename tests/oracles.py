@@ -225,7 +225,7 @@ def json_save_povm(povm, path) -> None:
         fh.write("\n")
 
 
-def csv_save_counts(table, path, ensemble_spec=None) -> None:
+def csv_save_counts(table, path, ensemble_spec) -> None:
     """Byte reference for ``tomography.save_counts``: the counts rows through ``csv.writer``."""
     path = str(path)
     with open(path, "w", newline="") as fh:
@@ -238,10 +238,9 @@ def csv_save_counts(table, path, ensemble_spec=None) -> None:
         "n_states": table.n_states,
         "n_outcomes": table.n_outcomes,
         "n_shots": table.n_shots,
+        "ensemble_spec": ensemble_spec,
+        "ensemble_spec_sha256": spec_hash(ensemble_spec),
     }
-    if ensemble_spec is not None:
-        meta["ensemble_spec"] = ensemble_spec
-        meta["ensemble_spec_sha256"] = spec_hash(ensemble_spec)
     with open(path + ".meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

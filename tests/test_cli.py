@@ -121,7 +121,7 @@ def test_from_counts_requires_sidecar_hash(tmp_path, capsys):
 
 def test_from_counts_rejects_a_sidecar_shape_before_allocating_the_table(tmp_path, capsys):
     # the sidecar claims 4 * 10^6 states for the 6-state ensemble; its rows are valid, so only
-    # the sidecar check stops a dense (4 * 10^6, 2) table and its copy, 128 MB, from being built
+    # the sidecar check stops a dense (4 * 10^6, 2) table, 64 MB, from being built
     path = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == 0
     counts = tmp_path / "run" / "counts.csv"

@@ -273,19 +273,20 @@ def test_stacked_exact_equals_solo_and_the_oracle(monkeypatch):
         monkeypatch.setattr(distances, "SUBSET_STACK_ELEMENTS", stack_elements)
         cases = bit_identity_cases()
         for group in shape_groups(cases if chunk_elements > 36 else cases[:-1]):
-            estimates = [f for _, f in group]
-            for e, _ in group:
-                reports = d_op_exact(e, estimates)
-                assert reports == [d_op_exact(e, f) for f in estimates] == [gray_code_d_op(e, f) for f in estimates]
+            for kind in {isinstance(f, povm.Povm) for _, f in group}:  # a list holds one kind of estimate
+                estimates = [f for _, f in group if isinstance(f, povm.Povm) == kind]
+                for e, _ in group:
+                    reports = d_op_exact(e, estimates)
+                    assert reports == [d_op_exact(e, f) for f in estimates] == [gray_code_d_op(e, f) for f in estimates]
 
 
-def test_stacked_exact_takes_mixed_estimates_per_pair():
-    # a POVM and a raw estimate enumerate 2^(L-1) and 2^L subsets in one call
+def test_stacked_exact_takes_a_povm_list_and_a_raw_list():
+    # a list of POVMs enumerates 2^(L-1) subsets per pair, a list of raw estimates 2^L
     e, f = random_povm(3, 6, 210), random_povm(3, 6, 211)
     raw = RawEstimate(f.elements + 1e-3 * np.eye(3))
-    reports = d_op_exact(e, [f, raw, f])
-    assert reports == [gray_code_d_op(e, x) for x in (f, raw, f)]
-    assert reports[0] == reports[2] and 5 not in reports[0].witness and 5 in reports[1].witness
+    povms, raws = d_op_exact(e, [f, f]), d_op_exact(e, [raw, raw])
+    assert povms == [gray_code_d_op(e, f)] * 2 and raws == [gray_code_d_op(e, raw)] * 2
+    assert 5 not in povms[0].witness and 5 in raws[0].witness
 
 
 def test_stacked_distances_reject_empty_mixed_and_oversized_lists():
@@ -298,6 +299,15 @@ def test_stacked_distances_reject_empty_mixed_and_oversized_lists():
     big = RawEstimate(np.zeros((25, 2, 2), dtype=complex))
     with pytest.raises(ValueError, match="exceeds the exact-enumeration cap"):
         d_op_exact(big, [big, big])
+    with pytest.raises(ValueError, match="a list of POVMs or a list of raw estimates, not both"):
+        d_op_exact(e, [random_povm(2, 3, 213), RawEstimate(random_povm(2, 3, 213).elements)])
+    # the single-estimate distances refuse a list, also where d_op falls back to d_op_lower
+    f, g = random_povm(2, 3, 213), random_povm(2, 3, 215)
+    wide = [random_povm(2, 25, seed) for seed in (216, 217, 218)]
+    for distance, first, rest in ((distances.d_op, e, [f, g]), (distances.d_op, wide[0], wide[1:]),
+                                  (d_op_lower, e, [f]), (upper_surrogates, e, [f])):
+        with pytest.raises(ValueError, match="take one estimate"):
+            distance(first, rest)
 
 
 def test_stacked_d_av_equals_solo_and_the_definition():

@@ -41,6 +41,10 @@ def test_frequency_table_invariants():
     assert table.frequencies().sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         table.counts[0, 0] = 5  # the table is read-only
+    assert not np.shares_memory(table.counts, counts)  # a writable table is copied
+    frozen = counts.copy()
+    frozen.flags.writeable = False
+    assert np.shares_memory(FrequencyTable(frozen, 10).counts, frozen)  # a read-only int64 one is kept
     counts[0, 0] = 0
     with pytest.raises(ValueError):
         FrequencyTable(counts, 10)  # counts don't sum to N
@@ -890,21 +894,20 @@ def test_counts_roundtrip(tmp_path):
     n_states=st.integers(1, 200_000),
     n_outcomes=st.integers(1, 6),
     cells=st.lists(st.tuples(st.integers(0, 2**40), st.integers(1, 10**9)), min_size=1, max_size=20),
-    with_spec=st.booleans(),
 )
-@example(n_states=1, n_outcomes=1, cells=[(0, 7)], with_spec=False)  # a single-row table
-@example(n_states=5, n_outcomes=3, cells=[(14, 2)], with_spec=True)  # the last cell only
-@example(n_states=150_000, n_outcomes=4, cells=[(400_000, 3), (599_999, 10**9), (123_457, 1)], with_spec=True)
-@example(n_states=9_000, n_outcomes=3, cells=[(k, 1 + k % 7) for k in range(3 * tomography.COUNTS_CHUNK_ROWS + 1)],
-         with_spec=True)  # four chunks of rows, the last of one row
+@example(n_states=1, n_outcomes=1, cells=[(0, 7)])  # a single-row table
+@example(n_states=5, n_outcomes=3, cells=[(14, 2)])  # the last cell only
+@example(n_states=150_000, n_outcomes=4, cells=[(400_000, 3), (599_999, 10**9), (123_457, 1)])
+@example(n_states=9_000, n_outcomes=3,  # four chunks of rows, the last of one row
+         cells=[(k, 1 + k % 7) for k in range(3 * tomography.COUNTS_CHUNK_ROWS + 1)])
 @example(n_states=2 * tomography.COUNTS_CHUNK_ROWS, n_outcomes=5,  # two whole chunks
-         cells=[(5 * k + k % 5, k + 1) for k in range(2 * tomography.COUNTS_CHUNK_ROWS)], with_spec=False)
-def test_counts_file_matches_csv_writer(tmp_path_factory, n_states, n_outcomes, cells, with_spec):
+         cells=[(5 * k + k % 5, k + 1) for k in range(2 * tomography.COUNTS_CHUNK_ROWS)])
+def test_counts_file_matches_csv_writer(tmp_path_factory, n_states, n_outcomes, cells):
     counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
     for position, count in cells:
         counts[position % counts.size] += count
     table = FrequencyTable(counts.reshape(n_states, n_outcomes), int(counts.sum()))
-    spec = {"kind": "pauli6_product", "n_qubits": 1} if with_spec else None
+    spec = {"kind": "pauli6_product", "n_qubits": 1}
     folder = tmp_path_factory.mktemp("counts")
     tomography.save_counts(table, folder / "fast.csv", ensemble_spec=spec)
     csv_save_counts(table, folder / "csv.csv", ensemble_spec=spec)
