@@ -228,7 +228,12 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     measured against the target by one ``d_op_exact`` and one ``d_av`` call.
     Stacking changes no estimate and no distance. Medians per N feed a
     least-squares line in log space; slopes near -1/2 reflect the
-    shot-noise-limited regime.
+    shot-noise-limited regime. The medians come from one sort of the
+    (N, trial, 2) error table: the middle entry for an odd trial count, the
+    mean of the two middle entries for an even one. That is ``np.median``'s
+    value bit for bit, without its NaN check, which imports ``numpy.ma``
+    (a module nothing else here uses) on the first call in each process and
+    raises its peak memory; every error here is finite.
     Returns the rows (N, trial, d_op, d_av, runtime_ms) of ``scaling.csv``
     and the ``scaling_report.json`` document. A row's ``runtime_ms`` is its
     trial's own simulate time plus an equal share of the stacked LSE,
@@ -264,10 +269,11 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
         share = (time.perf_counter() - start) / len(stack)
         for (_, n_shots, trial), (err_op, err_av), own in zip(stack, reports, seconds):
             rows.append((n_shots, trial, err_op.value, err_av.value, (own + share) * 1000))
-    errors = np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2)
+    errors = np.sort(np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2), axis=1)
+    middle = errors[:, (trials - 1) // 2 : trials // 2 + 1].mean(axis=1)
     log_n = np.log(np.asarray(n_list, dtype=float))
     medians, fit = {"n_list": n_list}, {}
-    for name, values in zip(("d_op", "d_av"), np.median(errors, axis=1).T):
+    for name, values in zip(("d_op", "d_av"), middle.T):
         slope, intercept = np.polyfit(log_n, np.log(values), 1)
         medians[name] = values.tolist()
         fit |= {f"slope_{name}": float(slope), f"intercept_{name}": float(intercept)}

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -404,6 +407,18 @@ def test_scaling_command(tmp_path):
     assert medians["d_op"][-1] < medians["d_op"][0]
 
 
+@pytest.mark.parametrize("trials", [5, 6])
+def test_scaling_medians_are_np_median_bit_for_bit(tmp_path, trials):
+    # run_scaling takes its medians from one sort; odd and even trial counts must give np.median's bits
+    config = load_config(write_config(tmp_path, seed=11))
+    n_list = [64, 256, 1024]
+    rows, report = run_scaling(config, n_list, trials)
+    errors = np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2)
+    expected = np.median(errors, axis=1)
+    for column, name in enumerate(("d_op", "d_av")):
+        assert report["medians"][name] == expected[:, column].tolist()
+
+
 def test_bounds_command(capsys):
     code = cli.main(
         ["bounds", "--dim", "2", "--outcomes", "2", "--epsilon", "0.1", "--delta", "0.01", "--n-qubits", "1"]
@@ -649,6 +664,54 @@ def test_every_command_pins_its_output_format(tmp_path, capsys, argv, stdout, fi
             file_doc = json.loads(content)
             assert _shape(file_doc) == expected
             assert content == json.dumps(file_doc, sort_keys=True, indent=2) + "\n"
+
+
+# Runs each (name, argv) pair of the JSON list in argv[1] through cli.main and prints, as JSON, each
+# name with its exit code and whether numpy.ma has been imported by then.
+EVERY_COMMAND_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from povmtomo import cli
+
+loaded = [["import", None, "numpy.ma" in sys.modules]]
+for name, argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([name, code, "numpy.ma" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, which raises a fresh process's peak memory; no
+    # command needs masked arrays, so a fresh interpreter must never load them
+    config = str(write_config(tmp_path, shots=300))
+    povm.save_povm(povm.computational_povm(2), tmp_path / "a.json")
+    povm.save_povm(povm.depolarized(povm.computational_povm(2), 0.2), tmp_path / "b.json")
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    commands = [
+        ("simulate", ["simulate", "--config", config]),
+        ("reconstruct", ["reconstruct", "--config", config]),
+        ("reconstruct --from-counts", ["reconstruct", "--config", config, "--from-counts",
+                                       str(tmp_path / "run" / "counts.csv"), "--out", str(tmp_path / "ingest")]),
+        ("scaling", ["scaling", "--config", config, "--n-list", "64,256,1024", "--trials", "5"]),
+        ("distance", ["distance", "--povm-a", a, "--povm-b", b]),
+        ("bounds", ["bounds", "--dim", "2", "--outcomes", "2", "--epsilon", "0.1", "--delta", "0.01"]),
+        ("packing", ["packing", "--kind", "av", "--dim", "2", "--outcomes", "2", "--epsilon", "0.3",
+                     "--members", "2", "--seeds", "1", "--out", str(tmp_path / "packing")]),
+        ("channel", ["channel", "--ideal", a, "--estimated", b, "--out", str(tmp_path / "channel")]),
+        ("validate", ["validate", "--povm", a]),
+    ]
+    source = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH", "")]))}
+    result = subprocess.run([sys.executable, "-c", EVERY_COMMAND_IN_ONE_PROCESS, json.dumps(commands)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert [name for name, _, _ in loaded] == ["import", *(name for name, _ in commands)]
+    codes = {name: code for name, code, _ in loaded[1:]}
+    assert codes.pop("packing") in (0, 1)  # packing may miss its separation
+    assert set(codes.values()) == {0}, result.stderr
+    assert [name for name, _, ma in loaded if ma] == []
 
 
 def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys, monkeypatch):

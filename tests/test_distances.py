@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from povmtomo import distances, linalg, povm
 from povmtomo.distances import d_av, d_op_exact, d_op_lower, upper_surrogates
-from povmtomo.frames import build_ensemble
+from povmtomo.frames import build_ensemble, frame_sum
 from povmtomo.packing_lab import haar_unitary
 from povmtomo.povm import RawEstimate, computational_povm, depolarized, random_povm, rotated_povm
 from povmtomo.tomography import lse_estimate, project_onto_povms, simulate_shots
@@ -166,6 +166,41 @@ def test_d_av_closed_forms():
     expected = np.sqrt(eps**2 / (4 * d) * np.linalg.norm(w, "fro") ** 2)
     assert d_av(e, f).value == pytest.approx(expected, abs=1e-12)
     assert d_av(e, f).value == pytest.approx(definition_d_av(e.elements, f.elements), abs=1e-12)
+
+
+# (||nu||_F^2, tr nu), shared by every dual operator nu of the ensemble: nu = d(d+1)P - dI for a
+# global 2-design, and a tensor product of one 6P - 2I per qubit (norm^2 20, trace 2) for Pauli-6
+DUAL_CONSTANTS = {
+    "mub d=3": ({"kind": "mub", "dim": 3}, 3**2 * (3**2 + 3 - 1), 3),
+    "mub d=5": ({"kind": "mub", "dim": 5}, 5**2 * (5**2 + 5 - 1), 5),
+    "pauli6 n=1": ({"kind": "pauli6_product", "n_qubits": 1}, 20, 2),
+    "pauli6 n=2": ({"kind": "pauli6_product", "n_qubits": 2}, 20**2, 2**2),
+}
+
+
+@pytest.mark.parametrize("name", DUAL_CONSTANTS)
+def test_every_dual_operator_has_one_norm_and_one_trace(name):
+    spec, norm2, trace = DUAL_CONSTANTS[name]
+    ensemble = build_ensemble(spec)
+    duals = frame_sum(np.eye(ensemble.size), ensemble.dual_factors(), ensemble.n_factors)  # row i is nu_i
+    np.testing.assert_allclose(np.sum(np.abs(duals) ** 2, axis=(1, 2)), norm2, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.trace(duals, axis1=1, axis2=2), trace, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name, n_outcomes, seed", [("mub d=3", 3, 301), ("mub d=5", 2, 302), ("pauli6 n=2", 3, 303)])
+def test_raw_lse_average_case_error_has_a_closed_form(name, n_outcomes, seed):
+    # Each of the N i.i.d. shots adds nu_i / N to one outcome's raw estimate, and the mean shot is E, so
+    # N E[d_av^2(raw, E)] = (||nu||_F^2 + (tr nu)^2) / 2d - Q(E), Q(E) = (1/2d) sum_j (||E_j||_F^2 + tr(E_j)^2)
+    spec, norm2, trace = DUAL_CONSTANTS[name]
+    ensemble = build_ensemble(spec)
+    d, n_shots, trials = ensemble.dim, 10**4, 2000
+    target = random_povm(d, n_outcomes, seed)
+    traces = np.trace(target.elements, axis1=1, axis2=2).real
+    expected = (norm2 + trace**2 - np.sum(np.abs(target.elements) ** 2) - np.sum(traces**2)) / (2 * d)
+    tables = [simulate_shots(target, ensemble, n_shots, (seed, trial)) for trial in range(trials)]
+    scaled = n_shots * np.array([report.value for report in d_av(target, lse_estimate(tables, ensemble))]) ** 2
+    z = (scaled.mean() - expected) / (scaled.std(ddof=1) / np.sqrt(trials))
+    assert abs(z) < 4, f"{name}: mean {scaled.mean():.4f} against {expected:.4f}, z = {z:+.2f}"
 
 
 def test_metric_axioms():
