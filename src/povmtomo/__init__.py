@@ -21,7 +21,6 @@ from .packing_lab import (
     PackingFamily,
     build_packing,
     haar_moment_check,
-    haar_unitary,
     verify_separation,
 )
 from .povm import (

@@ -53,13 +53,6 @@ class MomentReport:
     f4_z: float
 
 
-def haar_unitary(d: int, seed) -> np.ndarray:
-    """Haar-random d x d unitary (QR of a complex Gaussian, phases fixed)."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return haar_isometry(d, d, make_rng(seed))
-
-
 def build_packing(
     kind: str,
     d: int,

@@ -21,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress
 from operator import le, truediv
 
@@ -269,8 +268,8 @@ class _DualPoint:
         bottom k = d - min_j m_j with 1 - Omega, whose active block vanishes,
         in ``Y - Q((1 - Omega) o Q* Y Q)Q*``. The trials that share a branch
         and a k form one :class:`_HessianGroup`, so each trial's product uses
-        exactly its own k columns. Returns a (stack rows, builder) pair per group;
-        ``builder()`` makes its map, from the stack's fields if it holds every trial.
+        exactly its own k columns. Returns a (stack rows, map) pair per group,
+        the map made from the stack's fields if it holds every trial.
         """
         active = self.clipped > 0
         ranks = active.sum(axis=-1)
@@ -281,8 +280,8 @@ class _DualPoint:
             top = high <= low  # eigenvalues ascend, so the active ones are on top
             members.setdefault((top, high if top else low), []).append(trial)
         fields = (self.eigenvectors, self.q_adjoint, self.eigenvalues, self.clipped, active, ranks)
-        return [(rows, partial(_HessianGroup, *(fields if len(members) == 1 else (a[rows] for a in fields)),
-                               top, k, metric, _scales([mu[t] for t in rows])))
+        return [(rows, _HessianGroup(*(fields if len(members) == 1 else (a[rows] for a in fields)),
+                                     top, k, metric, _scales([mu[t] for t in rows])))
                 for (top, k), rows in members.items()]
 
 
@@ -331,19 +330,16 @@ class _HessianGroup:
         return out
 
 
-def _conjugate_gradient(build, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
+def _conjugate_gradient(apply, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
     """Solve apply(x) = rhs for each trial of a (T, d, d) stack, to ||residual_t||_F <= tol_t.
 
-    ``build()`` makes the map, positive definite on every trial, once some
-    trial needs a product. A trial that meets its tolerance leaves the
-    stack, and the map with it; a trial that meets it on entry gets x = 0.
+    ``apply`` is positive definite on every trial. A trial that meets its
+    tolerance leaves the stack, and the map with it; a trial that meets it
+    on entry gets x = 0, and a stack that meets it on entry gets no product.
     """
     x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
     rr = _dots(r, r)
     tol2 = [t * t for t in tol]
-    if all(map(le, rr, tol2)):
-        return x
-    apply = build()
     rows = slice(None)  # the rows of x still iterating
     for _ in range(max_iterations):
         if any(map(le, rr, tol2)):
@@ -405,8 +401,9 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     with Z_j = P_G(raw_j - G^-1 Lambda), one shifted eigenvalue clip
     ``max(lambda - S, 0)`` per effect (S = 0 for ``frobenius``, S from
     :func:`_dav_shift` for ``dav``). The gradient is I - sum_j Z_j. Each
-    Newton step solves (V + mu I) dLambda = -grad by conjugate gradients, V
-    from :meth:`_DualPoint.hessian` and mu = min(1e-2, ||grad||), then
+    Newton step solves (V + mu I) dLambda = -grad by conjugate gradients to
+    ||residual||_F <= cg_tol = max(min(0.1, ||grad||) ||grad||, 1e-2 TOL_FEASIBILITY),
+    V from :meth:`_DualPoint.hessian` and mu = min(1e-2, ||grad||), then
     backtracks until theta or ||grad|| falls by the Armijo factor. It stops
     once ``||sum_j Z_j - I||_F <= TOL_FEASIBILITY`` and the last primal step
     ``||dZ||_F <= TOL_STEP``; Lambda is not unique for rank-deficient
@@ -421,8 +418,8 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     halving, a trial that has accepted at its accepted step. Every trial
     keeps its own dual, CG scalars, step size and stopping test and leaves
     the stack once it stops, so its result is bit for bit its solo one. A
-    zero CG direction, which only ||grad|| <= 1e-2 TOL_FEASIBILITY gives,
-    stops its trial before the line search.
+    trial whose ||grad||^2 <= cg_tol^2, CG's entry test, which only
+    ||grad|| <= 1e-2 TOL_FEASIBILITY passes, stops at the start of its step.
 
     Returns ``(Povm, ProjectionDiagnostics)`` for one estimate and
     ``(list of Povm, ProjectionDiagnostics)`` for a list, each Povm
@@ -464,23 +461,22 @@ def project_onto_povms(raw, metric: str = "frobenius"):
 
     cg_floor = 1e-2 * TOL_FEASIBILITY
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
-        grad_norm = point.residual
-        mu = [min(1e-2, g) for g in grad_norm]
-        cg_tol = [max(min(0.1, g) * g, cg_floor) for g in grad_norm]
+        cg_tol = [max(min(0.1, g) * g, cg_floor) for g in point.residual]
+        solved = [rr <= t * t for rr, t in zip(_dots(point.gradient, point.gradient), cg_tol)]
+        if any(solved):  # CG's entry test: a zero direction, met only where ||grad|| <= cg_floor < TOL_FEASIBILITY
+            keep = stop(solved)
+            if keep is None:
+                break
+            cg_tol = list(compress(cg_tol, keep))
+        mu = [min(1e-2, g) for g in point.residual]
         groups = point.hessian(metric, mu)
         if len(groups) == 1:  # the whole stack: nothing to gather or scatter
             direction = _conjugate_gradient(groups[0][1], -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
         else:
             direction = np.empty_like(point.gradient)
-            for rows, build in groups:
-                direction[rows] = _conjugate_gradient(build, -point.gradient[rows], [cg_tol[t] for t in rows],
+            for rows, apply in groups:
+                direction[rows] = _conjugate_gradient(apply, -point.gradient[rows], [cg_tol[t] for t in rows],
                                                       _CG_MAX_ITERATIONS)
-        moving = direction.any(axis=(1, 2))
-        if not moving.all():  # a zero step: stop where ||grad|| <= TOL_FEASIBILITY, as after a line search
-            keep = stop([not m and r <= TOL_FEASIBILITY for m, r in zip(moving.tolist(), point.residual)])
-            if keep is None:
-                break
-            direction = direction[keep]
         point = _line_search(arr, point, direction, metric)
         done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, point.step)]
         if any(done) and stop(done) is None:

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from povmtomo import distances, linalg
+from povmtomo._rng import haar_isometry, make_rng
 from povmtomo.povm import _as_element_stack
 from povmtomo.tomography import spec_hash
 
@@ -134,6 +135,11 @@ def dense_measurement_channel(ideal, estimated):
     left = np.einsum("akl,jlk->ja", sigma, ideal.elements).real
     right = np.einsum("bkl,jlk->jb", sigma, estimated.elements).real
     return left.T @ right
+
+
+def haar_unitary(d, seed):
+    """Haar-random d x d unitary: one ``haar_isometry`` draw from its own ``make_rng(seed)`` stream."""
+    return haar_isometry(d, d, make_rng(seed))
 
 
 def random_hermitian(d, rng, scale=1.0):

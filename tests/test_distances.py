@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from povmtomo import distances, linalg, povm
 from povmtomo.distances import d_av, d_op_exact, d_op_lower, upper_surrogates
 from povmtomo.frames import build_ensemble, frame_sum
-from povmtomo.packing_lab import haar_unitary
 from povmtomo.povm import RawEstimate, computational_povm, depolarized, random_povm, rotated_povm
 from povmtomo.tomography import lse_estimate, project_onto_povms, simulate_shots
-from oracles import definition_d_av, gray_code_d_op, random_hermitian, subset_enumeration_d_op
+from oracles import definition_d_av, gray_code_d_op, haar_unitary, random_hermitian, subset_enumeration_d_op
 
 Z_VS_X = 0.7071067811865476
 
@@ -253,7 +252,14 @@ def test_shape_mismatch_and_cap():
 
 
 def bit_identity_cases():
-    """Input pairs for which d_op_exact must match the Gray-code oracle bit for bit."""
+    """Input pairs for which d_op_exact must match the Gray-code oracle bit for bit.
+
+    (d, L) shapes: POVM pairs at d = 2, 3, 4 with L = 2, 3, 6, 9; raw pairs (2, 5), (3, 7), (4, 4);
+    (3, 6), (3, 4), (3, 5); the benchmark shapes (3, 12), (7, 7), (16, 4); an overflowing raw (3, 4);
+    and (2, 16). The bitwise match holds only where OpenBLAS sums each entry over the bits in order,
+    so d = 1 (the oracle's integer-by-complex product takes a matrix-vector kernel) and d = 11 and 13
+    with L >= 9 (dgemm sums the middle diagonal entry in another order) are left out.
+    """
     cases = [
         (random_povm(d, n_outcomes, (180, d, n_outcomes)), random_povm(d, n_outcomes, (181, d, n_outcomes)))
         for d in (2, 3, 4)
@@ -291,6 +297,8 @@ def shape_groups(cases):
 
 
 def test_exact_is_bit_identical_to_gray_code_oracle(monkeypatch):
+    # the (d, L) shapes of bit_identity_cases, where OpenBLAS sums in order: no d = 1, and no
+    # d = 11 or 13 with L >= 9
     for e, f in bit_identity_cases():
         assert d_op_exact(e, f) == gray_code_d_op(e, f)
     # chunks of 36 // d^2 rows (4 at d = 3): the running maximum is carried across chunks
@@ -301,7 +309,8 @@ def test_exact_is_bit_identical_to_gray_code_oracle(monkeypatch):
 
 def test_stacked_exact_equals_solo_and_the_oracle(monkeypatch):
     # one reference against a list of same-shape estimates: each report is the solo one, bit for bit,
-    # in chunks of 36 // d^2 subsets (4 at d = 3) and in groups of one pair too
+    # in chunks of 36 // d^2 subsets (4 at d = 3) and in groups of one pair too. The (d, L) shapes
+    # are bit_identity_cases', where OpenBLAS sums in order: no d = 1, no d = 11 or 13 with L >= 9
     chunk, stack = distances.SUBSET_CHUNK_ELEMENTS, distances.SUBSET_STACK_ELEMENTS
     for chunk_elements, stack_elements in ((chunk, stack), (36, stack), (chunk, 1)):
         monkeypatch.setattr(distances, "SUBSET_CHUNK_ELEMENTS", chunk_elements)
@@ -316,7 +325,9 @@ def test_stacked_exact_equals_solo_and_the_oracle(monkeypatch):
 
 
 def test_stacked_exact_takes_a_povm_list_and_a_raw_list():
-    # a list of POVMs enumerates 2^(L-1) subsets per pair, a list of raw estimates 2^L
+    # a list of POVMs enumerates 2^(L-1) subsets per pair, a list of raw estimates 2^L. Bitwise
+    # against the oracle at (d, L) = (3, 6) only: OpenBLAS sums in order there, unlike at d = 1,
+    # or at d = 11 and 13 with L >= 9
     e, f = random_povm(3, 6, 210), random_povm(3, 6, 211)
     raw = RawEstimate(f.elements + 1e-3 * np.eye(3))
     povms, raws = d_op_exact(e, [f, f]), d_op_exact(e, [raw, raw])
@@ -389,7 +400,9 @@ def test_exact_prunes_most_subsets(monkeypatch):
 
 def test_exact_eigensolves_a_chunk_of_at_most_63_subsets_whole(monkeypatch):
     # below 64 subsets the trace bound costs more than the eigensolves it would skip: an ingest-like
-    # pair (computational d = 7 target, dav projection) solves its 63 subsets in one call, unbounded
+    # pair (computational d = 7 target, dav projection) solves its 63 subsets in one call, unbounded.
+    # Bitwise against the oracle at (d, L) = (7, 7), where OpenBLAS sums in order (unlike at d = 1,
+    # or at d = 11 and 13 with L >= 9)
     evaluated = []
     norms = distances._spectral_norms
     monkeypatch.setattr(distances, "_bound_form", lambda deltas: pytest.fail("bounded a 63-subset chunk"))
@@ -410,7 +423,9 @@ def test_exact_rejects_non_finite_effects():
         for distance in (d_op_exact, d_op_lower, d_av, upper_surrogates):
             with pytest.raises(ValueError, match="non-finite"):
                 distance(effects, base)
-    # finite subset sums whose squared entries overflow: their bounds are inf and are never pruned
+    # finite subset sums whose squared entries overflow: their bounds are inf and are never pruned.
+    # Bitwise against the oracle at (d, L) = (3, 4), where OpenBLAS sums in order (unlike at d = 1,
+    # or at d = 11 and 13 with L >= 9)
     rng = np.random.default_rng(190)
     huge = 1e160 * np.array([random_hermitian(3, rng) for _ in range(4)])
     report = d_op_exact(huge, np.zeros_like(huge))
@@ -419,7 +434,10 @@ def test_exact_rejects_non_finite_effects():
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_subset_sums_are_exactly_hermitian(d):
-    # A == A^H entry for entry, and hermitize returns every sum bit for bit: d_op_exact skips it
+    # A == A^H entry for entry, and hermitize returns every sum bit for bit: d_op_exact skips it.
+    # Shapes d = 1..8 with L = 6: exact Hermitian sums need OpenBLAS to sum entries (a, b) and
+    # (b, a) over the bits in one order. Unlike the oracle comparisons this holds at d = 1, as no
+    # second product is compared; d = 11 and 13 with L >= 9 are left out
     rng = np.random.default_rng(196 + d)
     n_outcomes = 6
     pairs = [
@@ -438,7 +456,10 @@ def test_subset_sums_are_exactly_hermitian(d):
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 16])
 def test_subset_sums_do_not_depend_on_the_rows_formed_with_them(d):
     # d_op_exact forms only the subsets it eigensolves: one row alone, or any few rows, give the
-    # chunk's sums bit for bit (a one-row product would take a matrix-vector kernel)
+    # chunk's sums bit for bit (a one-row product would take a matrix-vector kernel). Shapes d = 1,
+    # 2, 3, 7, 16 with L = 6: the bitwise match holds only where OpenBLAS sums each entry in order, so
+    # d = 11 and 13 with L >= 9, where a few rows sum in another order than the chunk, are left
+    # out. d = 1 holds here, as both sides take the same real product
     rng = np.random.default_rng(220 + d)
     n_bits = 6
     deltas = np.array([random_hermitian(d, rng, 10.0 ** rng.uniform(-3, 3)) for _ in range(n_bits)])

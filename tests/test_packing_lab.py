@@ -2,22 +2,25 @@ import numpy as np
 import pytest
 
 from povmtomo import packing_lab, povm
+from povmtomo._rng import haar_isometry, make_rng
 from povmtomo.distances import d_av, d_op_exact
 from povmtomo.packing_lab import (
     PackingBudgetError,
     build_packing,
     haar_moment_check,
-    haar_unitary,
     verify_separation,
 )
+from oracles import haar_unitary
 
 
 def test_haar_unitary_is_unitary():
     for d in (1, 2, 5, 8):
-        u = haar_unitary(d, d)
+        u = haar_isometry(d, d, make_rng(d))
         assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 1e-12
-    scalar = haar_unitary(1, 3)
+    scalar = haar_isometry(1, 1, make_rng(3))
     assert abs(abs(scalar[0, 0]) - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match="1 <= cols <= rows"):
+        haar_isometry(0, 0, make_rng(0))
 
 
 def test_haar_first_moment():
@@ -25,8 +28,6 @@ def test_haar_first_moment():
     d, trials = 4, 10_000
     values = np.empty(trials)
     rng_seed = 42
-    from povmtomo._rng import haar_isometry, make_rng
-
     rng = make_rng(rng_seed)
     sequential = [haar_isometry(d, d, rng) for _ in range(trials)]
     for t in range(trials):
@@ -115,8 +116,6 @@ def test_haar_moment_check_targets(monkeypatch):
     assert report.f2_target == pytest.approx(2.0)
     assert report.f4_target == pytest.approx(256 / 60)
     # blocks of 7 pairs, the last one partial, give the moments of the sequential draws bit for bit
-    from povmtomo._rng import haar_isometry, make_rng
-
     rng, projector = make_rng(0), povm.leading_projector(4)
     f2 = np.empty(200)
     for t in range(200):
@@ -142,8 +141,6 @@ def test_packing_born_marginals_match_haar_averages():
     d, n_flat, eps = 4, 2, 0.4
     rho = np.zeros(d, dtype=complex)
     rho[0] = 1.0
-    from povmtomo._rng import haar_isometry, make_rng
-
     rng = make_rng(77)
     tilted = np.empty(trials)
     flat = np.empty(trials)
@@ -160,8 +157,6 @@ def test_packing_born_marginals_match_haar_averages():
 def test_haar_invariance_of_difference_distribution():
     # replacing U by WU for fixed W leaves the distribution of
     # ||U P U+ - V P V+||_F unchanged (checked on the mean within MC error)
-    from povmtomo._rng import haar_isometry, make_rng
-
     d, trials = 4, 4000
     proj = povm.leading_projector(d)
     w = haar_unitary(d, 123)

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from povmtomo import distances, povm
 from povmtomo._rng import haar_isometry, make_rng
-from povmtomo.packing_lab import haar_unitary
-from oracles import dense_measurement_channel, json_save_povm, pauli_strings
+from oracles import dense_measurement_channel, haar_unitary, json_save_povm, pauli_strings
 
 
 def test_computational_povm():

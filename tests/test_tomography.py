@@ -504,14 +504,13 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
     stacks = {}
     for raw in [*hard_projection_inputs(), *backtracking]:
         stacks.setdefault(raw.elements.shape, []).append(raw)
-    grouped = []  # per Newton step, the groups whose map a CG solve built
+    grouped = []  # per Newton step, the groups that hessian returned
     duals, searches = [], []  # the dual of every evaluated point; per line search, those it evaluated
     hessian, line_search = tomography._DualPoint.hessian, tomography._line_search
 
     def counting_hessian(self, *args):
-        built = []
-        grouped.append(built)
-        return [(rows, lambda build=build: built.append(1) or build()) for rows, build in hessian(self, *args)]
+        grouped.append(hessian(self, *args))
+        return grouped[-1]
 
     class RecordingPoint(tomography._DualPoint):
         def __init__(self, raw, lam, metric):
@@ -567,6 +566,49 @@ def test_a_hard_trial_in_a_stack_changes_no_neighbour(monkeypatch):
     assert float(re.search(r"last step (\S+),", str(hit.value)).group(1)) > tomography.TOL_STEP
 
 
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_a_stack_solved_at_entry_builds_no_hessian_group(metric, monkeypatch):
+    # valid POVMs start at Lambda = 0 with ||grad|| far below 1e-2 TOL_FEASIBILITY: CG's entry
+    # test stops every trial at the start of the first Newton step, before any Hessian group
+    raws = [povm.computational_povm(3), povm.rotated_povm(np.eye(3)), povm.depolarized(povm.computational_povm(3), 0.3)]
+    solo = [project_onto_povms(raw, metric=metric) for raw in raws]
+    built, init = [], tomography._HessianGroup.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(tomography._HessianGroup, "__init__", counting_init)
+    povms, diagnostics = project_onto_povms(raws, metric=metric)
+    assert not built
+    assert diagnostics.iterations == 1 == max(alone.iterations for _, alone in solo)
+    for stacked, (alone, _) in zip(povms, solo):
+        assert np.array_equal(stacked.elements, alone.elements)
+
+
+@pytest.mark.parametrize("metric", ["frobenius", "dav"])
+def test_a_trial_solved_at_entry_leaves_before_the_first_hessian(metric, monkeypatch):
+    # a valid POVM next to two 100-shot LSE estimates that need Newton steps: the first
+    # step's Hessian groups hold only the T - 1 unsolved trials, and each keeps its solo bits
+    pauli6 = frames.pauli6_product(1)
+    raws = [povm.random_povm(2, 4, 1), *(_lse(povm.random_povm(2, 4, seed), pauli6, 100, seed) for seed in (2, 3))]
+    solo = [project_onto_povms(raw, metric=metric) for raw in raws]
+    assert [alone.iterations > 1 for _, alone in solo] == [False, True, True]
+    steps, hessian = [], tomography._DualPoint.hessian
+
+    def recording_hessian(self, *args):
+        groups = hessian(self, *args)
+        steps.append([rows for rows, _ in groups])
+        return groups
+
+    monkeypatch.setattr(tomography._DualPoint, "hessian", recording_hessian)
+    povms, diagnostics = project_onto_povms(raws, metric=metric)
+    assert sum(map(len, steps[0])) == len(raws) - 1
+    assert diagnostics.iterations == max(alone.iterations for _, alone in solo)
+    for stacked, (alone, _) in zip(povms, solo):
+        assert np.array_equal(stacked.elements, alone.elements)
+
+
 def test_projection_rejects_mixed_or_empty_stacks():
     with pytest.raises(ValueError, match="one shape"):
         project_onto_povms([np.array([np.eye(2)]), np.array([np.eye(3)])])
@@ -605,8 +647,8 @@ def test_projection_hessian_matches_finite_differences(metric):
             eps = 1e-6
             plus = tomography._DualPoint(raw[None], (lam + eps * h)[None], metric).gradient[0]
             minus = tomography._DualPoint(raw[None], (lam - eps * h)[None], metric).gradient[0]
-            ((_, build),) = tomography._DualPoint(raw[None], lam[None], metric).hessian(metric, [0.0])
-            np.testing.assert_allclose(build()(h[None])[0], (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
+            ((_, apply),) = tomography._DualPoint(raw[None], lam[None], metric).hessian(metric, [0.0])
+            np.testing.assert_allclose(apply(h[None])[0], (plus - minus) / (2 * eps), rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
@@ -620,10 +662,10 @@ def test_stacked_hessian_groups_match_each_trials_finite_differences(metric):
     h = np.array([random_hermitian(d, rng) for _ in range(2)])
     groups = tomography._DualPoint(raw, lam, metric).hessian(metric, [0.0, 0.0])
     assert sorted(rows for rows, _ in groups) == [[0], [1]]
-    assert sorted((build().top, build().k > 0) for _, build in groups) == [(False, True), (True, True)]
+    assert sorted((apply.top, apply.k > 0) for _, apply in groups) == [(False, True), (True, True)]
     product = np.empty_like(h)
-    for rows, build in groups:
-        product[rows] = build()(h[rows])
+    for rows, apply in groups:
+        product[rows] = apply(h[rows])
     plus = tomography._DualPoint(raw, lam + eps * h, metric).gradient
     minus = tomography._DualPoint(raw, lam - eps * h, metric).gradient
     for t in range(2):
@@ -669,18 +711,18 @@ def test_stacked_reductions_equal_per_trial_ones_bit_for_bit(n_trials):
             assert point.residual == [float(np.linalg.norm(g)) for g in point.gradient]
 
 
-def test_conjugate_gradient_builds_no_map_for_a_solved_stack():
-    built = []
+def test_conjugate_gradient_makes_no_product_for_a_stack_solved_on_entry():
+    products = []
     rhs = np.zeros((2, 3, 3), dtype=complex)
-    x = tomography._conjugate_gradient(lambda: built.append(1), rhs, [1e-11, 1e-11], 10)
-    assert not built and not x.any()
+    x = tomography._conjugate_gradient(lambda h: products.append(1), rhs, [1e-11, 1e-11], 10)
+    assert not products and not x.any()
 
 
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
 def test_conjugate_gradient_gives_a_zero_row_exactly_where_the_rhs_meets_its_tolerance(metric):
-    # the projection stops a trial with a zero direction before its line search; CG gives one
-    # exactly to a trial whose ||rhs||^2 <= tol^2 on entry. Every other trial leaves the stack
-    # at its own iteration with the bits of its solo solve.
+    # the projection stops a trial that passes CG's entry test before its Newton step; CG gives a
+    # zero row exactly to a trial whose ||rhs||^2 <= tol^2 on entry. Every other trial leaves the
+    # stack at its own iteration with the bits of its solo solve.
     rng = np.random.default_rng(53)
     d, n_outcomes = 4, 3
     raw = np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])
@@ -692,20 +734,19 @@ def test_conjugate_gradient_gives_a_zero_row_exactly_where_the_rhs_meets_its_tol
     tol = [1e-8, 1.0, 1e-3, 0.5, 0.0, 1e-14]
     n_trials = len(rhs)
 
-    def build(trials):
+    def hessian(trials):
         point = tomography._DualPoint(np.repeat(raw[None], trials, axis=0), np.repeat(lam[None], trials, axis=0),
                                       metric)
-        ((_, builder),) = point.hessian(metric, [1e-2] * trials)
-        return builder
+        ((_, apply),) = point.hessian(metric, [1e-2] * trials)
+        return apply
 
-    x = tomography._conjugate_gradient(build(n_trials), rhs, tol, 200)
+    x = tomography._conjugate_gradient(hessian(n_trials), rhs, tol, 200)
     entry = [float(np.vdot(r, r).real) for r in rhs]
     assert [bool(row.any()) for row in x] == [rr > t * t for rr, t in zip(entry, tol)] \
         == [True, False, True, False, False, True]
-    apply = build(n_trials)()
-    residuals = np.linalg.norm(apply(x) - rhs, axis=(1, 2))
+    residuals = np.linalg.norm(hessian(n_trials)(x) - rhs, axis=(1, 2))
     for t in range(n_trials):
-        assert np.array_equal(x[t], tomography._conjugate_gradient(build(1), rhs[t:t + 1], [tol[t]], 200)[0])
+        assert np.array_equal(x[t], tomography._conjugate_gradient(hessian(1), rhs[t:t + 1], [tol[t]], 200)[0])
         if x[t].any():
             assert residuals[t] <= 2 * tol[t]
 
