@@ -185,7 +185,7 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
             raise ValueError(
                 f"counts table has {meta['n_outcomes']} outcomes, target POVM has {target.outcomes}"
             )
-        table, _ = load_counts(counts_path)
+        table, _ = load_counts(counts_path, meta)
 
     raw = lse_estimate(table, ensemble)
     estimated, diagnostics = project_onto_povms(raw, config.metric)

@@ -258,10 +258,16 @@ class _DualPoint:
         eigenvalues w of A_j - G^-1 Lambda: 1 on active pairs (w > S), 0 on
         inactive ones, (w_k - S) / (w_k - w_l) from active k to inactive l.
         For dav each active diagonal entry also gets 1/(1 + m) times the sum
-        of the inactive diagonal entries of Q_j* G^-1(H) Q_j, from
-        dS/dw_l = -1/(1 + m) with m active eigenvalues. Back in the original
-        basis that term is c_j P_j, with P_j the projector onto the active
-        eigenvectors and c_j = tr((I - P_j) G^-1(H)) / (1 + m_j).
+        of the inactive diagonal entries of Q_j* Y Q_j, Y = G^-1(H), from
+        dS/dw_l = -1/(1 + m) with m active eigenvalues; in the original basis
+        that term is c_j(Y) P_j, with P_j the projector onto the active
+        eigenvectors and c_j(Y) = tr((I - P_j) Y) / (1 + m_j). No product
+        applies G^-1, by an exact identity: G^-1(H) = H - cI with
+        c = tr H / (d + 1) = tr G^-1(H); Omega_j's diagonal is 1 on active
+        eigenvalues and 0 on inactive ones, so the Omega part maps I to
+        sum_j P_j; and c_j(H - cI) = c - tr(P_j H) / (1 + m_j). The c P_j
+        terms cancel, so the dav map is
+        H -> sum_j Q_j (Omega_j o Q_j* H Q_j) Q_j* - sum_j tr(P_j H) / (1 + m_j) P_j + mu H.
 
         As in Qi and Sun's method, only k of the d eigenvectors take part:
         the top k = max_j m_j when they cover every active one, or else the
@@ -292,7 +298,11 @@ class _HessianGroup:
     Q(C o Q* Y Q)Q* = M + M* for M = Q_S (C' o Q_S* Y Q) Q* and C' equal to
     C with its S columns halved. The k-column factors of a trial's effects
     are concatenated, so each product is one GEMM and one batched matmul
-    each way per trial, 4 k d^2 flops per effect.
+    each way per trial, 4 k d^2 flops per effect. Both branches are the
+    same linear map V, which takes I to sum_j P_j, so for dav
+    V(G^-1 H) + sum_j c_j(G^-1 H) P_j = V(H) - sum_j tr(P_j H) / (1 + m_j) P_j
+    (see :meth:`_DualPoint.hessian`): a product applies V to H itself and
+    reads tr(P_j H) off one vecdot, with no G^-1 and no trace.
     """
 
     def __init__(self, q, q_adjoint, w, clipped, active, ranks, top: bool, k: int, metric: str, mu):
@@ -310,22 +320,18 @@ class _HessianGroup:
         self.columns = q[..., kept].transpose(0, 2, 1, 3).reshape(n_trials, d, n_outcomes * k)  # [Q_S1 ... Q_SL]
         if metric == "dav":
             self.projectors = ((q * active[..., None, :]) @ self.q_adjoint).reshape(n_trials, n_outcomes, d * d)
-            self.flat_projectors = self.projectors.conj()
             self.row_weights = 1.0 / (1.0 + ranks)
 
     def __call__(self, h: np.ndarray) -> np.ndarray:
         n_trials, n_outcomes, d, _ = self.q.shape
-        y = _metric_inverse(h, self.metric)
-        rotated = (self.rows @ y).reshape(n_trials, n_outcomes, self.k, d) @ self.q  # rows S of Q_j* Y Q_j
+        rotated = (self.rows @ h).reshape(n_trials, n_outcomes, self.k, d) @ self.q  # rows S of Q_j* H Q_j
         half = self.columns @ ((self.coefficients * rotated) @ self.q_adjoint).reshape(self.rows.shape)
         out = half + half.conj().swapaxes(-1, -2)
         if not self.top:
-            out = n_outcomes * y - out
-        if self.metric == "dav":  # sum_j c_j P_j: one (T, 1, L) by (T, L, d^2) product
-            inactive_traces = (np.trace(y, axis1=-2, axis2=-1).real[:, None]
-                               - (self.flat_projectors @ y.reshape(n_trials, d * d, 1))[..., 0].real)
-            weights = (self.row_weights * inactive_traces)[:, None]
-            out += (weights @ self.projectors).reshape(n_trials, d, d)
+            out = n_outcomes * h - out
+        if self.metric == "dav":  # -sum_j tr(P_j H) / (1 + m_j) P_j: one (T, 1, L) by (T, L, d^2) product
+            traces = np.vecdot(self.projectors, h.reshape(n_trials, 1, d * d)).real  # vecdot conjugates P_j
+            out -= ((self.row_weights * traces)[:, None] @ self.projectors).reshape(n_trials, d, d)
         out += self.mu * h
         return out
 
@@ -401,11 +407,15 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     with Z_j = P_G(raw_j - G^-1 Lambda), one shifted eigenvalue clip
     ``max(lambda - S, 0)`` per effect (S = 0 for ``frobenius``, S from
     :func:`_dav_shift` for ``dav``). The gradient is I - sum_j Z_j. Each
-    Newton step solves (V + mu I) dLambda = -grad by conjugate gradients to
+    Newton step solves W(dLambda) = -grad by conjugate gradients to
     ||residual||_F <= cg_tol = max(min(0.1, ||grad||) ||grad||, 1e-2 TOL_FEASIBILITY),
-    V from :meth:`_DualPoint.hessian` and mu = min(1e-2, ||grad||), then
-    backtracks until theta or ||grad|| falls by the Armijo factor. It stops
-    once ``||sum_j Z_j - I||_F <= TOL_FEASIBILITY`` and the last primal step
+    with mu = min(1e-2, ||grad||), V(H) = sum_j Q_j (Omega_j o Q_j* H Q_j) Q_j*
+    and the Newton map W(H) = V(H) + mu H for ``frobenius`` and
+    W(H) = V(H) - sum_j tr(P_j H) / (1 + m_j) P_j + mu H for ``dav``, P_j the
+    projector onto Z_j's m_j active eigenvectors (:meth:`_DualPoint.hessian`
+    derives it; no product applies G^-1). It then backtracks until theta or
+    ||grad|| falls by the Armijo factor. It stops once
+    ``||sum_j Z_j - I||_F <= TOL_FEASIBILITY`` and the last primal step
     ``||dZ||_F <= TOL_STEP``; Lambda is not unique for rank-deficient
     targets, so its own steps are no stopping criterion.
 
@@ -657,13 +667,16 @@ def load_counts_meta(path) -> dict:
         return read("counts sidecar", json.load(fh), _SIDECAR_SCHEMA, _SIDECAR_DEFAULTS)
 
 
-def load_counts(path) -> tuple[FrequencyTable, dict]:
+def load_counts(path, meta: dict | None = None) -> tuple[FrequencyTable, dict]:
     """Read a counts CSV and its sidecar (:func:`load_counts_meta`); returns (table, metadata).
 
+    ``meta`` is the sidecar as :func:`load_counts_meta` returned it, for a caller
+    that has already read and checked it; the sidecar is then not read again.
     Repeated cells add up; a negative count is rejected before it can cancel one,
     and a count above ``n_shots`` or rows that do not sum to it before they are added.
     """
-    meta = load_counts_meta(path)
+    if meta is None:
+        meta = load_counts_meta(path)
     n_states, n_outcomes, n_shots = meta["n_states"], meta["n_outcomes"], meta["n_shots"]
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")

@@ -60,6 +60,45 @@ def dav_clip_by_segments(w):
     return out
 
 
+def dense_newton_map(raw, lam, h, metric, mu):
+    """The projection's Newton map at the dual point ``lam``, applied to ``h``, one effect at a time.
+
+    The definition V(G^-1 H) + sum_j c_j(G^-1 H) P_j + mu H for one (L, d, d)
+    estimate: with G^-1 Y = Y - tr(Y) I / (d + 1) for ``dav`` (Y for
+    ``frobenius``), each effect's eigenpairs (w, Q) of raw_j - G^-1 lam, its
+    clip z (max(w, 0), or :func:`dav_clip_by_segments`) and its active set
+    z > 0 give Omega entry by entry: 1 on two active eigenvalues, 0 on two
+    inactive ones, z_a / (w_a - w_i) between an active a and an inactive i.
+    For ``dav`` the correction is c_j(Y) P_j with P_j the projector onto the
+    m_j active eigenvectors and c_j(Y) = tr((I - P_j) Y) / (1 + m_j).
+    """
+    d = raw.shape[-1]
+    eye = np.eye(d)
+
+    def metric_inverse(y):
+        return y - np.trace(y).real / (d + 1) * eye if metric == "dav" else y
+
+    y = metric_inverse(h)
+    out = mu * h
+    for effect in raw:
+        w, q = np.linalg.eigh(effect - metric_inverse(lam))
+        z = np.maximum(w, 0.0) if metric == "frobenius" else dav_clip_by_segments(w)
+        active = z > 0
+        omega = np.zeros((d, d))
+        for k in range(d):
+            for l in range(d):
+                if active[k] and active[l]:
+                    omega[k, l] = 1.0
+                elif active[k] != active[l]:
+                    a, i = (k, l) if active[k] else (l, k)
+                    omega[k, l] = z[a] / (w[a] - w[i])
+        out = out + q @ (omega * (q.conj().T @ y @ q)) @ q.conj().T
+        if metric == "dav":
+            projector = q[:, active] @ q[:, active].conj().T
+            out = out + np.trace((eye - projector) @ y).real / (1 + active.sum()) * projector
+    return out
+
+
 def subset_enumeration_d_op(e_elements, f_elements):
     """Operational distance by explicit full power-set enumeration."""
     deltas = np.asarray(e_elements) - np.asarray(f_elements)

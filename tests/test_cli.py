@@ -100,6 +100,30 @@ def test_reconstruct_from_counts_and_hash_check(tmp_path):
     assert code == 1
 
 
+def test_from_counts_parses_the_sidecar_once(tmp_path, monkeypatch):
+    # the sidecar checked before the CSV is read is the one load_counts uses; the files are
+    # byte for byte those of a run in which load_counts reads the sidecar again itself
+    path = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    counts = tmp_path / "run" / "counts.csv"
+    parsed, load_counts_meta, load_counts = [], tomography.load_counts_meta, tomography.load_counts
+
+    def counting_meta(counts_path):
+        parsed.append(counts_path)
+        return load_counts_meta(counts_path)
+
+    monkeypatch.setattr(tomography, "load_counts_meta", counting_meta)
+    monkeypatch.setattr(cli, "load_counts_meta", counting_meta)
+    argv = ["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out"]
+    assert cli.main([*argv, str(tmp_path / "once")]) == 0
+    assert len(parsed) == 1
+    monkeypatch.setattr(cli, "load_counts", lambda counts_path, meta=None: load_counts(counts_path))
+    assert cli.main([*argv, str(tmp_path / "twice")]) == 0
+    assert len(parsed) == 3
+    for name in ("estimated_povm.json", "report.json"):
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "twice" / name).read_bytes()
+
+
 def _assert_rejected_before_work(code, capsys, out_dir):
     assert code == 1
     record = json.loads(capsys.readouterr().err)

@@ -26,6 +26,7 @@ from oracles import (
     closed_form_sample_size,
     csv_save_counts,
     dav_clip_by_segments,
+    dense_newton_map,
     dykstra_projection,
     exact_frequencies,
     random_hermitian,
@@ -670,6 +671,59 @@ def test_stacked_hessian_groups_match_each_trials_finite_differences(metric):
     minus = tomography._DualPoint(raw, lam - eps * h, metric).gradient
     for t in range(2):
         np.testing.assert_allclose(product[t], (plus[t] - minus[t]) / (2 * eps), rtol=0, atol=1e-7)
+
+
+def test_hessian_products_match_the_dense_newton_map():
+    # every product against the definition V(G^-1 H) + sum_j c_j(G^-1 H) P_j + mu H, effect by
+    # effect: the products apply V to H itself, which equals it only by an exact identity, so
+    # agreement here must be to rounding, far tighter than the finite-difference tests' 1e-7
+    rng = np.random.default_rng(59)
+    branches, split_stacks = set(), 0
+    for metric, d, n_outcomes in itertools.product(("frobenius", "dav"), range(1, 9), range(1, 7)):
+        stacks = [[bias] for bias in (-0.8, 0.0, 0.8)] + [[0.8, -0.4]]  # T = 1 stacks, then a T = 2 one
+        for biases in stacks:
+            raw = np.array([[random_hermitian(d, rng) + bias * np.eye(d) for _ in range(n_outcomes)]
+                            for bias in biases])
+            lam = np.array([random_hermitian(d, rng, 0.3) for _ in biases])
+            h = np.array([random_hermitian(d, rng) for _ in biases])
+            mu = [float(rng.uniform(0, 1e-2)) for _ in biases]
+            groups = tomography._DualPoint(raw, lam, metric).hessian(metric, mu)
+            split_stacks += len(groups) == 2
+            for rows, apply in groups:
+                branches.add(apply.top)
+                for row, product in zip(rows, apply(h[rows])):
+                    ref = dense_newton_map(raw[row], lam[row], h[row], metric, mu[row])
+                    assert np.linalg.norm(product - ref) <= 1e-12 * (1 + np.linalg.norm(ref)), (metric, d, n_outcomes)
+    assert branches == {True, False} and split_stacks > 0
+
+
+def test_dav_products_never_apply_the_metric_inverse(monkeypatch):
+    # G^-1 is applied once per dual evaluation, to Lambda; no Hessian product applies it
+    evaluations, inverses, in_products = [], [], []
+    metric_inverse, call = tomography._metric_inverse, tomography._HessianGroup.__call__
+
+    class CountingPoint(tomography._DualPoint):
+        def __init__(self, *args):
+            evaluations.append(1)
+            super().__init__(*args)
+
+    def counting_inverse(*args):
+        inverses.append(1)
+        return metric_inverse(*args)
+
+    def counting_call(self, h):
+        before = len(inverses)
+        out = call(self, h)
+        in_products.append(len(inverses) - before)
+        return out
+
+    monkeypatch.setattr(tomography, "_DualPoint", CountingPoint)
+    monkeypatch.setattr(tomography, "_metric_inverse", counting_inverse)
+    monkeypatch.setattr(tomography._HessianGroup, "__call__", counting_call)
+    raws = [raw for raw in hard_projection_inputs() if raw.elements.shape[1] == 7]
+    project_onto_povms(raws, metric="dav")
+    assert len(in_products) > 0 and not any(in_products)
+    assert len(inverses) == len(evaluations)
 
 
 @pytest.mark.parametrize("n_trials", [1, 2, 15])
