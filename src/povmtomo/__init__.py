@@ -11,23 +11,16 @@ from .frames import (
     ProbeEnsemble,
     build_ensemble,
     design_check,
-    frame_operator,
     mub_ensemble,
     pauli6_product,
     sic_qubit_ensemble,
     sic_qubit_product,
 )
-from .packing_lab import (
-    PackingFamily,
-    build_packing,
-    haar_moment_check,
-    verify_separation,
-)
+from .packing_lab import PackingFamily, build_packing, verify_separation
 from .povm import (
     Povm,
     PovmValidationError,
     RawEstimate,
-    born,
     build_povm,
     coarse_grain,
     computational_povm,

@@ -1,10 +1,8 @@
-"""Desk-scale verification of the packing constructions and Haar moments.
+"""Desk-scale packing families, as the ``packing`` command builds and checks them.
 
 Builds small families of packing POVMs around Haar-random unitaries and a
-fixed rank-d/2 projector, certifies their pairwise separation against the
-distance module, and Monte-Carlo-checks the projector-difference moments
-``E f^2 = d/2`` and ``E f^4 = d^4 / (4(d^2 - 1))`` that the separation
-arguments rely on.
+fixed rank-d/2 projector, and certifies their pairwise separation against the
+distance module.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .povm import Povm, leading_projector, packing_av_povm, packing_op_povm
 
 REDRAW_FACTOR = 10  # budget: REDRAW_FACTOR * n_members candidate draws
 TRACE_NORM_THRESHOLD = 0.25  # acceptance rule: (1/d) || UPU+ - VPV+ ||_1 >= 1/4
-_MOMENT_BLOCK_ENTRIES = 1 << 16  # matrix entries of U (and of V) per block of haar_moment_check's pairs
 
 
 class PackingBudgetError(RuntimeError):
@@ -41,16 +38,6 @@ class SeparationReport:
     min_pairwise: float
     threshold: float
     ok: bool
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    f2_mean: float
-    f2_target: float
-    f2_z: float
-    f4_mean: float
-    f4_target: float
-    f4_z: float
 
 
 def build_packing(
@@ -128,39 +115,3 @@ def verify_separation(family: PackingFamily) -> SeparationReport:
     min_pairwise = min(values) if family.kind == "op" else np.sqrt(family.dim) * min(values)
     threshold = family.epsilon / 8 if family.kind == "op" else family.epsilon / 4
     return SeparationReport(float(min_pairwise), float(threshold), bool(min_pairwise >= threshold))
-
-
-def haar_moment_check(d: int, trials: int, seed) -> MomentReport:
-    """Monte Carlo check of the rotated-projector difference moments.
-
-    Samples Haar pairs (U, V), in blocks of ``_MOMENT_BLOCK_ENTRIES`` matrix
-    entries of each, computes ``f = ||U P U^+ - V P V^+||_F`` for
-    the rank-d/2 projector P, and compares the empirical means of f^2 and f^4
-    against d/2 and d^4/(4(d^2-1)) via z-scores on the Monte Carlo standard
-    errors.
-    """
-    if d % 2:
-        raise ValueError("the moment targets assume a rank-d/2 projector (even d)")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    rng = make_rng(seed)
-    projector = leading_projector(d)
-    block = max(1, _MOMENT_BLOCK_ENTRIES // (d * d))
-    f2 = np.empty(trials)
-    for start in range(0, trials, block):
-        u, v = haar_isometry(d, d, rng, (min(block, trials - start), 2)).swapaxes(0, 1)  # (U, V), (U, V), ...
-        diff = u @ projector @ u.conj().swapaxes(-1, -2) - v @ projector @ v.conj().swapaxes(-1, -2)
-        f2[start:start + len(u)] = linalg.frobenius_norms(diff) ** 2
-    f4 = f2**2
-    f2_target = d / 2
-    f4_target = d**4 / (4 * (d**2 - 1))
-    f2_se = float(np.std(f2, ddof=1) / np.sqrt(trials))
-    f4_se = float(np.std(f4, ddof=1) / np.sqrt(trials))
-    return MomentReport(
-        float(np.mean(f2)),
-        float(f2_target),
-        float((np.mean(f2) - f2_target) / f2_se),
-        float(np.mean(f4)),
-        float(f4_target),
-        float((np.mean(f4) - f4_target) / f4_se),
-    )

@@ -336,18 +336,19 @@ class _HessianGroup:
         return out
 
 
-def _conjugate_gradient(apply, rhs: np.ndarray, tol: list, max_iterations: int) -> np.ndarray:
+def _conjugate_gradient(apply, rhs: np.ndarray, tol: list) -> np.ndarray:
     """Solve apply(x) = rhs for each trial of a (T, d, d) stack, to ||residual_t||_F <= tol_t.
 
     ``apply`` is positive definite on every trial. A trial that meets its
     tolerance leaves the stack, and the map with it; a trial that meets it
     on entry gets x = 0, and a stack that meets it on entry gets no product.
+    The stack gets at most ``_CG_MAX_ITERATIONS`` products.
     """
     x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
     rr = _dots(r, r)
     tol2 = [t * t for t in tol]
     rows = slice(None)  # the rows of x still iterating
-    for _ in range(max_iterations):
+    for _ in range(_CG_MAX_ITERATIONS):
         if any(map(le, rr, tol2)):
             done = list(map(le, rr, tol2))
             if all(done):
@@ -481,12 +482,11 @@ def project_onto_povms(raw, metric: str = "frobenius"):
         mu = [min(1e-2, g) for g in point.residual]
         groups = point.hessian(metric, mu)
         if len(groups) == 1:  # the whole stack: nothing to gather or scatter
-            direction = _conjugate_gradient(groups[0][1], -point.gradient, cg_tol, _CG_MAX_ITERATIONS)
+            direction = _conjugate_gradient(groups[0][1], -point.gradient, cg_tol)
         else:
             direction = np.empty_like(point.gradient)
             for rows, apply in groups:
-                direction[rows] = _conjugate_gradient(apply, -point.gradient[rows], [cg_tol[t] for t in rows],
-                                                      _CG_MAX_ITERATIONS)
+                direction[rows] = _conjugate_gradient(apply, -point.gradient[rows], [cg_tol[t] for t in rows])
         point = _line_search(arr, point, direction, metric)
         done = [r <= TOL_FEASIBILITY and s <= TOL_STEP for r, s in zip(point.residual, point.step)]
         if any(done) and stop(done) is None:

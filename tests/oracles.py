@@ -9,12 +9,13 @@ import csv
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from povmtomo import distances, linalg
 from povmtomo._rng import haar_isometry, make_rng
-from povmtomo.povm import _as_element_stack
+from povmtomo.povm import _as_element_stack, leading_projector
 from povmtomo.tomography import spec_hash
 
 
@@ -179,6 +180,55 @@ def dense_measurement_channel(ideal, estimated):
 def haar_unitary(d, seed):
     """Haar-random d x d unitary: one ``haar_isometry`` draw from its own ``make_rng(seed)`` stream."""
     return haar_isometry(d, d, make_rng(seed))
+
+
+_MOMENT_BLOCK_ENTRIES = 1 << 16  # matrix entries of U (and of V) per block of haar_moment_check's pairs
+
+
+@dataclass(frozen=True)
+class MomentReport:
+    f2_mean: float
+    f2_target: float
+    f2_z: float
+    f4_mean: float
+    f4_target: float
+    f4_z: float
+
+
+def haar_moment_check(d, trials, seed):
+    """Monte Carlo check of the rotated-projector difference moments.
+
+    Samples Haar pairs (U, V), in blocks of ``_MOMENT_BLOCK_ENTRIES`` matrix
+    entries of each, computes ``f = ||U P U^+ - V P V^+||_F`` for
+    the rank-d/2 projector P, and compares the empirical means of f^2 and f^4
+    against d/2 and d^4/(4(d^2-1)) via z-scores on the Monte Carlo standard
+    errors. These are the moments the packing separation arguments rely on.
+    """
+    if d % 2:
+        raise ValueError("the moment targets assume a rank-d/2 projector (even d)")
+    if trials < 100:
+        raise ValueError("need at least 100 trials")
+    rng = make_rng(seed)
+    projector = leading_projector(d)
+    block = max(1, _MOMENT_BLOCK_ENTRIES // (d * d))
+    f2 = np.empty(trials)
+    for start in range(0, trials, block):
+        u, v = haar_isometry(d, d, rng, (min(block, trials - start), 2)).swapaxes(0, 1)  # (U, V), (U, V), ...
+        diff = u @ projector @ u.conj().swapaxes(-1, -2) - v @ projector @ v.conj().swapaxes(-1, -2)
+        f2[start:start + len(u)] = linalg.frobenius_norms(diff) ** 2
+    f4 = f2**2
+    f2_target = d / 2
+    f4_target = d**4 / (4 * (d**2 - 1))
+    f2_se = float(np.std(f2, ddof=1) / np.sqrt(trials))
+    f4_se = float(np.std(f4, ddof=1) / np.sqrt(trials))
+    return MomentReport(
+        float(np.mean(f2)),
+        float(f2_target),
+        float((np.mean(f2) - f2_target) / f2_se),
+        float(np.mean(f4)),
+        float(f4_target),
+        float((np.mean(f4) - f4_target) / f4_se),
+    )
 
 
 def random_hermitian(d, rng, scale=1.0):

@@ -1,12 +1,15 @@
-"""Every name a package or test module imports is used in that module, and
-every private module-level name is used somewhere in the package.
+"""Every name a package or test module imports is used in that module, every
+private module-level name is used somewhere in the package, and every public
+function or class is used by the package itself.
 
 No linter runs in this project, so these stdlib ``ast`` checks stand in for
 pyflakes' F401 and for a dead-code finder: an import is unused unless the
 module refers to its bound name somewhere, or its line carries
 ``# noqa: F401``; a module-level ``_``-prefixed function, class or constant
 is orphaned unless some package module refers to it by name, by attribute or
-by import.
+by import. A public module-level function or class is held to the same rule,
+with ``__init__.py``'s re-exports left out: code that only tests or a caller
+outside the package run belongs in ``tests/oracles.py``, not in the library.
 """
 
 import ast
@@ -89,3 +92,38 @@ def test_check_catches_an_orphaned_helper():
     assert orphaned_private_names([module, "from .m import _used\n"]) == ["_left_over", "_Gone"]
     assert orphaned_private_names([module, "import m\nm._left_over()\nm._used(m._Gone)\n"]) == []
     assert private_definitions("__all__ = []\n_x: int = 1\n") == ["_x"]
+
+
+# Public names that no package module refers to, each with the reason it stays.
+ENTRY_POINTS = {
+    "cli.run_reconstruction": "the documented library entry point: one reconstruction from a config, without argparse",
+}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Module-level function and class names without a leading ``_``."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def unreachable_public_names(modules: dict[str, str]) -> list[str]:
+    """``module.name`` of each public definition that no module of ``modules`` refers to."""
+    used = set().union(*(referenced_names(source) for source in modules.values()))
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in public_definitions(source) if name not in used]
+
+
+def test_every_public_definition_is_used_by_the_package():
+    modules = {path.stem: path.read_text() for path in MODULES}
+    assert sum(len(public_definitions(source)) for source in modules.values()) > len(ENTRY_POINTS)
+    assert sorted(unreachable_public_names(modules)) == sorted(ENTRY_POINTS)
+
+
+def test_check_catches_an_unreachable_public_name():
+    module = "LIMIT = 3\n\ndef used():\n    return LIMIT\n\ndef left_over():\n    pass\n\nclass Gone:\n    pass\n"
+    assert unreachable_public_names({"m": module, "n": "from .m import used\n"}) == ["m.left_over", "m.Gone"]
+    assert unreachable_public_names({"m": module, "n": "from . import m\nm.left_over(m.used, m.Gone)\n"}) == []
+    assert public_definitions("def _private():\n    pass\n\nVALUE = 1\n") == []

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from povmtomo import packing_lab, povm
+from povmtomo import povm
 from povmtomo._rng import haar_isometry, make_rng
 from povmtomo.distances import d_av, d_op_exact
-from povmtomo.packing_lab import (
-    PackingBudgetError,
-    build_packing,
-    haar_moment_check,
-    verify_separation,
-)
-from oracles import haar_unitary
+from povmtomo.packing_lab import PackingBudgetError, PackingFamily, build_packing, verify_separation
+import oracles
+from oracles import haar_moment_check, haar_unitary
 
 
 def test_haar_unitary_is_unitary():
@@ -84,7 +80,7 @@ def test_build_packing_rejects_bad_parameters():
 def test_duplicated_unitary_family_fails_separation():
     u = haar_unitary(4, 99)
     members = (povm.packing_op_povm(u, 0.4, 2), povm.packing_op_povm(u, 0.4, 2))
-    family = packing_lab.PackingFamily("op", 4, 0.4, (u, u), members)
+    family = PackingFamily("op", 4, 0.4, (u, u), members)
     report = verify_separation(family)
     assert report.min_pairwise == pytest.approx(0.0, abs=1e-12)
     assert not report.ok
@@ -121,7 +117,7 @@ def test_haar_moment_check_targets(monkeypatch):
     for t in range(200):
         u, v = haar_isometry(4, 4, rng), haar_isometry(4, 4, rng)
         f2[t] = np.linalg.norm(u @ projector @ u.conj().T - v @ projector @ v.conj().T) ** 2
-    monkeypatch.setattr(packing_lab, "_MOMENT_BLOCK_ENTRIES", 7 * 4 * 4)
+    monkeypatch.setattr(oracles, "_MOMENT_BLOCK_ENTRIES", 7 * 4 * 4)
     assert haar_moment_check(4, 200, 0) == report
     assert (report.f2_mean, report.f4_mean) == (np.mean(f2), np.mean(f2**2))
     report = haar_moment_check(2, 10_000, 1)

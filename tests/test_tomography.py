@@ -768,7 +768,7 @@ def test_stacked_reductions_equal_per_trial_ones_bit_for_bit(n_trials):
 def test_conjugate_gradient_makes_no_product_for_a_stack_solved_on_entry():
     products = []
     rhs = np.zeros((2, 3, 3), dtype=complex)
-    x = tomography._conjugate_gradient(lambda h: products.append(1), rhs, [1e-11, 1e-11], 10)
+    x = tomography._conjugate_gradient(lambda h: products.append(1), rhs, [1e-11, 1e-11])
     assert not products and not x.any()
 
 
@@ -794,13 +794,13 @@ def test_conjugate_gradient_gives_a_zero_row_exactly_where_the_rhs_meets_its_tol
         ((_, apply),) = point.hessian(metric, [1e-2] * trials)
         return apply
 
-    x = tomography._conjugate_gradient(hessian(n_trials), rhs, tol, 200)
+    x = tomography._conjugate_gradient(hessian(n_trials), rhs, tol)
     entry = [float(np.vdot(r, r).real) for r in rhs]
     assert [bool(row.any()) for row in x] == [rr > t * t for rr, t in zip(entry, tol)] \
         == [True, False, True, False, False, True]
     residuals = np.linalg.norm(hessian(n_trials)(x) - rhs, axis=(1, 2))
     for t in range(n_trials):
-        assert np.array_equal(x[t], tomography._conjugate_gradient(hessian(1), rhs[t:t + 1], [tol[t]], 200)[0])
+        assert np.array_equal(x[t], tomography._conjugate_gradient(hessian(1), rhs[t:t + 1], [tol[t]])[0])
         if x[t].any():
             assert residuals[t] <= 2 * tol[t]
 
