@@ -106,10 +106,11 @@ def _subset_sums(bits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norms(sums: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of :func:`_subset_sums` output, in one stacked ``eigvalsh``.
+    """Spectral norms of an exactly Hermitian stack, such as :func:`_subset_sums` output or
+    :func:`_delta_stack`'s differences, in one stacked ``eigvalsh``.
 
-    The sums are exactly Hermitian, so they skip ``linalg.matrix_norm``'s
-    Hermiticity check and copy; the norms are the same bit for bit.
+    They skip ``linalg.matrix_norm``'s finiteness and Hermiticity checks and
+    its copy; the norms are the same bit for bit.
     """
     return np.max(np.abs(np.linalg.eigvalsh(sums)), axis=-1)
 
@@ -314,5 +315,5 @@ def upper_surrogates(e, f) -> UpperSurrogates:
     """Per-element norm sums; the spectral sum always dominates d_op."""
     (deltas,), _ = _delta_stack(e, [f])
     frob_sum = np.sum(linalg.matrix_norm(deltas, "frobenius"))
-    spec_sum = np.sum(linalg.matrix_norm(deltas, "spectral"))
+    spec_sum = np.sum(_spectral_norms(deltas))
     return UpperSurrogates(float(frob_sum), float(spec_sum))

@@ -16,6 +16,7 @@ live here as well.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -627,6 +628,57 @@ def spec_hash(spec: dict) -> str:
 
 #: Rows that ``save_counts`` formats and writes in one piece.
 COUNTS_CHUNK_ROWS = 8192
+_LIMB = 10**4  # the values one digit word spells
+_ZERO_PAD = 0x30303030  # ORed into a digit word, turns its NUL bytes into leading "0"s
+_COMMA, _CRLF = np.frombuffer(b"\0\0\0,\0\0\r\n", dtype=np.uint32)  # "," and "\r\n" as digit words
+
+
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Tables of 4-byte ASCII words for 0 … 9999: the lowest limb's, and the higher limbs'.
+
+    Word v holds v's digits, most significant first, with a NUL byte in place
+    of each leading zero; word 0 is "0" in the first table and all NUL in the
+    second. Built on the first call, so commands that write no counts skip it.
+    """
+    values = np.arange(_LIMB, dtype=np.uint16)
+    digits = np.zeros((_LIMB, 4), dtype=np.uint8)
+    for place, scale in enumerate((1000, 100, 10, 1)):
+        shown = values >= scale
+        digits[shown, place] = values[shown] // scale % 10 + ord("0")
+    digits[0, 3] = ord("0")
+    lowest = digits.view(np.uint32).ravel()
+    higher = lowest.copy()
+    higher[0] = 0
+    lowest.flags.writeable = higher.flags.writeable = False
+    return lowest, higher
+
+
+def _counts_text(states: np.ndarray, outcomes: np.ndarray, cells: np.ndarray) -> bytes:
+    """``b"%d,%d,%d\\r\\n"`` of each row of non-negative integers, by table lookup.
+
+    Each value becomes one digit word per 4-digit limb, most significant
+    first, and a limb below a nonzero one is zero-padded. The words and the
+    separators fill one (rows, words) array whose bytes, without the NULs,
+    are the text.
+    """
+    lowest, higher = _digit_words()
+    columns = (states, outcomes, cells)
+    limbs = [(len(str(int(column.max()))) + 3) // 4 for column in columns]
+    words = np.empty((len(cells), sum(limbs) + len(columns)), dtype=np.uint32)
+    start = 0
+    for column, k, separator in zip(columns, limbs, (_COMMA, _COMMA, _CRLF)):
+        tables = [higher] * (k - 1) + [lowest]  # most significant limb first
+        rest = column
+        for place in range(k - 1, 0, -1):
+            rest, limb = np.divmod(rest, _LIMB)
+            word = words[:, start + place]
+            word[...] = tables[place][limb]
+            np.bitwise_or(word, _ZERO_PAD, out=word, where=rest > 0)  # a nonzero limb comes before it
+        words[:, start] = tables[0][rest]
+        words[:, start + k] = separator
+        start += k + 1
+    return words.tobytes().translate(None, b"\0")
 
 
 def save_counts(table: FrequencyTable, path, ensemble_spec: dict) -> None:
@@ -634,16 +686,18 @@ def save_counts(table: FrequencyTable, path, ensemble_spec: dict) -> None:
 
     The CSV has header ``state_index,outcome_index,count`` and one row per
     nonzero cell in row-major order, with CRLF line ends, formatted in chunks
-    of :data:`COUNTS_CHUNK_ROWS` rows; the sidecar records M, L, N, the
-    ensemble spec and its hash so ingestion can verify compatibility.
+    of :data:`COUNTS_CHUNK_ROWS` rows from a table of 4-digit ASCII words; the
+    sidecar records M, L, N, the ensemble spec and its hash so ingestion can
+    verify compatibility.
     """
     path = str(path)
     states, outcomes = np.nonzero(table.counts)
-    rows = np.stack([states, outcomes, table.counts[states, outcomes]], axis=1)
+    cells = table.counts[states, outcomes]
     with open(path, "wb") as fh:
         fh.write(b"state_index,outcome_index,count\r\n")
-        for chunk in np.split(rows, range(COUNTS_CHUNK_ROWS, len(rows), COUNTS_CHUNK_ROWS)):
-            fh.write(b"%d,%d,%d\r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+        for start in range(0, len(cells), COUNTS_CHUNK_ROWS):
+            chunk = slice(start, start + COUNTS_CHUNK_ROWS)
+            fh.write(_counts_text(states[chunk], outcomes[chunk], cells[chunk]))
     meta = {"n_states": table.n_states, "n_outcomes": table.n_outcomes, "n_shots": table.n_shots,
             "ensemble_spec": ensemble_spec, "ensemble_spec_sha256": spec_hash(ensemble_spec)}
     dump(meta, path + ".meta.json")

@@ -230,6 +230,19 @@ def test_spec_sum_dominates_d_op():
         assert upper_surrogates(e, f).spec_sum >= d_op_exact(e, f).value - 1e-12
 
 
+def test_spec_sum_is_the_checked_norm_sum_bit_for_bit():
+    # upper_surrogates takes _delta_stack's exactly Hermitian differences straight to eigvalsh
+    pairs = []
+    for d in range(1, 17):
+        pairs.append((computational_povm(d), depolarized(computational_povm(d), 0.1)))
+        for n_outcomes in (2, 3, 4, 7):
+            e = random_povm(d, n_outcomes, (180, d, n_outcomes))
+            pairs += [(e, random_povm(d, n_outcomes, (181, d, n_outcomes))), (e, depolarized(e, 0.3))]
+    for e, f in pairs:
+        expected = np.sum(linalg.matrix_norm(e.elements - f.elements, "spectral"))
+        assert upper_surrogates(e, f).spec_sum == float(expected)
+
+
 def test_raw_inputs_use_full_enumeration():
     # for raw tuples the effect differences need not sum to zero, so the
     # maximizing subset may be the full set

@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used in that module, every
 private module-level name is used somewhere in the package, and every public
-function or class is used by the package itself.
+function or class is used by the package itself. Importing the command line
+builds no table that only some commands use.
 
 No linter runs in this project, so these stdlib ``ast`` checks stand in for
 pyflakes' F401 and for a dead-code finder: an import is unused unless the
@@ -13,6 +14,9 @@ outside the package run belongs in ``tests/oracles.py``, not in the library.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,25 @@ def test_check_catches_an_unreachable_public_name():
     assert unreachable_public_names({"m": module, "n": "from .m import used\n"}) == ["m.left_over", "m.Gone"]
     assert unreachable_public_names({"m": module, "n": "from . import m\nm.left_over(m.used, m.Gone)\n"}) == []
     assert public_definitions("def _private():\n    pass\n\nVALUE = 1\n") == []
+
+
+# The size of save_counts' digit-table cache after importing the command line, and after one write.
+DIGIT_TABLE_AFTER_IMPORT = """
+import sys
+import numpy as np
+import povmtomo.cli
+from povmtomo import tomography
+built = [tomography._digit_words.cache_info().currsize]
+table = tomography.FrequencyTable(np.array([[3, 1]]), 4)
+tomography.save_counts(table, sys.argv[1], {"kind": "mub", "dim": 2})
+print(built + [tomography._digit_words.cache_info().currsize])
+"""
+
+
+def test_importing_the_cli_leaves_the_digit_table_unbuilt(tmp_path):
+    # scaling, distance and the other commands that write no counts pay nothing for the table
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", DIGIT_TABLE_AFTER_IMPORT, str(tmp_path / "counts.csv")],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 1]"

@@ -997,6 +997,11 @@ def test_counts_roundtrip(tmp_path):
          cells=[(k, 1 + k % 7) for k in range(3 * tomography.COUNTS_CHUNK_ROWS + 1)])
 @example(n_states=2 * tomography.COUNTS_CHUNK_ROWS, n_outcomes=5,  # two whole chunks
          cells=[(5 * k + k % 5, k + 1) for k in range(2 * tomography.COUNTS_CHUNK_ROWS)])
+@example(n_states=3, n_outcomes=3,  # counts at the 4-digit limb boundaries
+         cells=[(0, 9), (1, 10), (2, 9_999), (3, 10_000), (4, 10_001), (5, 99_999_999), (6, 10**8), (7, 10**12)])
+@example(n_states=1, n_outcomes=1, cells=[(0, 2**62)])  # one cell of 2**62 shots: the int64 sum still fits
+@example(n_states=10_002, n_outcomes=1, cells=[(9_998, 1), (9_999, 2), (10_000, 3), (10_001, 4)])  # states near 10**4
+@example(n_states=2, n_outcomes=10_001, cells=[(0, 5), (9_999, 6), (10_000, 7), (10_001, 8)])  # outcomes near 10**4
 def test_counts_file_matches_csv_writer(tmp_path_factory, n_states, n_outcomes, cells):
     counts = np.zeros(n_states * n_outcomes, dtype=np.int64)
     for position, count in cells:
@@ -1009,6 +1014,17 @@ def test_counts_file_matches_csv_writer(tmp_path_factory, n_states, n_outcomes, 
     for suffix in ("", ".meta.json"):
         assert (folder / f"fast.csv{suffix}").read_bytes() == (folder / f"csv.csv{suffix}").read_bytes()
     assert np.array_equal(tomography.load_counts(folder / "fast.csv")[0].counts, table.counts)
+
+
+def test_benchmark_shaped_counts_file_matches_csv_writer(tmp_path):
+    # the reconstruct workload's table: Pauli-6 on 4 qubits, 10^6 shots, 5184 rows in one chunk
+    table = simulate_shots(povm.random_povm(16, 4, 1), frames.pauli6_product(4), 10**6, 2)
+    spec = {"kind": "pauli6_product", "n_qubits": 4}
+    tomography.save_counts(table, tmp_path / "fast.csv", ensemble_spec=spec)
+    csv_save_counts(table, tmp_path / "csv.csv", ensemble_spec=spec)
+    assert np.count_nonzero(table.counts) == 5184
+    for suffix in ("", ".meta.json"):
+        assert (tmp_path / f"fast.csv{suffix}").read_bytes() == (tmp_path / f"csv.csv{suffix}").read_bytes()
 
 
 def test_load_counts_checks_cells(tmp_path):
