@@ -22,7 +22,6 @@ from .povm import (
     PovmValidationError,
     RawEstimate,
     build_povm,
-    coarse_grain,
     computational_povm,
     depolarized,
     load_povm,

@@ -203,7 +203,7 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
             **vars(distances.upper_surrogates(target, estimated)),
         },
         "solver": {"metric": config.metric, **vars(diagnostics)},
-        "bernstein": dict(vars(bernstein_diagnostics(target, ensemble, range(target.outcomes)))),
+        "bernstein": dict(vars(bernstein_diagnostics(ensemble))),
         "sample_size": _sample_size_panel(
             target.dim, target.outcomes, config.epsilon, config.delta, ensemble.n_qubits
         ),

@@ -252,18 +252,6 @@ def born(povm: Povm, state) -> np.ndarray:
     return probs / probs.sum()
 
 
-def coarse_grain(povm_or_raw, subset) -> np.ndarray:
-    """Sum of the effects with (0-based) indices in ``subset``."""
-    arr = _as_element_stack(povm_or_raw)
-    indices = sorted(set(int(k) for k in subset))
-    if indices and not (0 <= indices[0] and indices[-1] < arr.shape[0]):
-        raise IndexError(f"outcome indices out of range [0, {arr.shape[0]})")
-    out = np.zeros((arr.shape[1], arr.shape[1]), dtype=complex)
-    for k in indices:
-        out += arr[k]
-    return out
-
-
 def pauli_labels(n_qubits: int) -> list[str]:
     """Labels of the n-qubit Pauli strings, lexicographic in {I, X, Y, Z}^n."""
     return ["".join(combo) for combo in itertools.product("IXYZ", repeat=n_qubits)]

@@ -32,7 +32,7 @@ from ._rng import make_rng
 from ._schema import dump, integer, read, real
 # frame_operator and born are not called here; the benchmark's tracer wraps them on this module.
 from .frames import ProbeEnsemble, frame_operator, frame_sum, frame_traces  # noqa: F401
-from .povm import Povm, RawEstimate, born, coarse_grain  # noqa: F401
+from .povm import Povm, RawEstimate, born  # noqa: F401
 
 PROJECTION_METRICS = ("frobenius", "dav")
 
@@ -91,7 +91,7 @@ def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> F
     ascending order. This equals per-shot sampling in distribution, up to
     the rounding of 1/M to a float. The Born probabilities
     ``<psi_i|E_j|psi_i>`` are clipped to [0, 1] against validation slack and
-    each row renormalized, as :func:`povm.born` does.
+    each row is divided by its sum, as the multinomial sampler needs.
     """
     if n_shots < 1:
         raise ValueError("n_shots must be >= 1")
@@ -510,7 +510,8 @@ def _sqrt(x):
 # (frame, distance, variant) -> (a, sigma^2, K, b) of the Bernstein bound
 # N > 8 a (sigma^2 + K epsilon / 6) / epsilon^2 ln(b / delta), in terms of d, L and
 # n (d = 2**n for local frames); d and L may be ints or Decimals. sigma^2 and K of
-# the op rows bound the shot-free variance and range that bernstein_diagnostics measures.
+# the op rows bound the probe ensemble's own variance and range, shot-free, which
+# bernstein_diagnostics measures from its dual factors.
 _BERNSTEIN_ROWS = {
     ("global", "op", "theorem"): lambda d, L, n: (1, d**3 + d**2, d**2, 2 ** (L + 1) * d),
     ("global", "av", "theorem"): lambda d, L, n: (L**2, d**2 + d, 2 * d / L, 4 * L * d),
@@ -590,26 +591,23 @@ class BernsteinReport:
     sigma2_bound: float
 
 
-def bernstein_diagnostics(povm: Povm, ensemble: ProbeEnsemble, subset) -> BernsteinReport:
-    """Empirical matrix-concentration parameters for an outcome grouping.
+def bernstein_diagnostics(ensemble: ProbeEnsemble) -> BernsteinReport:
+    """Matrix-Bernstein parameters of the ensemble's dual frame, for the grouping of every outcome.
 
-    ``k_emp`` is the largest dual-frame operator norm; ``sigma2_emp`` is
-    ``||sum_i p_i nu_i^2 - F^2||`` with ``p_i = <psi_i|F|psi_i>/M`` and F the
-    coarse-grained effect. Both are reported shot-free (multiply by 1/N for
-    the per-shot quantities) and are certified not to exceed the closed-form
-    bounds d^2 and d^3 + d^2 (global) or 4^n and 10^n (local). Since
-    ``||(x)_k A_k|| = prod_k ||A_k||``, ``k_emp`` is the largest dual factor
-    norm to the power n.
+    ``k_emp`` is the largest dual-frame operator norm, the largest dual factor
+    norm to the power n; ``sigma2_emp`` is ``||(1/M) sum_i nu_i^2 - I||``, the
+    variance ``||sum_i p_i nu_i^2 - F^2||`` at F = I and p_i = 1/M. As nu_i is a
+    Kronecker product of dual factors, ``(1/M) sum_i nu_i^2`` is ``A^(x)n`` for A
+    their mean square, a PSD q x q matrix: the norm is ``max(a_max^n - 1, 1 - a_min^n)``.
+    Both are shot-free (multiply by 1/N for the per-shot quantities) and are
+    certified not to exceed the closed-form bounds d^2 and d^3 + d^2 (global)
+    or 4^n and 10^n (local).
     """
-    if povm.dim != ensemble.dim:
-        raise ValueError("dimension mismatch")
     n = ensemble.n_factors
-    effect = coarse_grain(povm, subset)
     dual = ensemble.dual_factors()
     k_emp = float(np.max(np.abs(np.linalg.eigvalsh(dual)))) ** n
-    p = frame_traces(effect[None], ensemble.projector_factors(), n) / ensemble.size
-    second_moment = frame_sum(p, dual @ dual, n)[0]
-    sigma2_emp = linalg.matrix_norm(linalg.hermitize(second_moment - effect @ effect), "spectral")
+    a_min, a_max = np.linalg.eigvalsh((dual @ dual).mean(axis=0))[[0, -1]].tolist()
+    sigma2_emp = max(a_max**n - 1, 1 - a_min**n)
     sigma2_bound, k_bound = map(float, _BERNSTEIN_ROWS[ensemble.kind, "op", "theorem"](ensemble.dim, 1, n)[1:3])
     # k_emp is a power of an eigenvalue and carries about n ulps of relative error
     if k_emp > k_bound * (1 + 1e-12) + 1e-9 or sigma2_emp > sigma2_bound * (1 + 1e-12) + 1e-9:

@@ -15,6 +15,7 @@ import numpy as np
 
 from povmtomo import distances, linalg
 from povmtomo._rng import haar_isometry, make_rng
+from povmtomo.frames import frame_sum, frame_traces
 from povmtomo.povm import _as_element_stack, leading_projector
 from povmtomo.tomography import spec_hash
 
@@ -305,6 +306,38 @@ def stabilizer_states(n_qubits):
         states += new
         candidates = np.einsum("gab,fb->fga", gates, np.reshape(new, (-1, d))).reshape(-1, d)
     return np.array(states)
+
+
+def coarse_grain(povm_or_raw, subset) -> np.ndarray:
+    """Sum of the effects with (0-based) indices in ``subset``."""
+    arr = _as_element_stack(povm_or_raw)
+    indices = sorted(set(int(k) for k in subset))
+    if indices and not (0 <= indices[0] and indices[-1] < arr.shape[0]):
+        raise IndexError(f"outcome indices out of range [0, {arr.shape[0]})")
+    out = np.zeros((arr.shape[1], arr.shape[1]), dtype=complex)
+    for k in indices:
+        out += arr[k]
+    return out
+
+
+def bernstein_parameters(povm, ensemble, subset):
+    """Matrix-Bernstein range and variance ``(k_emp, sigma2_emp)`` of an outcome grouping.
+
+    ``k_emp`` is the largest dual factor norm to the power n; ``sigma2_emp`` is
+    ``||sum_i p_i nu_i^2 - F^2||`` with F the :func:`coarse_grain` of ``subset`` and
+    ``p_i = <psi_i|F|psi_i>/M``, contracted over all M probe states. At F = I this is
+    ``tomography.bernstein_diagnostics``' closed form.
+    """
+    if povm.dim != ensemble.dim:
+        raise ValueError("dimension mismatch")
+    n = ensemble.n_factors
+    effect = coarse_grain(povm, subset)
+    dual = ensemble.dual_factors()
+    k_emp = float(np.max(np.abs(np.linalg.eigvalsh(dual)))) ** n
+    p = frame_traces(effect[None], ensemble.projector_factors(), n) / ensemble.size
+    second_moment = frame_sum(p, dual @ dual, n)[0]
+    sigma2_emp = linalg.matrix_norm(linalg.hermitize(second_moment - effect @ effect), "spectral")
+    return k_emp, sigma2_emp
 
 
 def json_save_povm(povm, path) -> None:

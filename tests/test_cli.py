@@ -397,6 +397,24 @@ def test_run_reconstruction_api(tmp_path):
     assert report["bernstein"]["k_emp"] <= report["bernstein"]["k_bound"] + 1e-9
 
 
+@pytest.mark.parametrize("ensemble_spec, povm_specs", [
+    ({"kind": "mub", "dim": 7}, [{"kind": "computational", "dim": 7}, {"kind": "random", "dim": 7, "outcomes": 9, "seed": 3}]),
+    ({"kind": "pauli6_product", "n_qubits": 4},
+     [{"kind": "random", "dim": 16, "outcomes": 3, "seed": 4}, {"kind": "computational", "dim": 16}]),
+], ids=["mub-7", "pauli6-4"])
+def test_reconstruct_reports_the_ensembles_bernstein_block_for_every_target(tmp_path, ensemble_spec, povm_specs):
+    # the grouping of every outcome is F = I, so the block is the probe ensemble's own, to the bit
+    blocks = []
+    for k, povm_spec in enumerate(povm_specs):
+        out = tmp_path / f"run{k}"
+        path = write_config(tmp_path, povm=povm_spec, ensemble=ensemble_spec, shots=2000, outputs={"dir": str(out)})
+        assert cli.main(["reconstruct", "--config", str(path)]) == 0
+        blocks.append(json.dumps(json.loads((out / "report.json").read_text())["bernstein"], sort_keys=True))
+    assert blocks[0] == blocks[1]
+    ensemble = frames.build_ensemble(ensemble_spec)
+    assert blocks[0] == json.dumps(vars(tomography.bernstein_diagnostics(ensemble)), sort_keys=True)
+
+
 def test_scaling_requires_enough_points(tmp_path):
     config = load_config(write_config(tmp_path))
     with pytest.raises(ValueError):

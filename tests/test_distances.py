@@ -8,7 +8,14 @@ from povmtomo.distances import d_av, d_op_exact, d_op_lower, upper_surrogates
 from povmtomo.frames import build_ensemble, frame_sum
 from povmtomo.povm import RawEstimate, computational_povm, depolarized, random_povm, rotated_povm
 from povmtomo.tomography import lse_estimate, project_onto_povms, simulate_shots
-from oracles import definition_d_av, gray_code_d_op, haar_unitary, random_hermitian, subset_enumeration_d_op
+from oracles import (
+    coarse_grain,
+    definition_d_av,
+    gray_code_d_op,
+    haar_unitary,
+    random_hermitian,
+    subset_enumeration_d_op,
+)
 
 Z_VS_X = 0.7071067811865476
 
@@ -68,7 +75,7 @@ def test_witness_achieves_the_maximum():
     e = random_povm(3, 4, 80)
     f = random_povm(3, 4, 81)
     report = d_op_exact(e, f)
-    grouped = povm.coarse_grain(e, report.witness) - povm.coarse_grain(f, report.witness)
+    grouped = coarse_grain(e, report.witness) - coarse_grain(f, report.witness)
     value = np.max(np.abs(np.linalg.eigvalsh((grouped + grouped.conj().T) / 2)))
     assert value == pytest.approx(report.value, abs=1e-12)
 
@@ -78,7 +85,7 @@ def test_complement_symmetry_on_valid_pairs():
     f = random_povm(2, 4, 91)
     report = d_op_exact(e, f)
     complement = tuple(sorted(set(range(4)) - set(report.witness)))
-    grouped = povm.coarse_grain(e, complement) - povm.coarse_grain(f, complement)
+    grouped = coarse_grain(e, complement) - coarse_grain(f, complement)
     value = np.max(np.abs(np.linalg.eigvalsh((grouped + grouped.conj().T) / 2)))
     assert value == pytest.approx(report.value, abs=1e-10)
 
@@ -98,7 +105,7 @@ def test_state_distinguishability_bounded_by_d_op():
                 abs(povm.born(e, psi)[j] - povm.born(f, psi)[j]) for j in range(3)
             )
             assert tv <= report.value + 1e-9
-        grouped = povm.coarse_grain(e, report.witness) - povm.coarse_grain(f, report.witness)
+        grouped = coarse_grain(e, report.witness) - coarse_grain(f, report.witness)
         eigenvalues, eigenvectors = np.linalg.eigh((grouped + grouped.conj().T) / 2)
         top = eigenvectors[:, int(np.argmax(np.abs(eigenvalues)))]
         tv = 0.5 * sum(abs(povm.born(e, top)[j] - povm.born(f, top)[j]) for j in range(3))
@@ -133,7 +140,7 @@ def test_lower_bound_witness_excludes_last_outcome_on_valid_pairs():
         f = random_povm(2 + trial % 3, n_outcomes, (141, trial))
         report = d_op_lower(e, f)
         assert n_outcomes - 1 not in report.witness
-        grouped = povm.coarse_grain(e, report.witness) - povm.coarse_grain(f, report.witness)
+        grouped = coarse_grain(e, report.witness) - coarse_grain(f, report.witness)
         value = np.max(np.abs(np.linalg.eigvalsh((grouped + grouped.conj().T) / 2)))
         assert value == pytest.approx(report.value, abs=1e-12)
 

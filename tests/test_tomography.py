@@ -23,6 +23,7 @@ from povmtomo.tomography import (
     simulate_shots,
 )
 from oracles import (
+    bernstein_parameters,
     closed_form_sample_size,
     csv_save_counts,
     dav_clip_by_segments,
@@ -939,16 +940,23 @@ def test_sample_size_table_matches_closed_forms():
 
 
 def test_bernstein_examples():
-    report = bernstein_diagnostics(povm.computational_povm(2), frames.mub_ensemble(2), [0, 1])
-    assert report.k_emp == pytest.approx(4.0, abs=1e-9)
-    assert report.sigma2_emp == pytest.approx(2**3 + 2**2 - 2 - 1, abs=1e-9)
+    k_emp, sigma2_emp = bernstein_parameters(povm.computational_povm(2), frames.mub_ensemble(2), [0, 1])
+    assert k_emp == pytest.approx(4.0, abs=1e-9)
+    assert sigma2_emp == pytest.approx(2**3 + 2**2 - 2 - 1, abs=1e-9)
 
-    report = bernstein_diagnostics(povm.computational_povm(4), frames.pauli6_product(2), range(4))
-    assert report.k_emp == pytest.approx(16.0, abs=1e-9)
-    assert report.sigma2_emp <= report.sigma2_bound
+    k_emp, sigma2_emp = bernstein_parameters(povm.computational_povm(4), frames.pauli6_product(2), range(4))
+    assert k_emp == pytest.approx(16.0, abs=1e-9)
+    assert sigma2_emp <= 10**2
 
-    report = bernstein_diagnostics(povm.computational_povm(3), frames.mub_ensemble(3), range(3))
-    assert report.sigma2_emp == pytest.approx(3**3 + 3**2 - 3 - 1, abs=1e-9)
+    k_emp, sigma2_emp = bernstein_parameters(povm.computational_povm(3), frames.mub_ensemble(3), range(3))
+    assert sigma2_emp == pytest.approx(3**3 + 3**2 - 3 - 1, abs=1e-9)
+
+    # the grouping of every outcome, F = I, whatever the target: d^3 + d^2 - d - 1 and 10^n - 1
+    for ensemble, k, sigma2 in [(frames.mub_ensemble(2), 4, 9), (frames.mub_ensemble(3), 9, 32),
+                                (frames.pauli6_product(2), 16, 99), (frames.sic_qubit_product(3), 64, 999)]:
+        report = bernstein_diagnostics(ensemble)
+        assert report.k_emp == pytest.approx(k, rel=1e-12)
+        assert report.sigma2_emp == pytest.approx(sigma2, rel=1e-12)
 
 
 def test_bernstein_random_draws_within_bounds():
@@ -958,17 +966,32 @@ def test_bernstein_random_draws_within_bounds():
         ensemble = frames.mub_ensemble(d)
         target = povm.random_povm(d, int(rng.integers(2, 5)), (50, trial))
         subset = [j for j in range(target.outcomes) if rng.integers(0, 2)]
-        report = bernstein_diagnostics(target, ensemble, subset)
-        assert report.k_emp <= report.k_bound + 1e-9
-        assert report.sigma2_emp <= report.sigma2_bound + 1e-9
+        k_emp, sigma2_emp = bernstein_parameters(target, ensemble, subset)
+        assert k_emp <= d**2 + 1e-9
+        assert sigma2_emp <= d**3 + d**2 + 1e-9
     for trial in range(10):
         n = int(rng.choice([1, 2]))
         ensemble = frames.pauli6_product(n)
         target = povm.random_povm(2**n, 3, (60, trial))
         subset = [j for j in range(3) if rng.integers(0, 2)]
-        report = bernstein_diagnostics(target, ensemble, subset)
-        assert report.k_emp == pytest.approx(4**n, abs=1e-9)
-        assert report.sigma2_emp <= report.sigma2_bound + 1e-9
+        k_emp, sigma2_emp = bernstein_parameters(target, ensemble, subset)
+        assert k_emp == pytest.approx(4**n, abs=1e-9)
+        assert sigma2_emp <= 10**n + 1e-9
+
+
+@pytest.mark.parametrize("ensemble", [
+    frames.pauli6_product(1), frames.pauli6_product(3), frames.sic_qubit_product(2),
+    frames.sic_qubit_ensemble(), frames.mub_ensemble(3), frames.mub_ensemble(7),
+], ids=["pauli6-1", "pauli6-3", "sic_product-2", "sic_qubit", "mub-3", "mub-7"])
+def test_bernstein_closed_form_matches_the_grouping_of_every_outcome(ensemble):
+    # the closed form from the base factors against the contraction over all M states at F = sum_j E_j
+    report = bernstein_diagnostics(ensemble)
+    targets = [povm.computational_povm(ensemble.dim)]
+    targets += [povm.random_povm(ensemble.dim, outcomes, (83, outcomes)) for outcomes in (2, 3, 9)]
+    for target in targets:
+        k_emp, sigma2_emp = bernstein_parameters(target, ensemble, range(target.outcomes))
+        assert report.k_emp == k_emp
+        assert report.sigma2_emp == pytest.approx(sigma2_emp, rel=1e-12, abs=0)
 
 
 def test_counts_roundtrip(tmp_path):
@@ -1088,18 +1111,28 @@ def test_seven_qubit_pipeline():
     raw = lse_estimate(table, ensemble)
     # tr(nu_i) = 2**n for every probe, so the estimate's total trace is d
     assert np.trace(raw.elements.sum(axis=0)).real == pytest.approx(128, rel=1e-12)
-    report = bernstein_diagnostics(target, ensemble, [0])
+    report = bernstein_diagnostics(ensemble)
     assert report.k_emp == pytest.approx(4**7, rel=1e-12)
-    assert report.sigma2_emp <= 10**7
+    assert report.sigma2_emp == pytest.approx(10**7 - 1, rel=1e-12)
+    k_emp, sigma2_emp = bernstein_parameters(target, ensemble, [0])
+    assert k_emp == report.k_emp
+    assert sigma2_emp <= 10**7
 
 
 def test_bernstein_nine_qubits_at_the_k_bound():
-    # k_emp = 4.000000000000002**9 sits about 1e-9 above 4**9: the bound check must allow it
-    proj = povm.leading_projector(512)
-    target = povm.Povm(np.stack([proj, np.eye(512) - proj]))
-    report = bernstein_diagnostics(target, frames.pauli6_product(9), [0])
-    assert report.k_emp == pytest.approx(4**9, rel=1e-12)
-    assert report.sigma2_emp <= report.sigma2_bound
+    # k_emp = 4.000000000000002**9 sits about 1e-9 above 4**9: the bound check must allow it. At
+    # n = 12 too the closed form reads the m = 6 base factors only, never the 6**n probe states.
+    for n in (9, 12):
+        tracemalloc.start()
+        try:
+            report = bernstein_diagnostics(frames.pauli6_product(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.k_emp == pytest.approx(4**n, rel=1e-12)
+        assert report.sigma2_emp == pytest.approx(10**n - 1, rel=1e-12)
+        assert report.sigma2_emp <= report.sigma2_bound
+        assert peak < 1 << 20, (n, peak)
 
 
 def test_monotone_error_decay():
