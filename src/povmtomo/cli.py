@@ -51,7 +51,7 @@ OVERRIDES = {
 class ExperimentConfig:
     povm_spec: dict
     ensemble_spec: dict
-    shots: int
+    shots: int | None
     seed: int
     metric: str
     epsilon: float
@@ -61,8 +61,6 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         config = cls(*read("config", doc, _CONFIG_SCHEMA, _CONFIG_DEFAULTS).values())
-        if config.shots < 1:
-            raise ValueError("shots must be >= 1")
         if config.seed < 0:
             raise ValueError("seed must be >= 0")
         if not config.epsilon > 0:
@@ -99,7 +97,7 @@ _CONFIG_SCHEMA = {
     "delta": real,
     "outputs": lambda key, doc: read(key, doc, {"dir": _path}, {"dir": "."})["dir"],
 }
-_CONFIG_DEFAULTS = {"projection": "frobenius", "epsilon": 0.1, "delta": 0.05, "outputs": "."}
+_CONFIG_DEFAULTS = {"shots": None, "projection": "frobenius", "epsilon": 0.1, "delta": 0.05, "outputs": "."}
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -145,6 +143,8 @@ def _sample_size_panel(d: int, n_outcomes: int, epsilon: float, delta: float, n_
 
 def _simulate_counts(config: ExperimentConfig, target, ensemble):
     """Draw the config's shots and write ``counts.csv`` under its output directory."""
+    if config.shots is None:  # the one reader of shots: scaling and ingested counts bring their own
+        raise ValueError("config is missing required key 'shots'")
     table = simulate_shots(target, ensemble, config.shots, config.seed)
     save_counts(table, _output(config.out_dir, "counts.csv"), ensemble_spec=config.ensemble_spec)
     return table
@@ -376,14 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shots", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
+        return p
 
     p = command("simulate", _cmd_simulate, "sample shots and write a counts CSV")
-    add_common(p)
+    add_common(p).add_argument("--shots", type=int, default=None)
 
     p = command("reconstruct", _cmd_reconstruct, "simulate or ingest counts, then reconstruct")
-    add_common(p)
+    add_common(p).add_argument("--shots", type=int, default=None)
     p.add_argument("--from-counts", default=None, help="ingest an existing counts CSV")
     p.add_argument("--metric", choices=PROJECTION_METRICS, default=None)
 

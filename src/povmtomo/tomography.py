@@ -599,14 +599,20 @@ def bernstein_diagnostics(ensemble: ProbeEnsemble) -> BernsteinReport:
     variance ``||sum_i p_i nu_i^2 - F^2||`` at F = I and p_i = 1/M. As nu_i is a
     Kronecker product of dual factors, ``(1/M) sum_i nu_i^2`` is ``A^(x)n`` for A
     their mean square, a PSD q x q matrix: the norm is ``max(a_max^n - 1, 1 - a_min^n)``.
-    Both are shot-free (multiply by 1/N for the per-shot quantities) and are
-    certified not to exceed the closed-form bounds d^2 and d^3 + d^2 (global)
-    or 4^n and 10^n (local).
+    Both are read off the m base states, with c = q(q+1) and s = ||psi||^2: the
+    factor ``c|psi><psi| - q*I`` has the eigenvalues c*s - q, about q^2, and -q
+    (q - 1 times), so its norm is c*s - q; its square is ``w|psi><psi| + q^2 I``
+    with w = c(c*s - 2q), so A is one (q x m)(m x q) product plus q^2 I. Both are shot-free (multiply by 1/N for
+    the per-shot quantities) and are certified not to exceed the closed-form
+    bounds d^2 and d^3 + d^2 (global) or 4^n and 10^n (local).
     """
-    n = ensemble.n_factors
-    dual = ensemble.dual_factors()
-    k_emp = float(np.max(np.abs(np.linalg.eigvalsh(dual)))) ** n
-    a_min, a_max = np.linalg.eigvalsh((dual @ dual).mean(axis=0))[[0, -1]].tolist()
+    states, n = ensemble.states, ensemble.n_factors
+    m, q = states.shape
+    c = q * (q + 1)
+    norms = np.sum(np.abs(states) ** 2, axis=1)
+    k_emp = float(np.max(c * norms - q)) ** n
+    mean_square = (states.T * ((c * c * norms - 2 * q * c) / m)) @ states.conj() + q * q * np.eye(q)
+    a_min, a_max = np.linalg.eigvalsh(mean_square)[[0, -1]].tolist()
     sigma2_emp = max(a_max**n - 1, 1 - a_min**n)
     sigma2_bound, k_bound = map(float, _BERNSTEIN_ROWS[ensemble.kind, "op", "theorem"](ensemble.dim, 1, n)[1:3])
     # k_emp is a power of an eigenvalue and carries about n ulps of relative error

@@ -340,6 +340,17 @@ def bernstein_parameters(povm, ensemble, subset):
     return k_emp, sigma2_emp
 
 
+def factor_stack_bernstein(ensemble):
+    """``(k_emp, sigma2_emp)`` of ``tomography.bernstein_diagnostics`` from the (m, q, q) stack
+    of dual factors: k from the eigenvalues of every factor, sigma^2 from the eigenvalues of
+    their mean square ``A``, as ``max(a_max^n - 1, 1 - a_min^n)``."""
+    n = ensemble.n_factors
+    dual = ensemble.dual_factors()
+    k_emp = float(np.max(np.abs(np.linalg.eigvalsh(dual)))) ** n
+    a_min, a_max = np.linalg.eigvalsh((dual @ dual).mean(axis=0))[[0, -1]].tolist()
+    return k_emp, max(a_max**n - 1, 1 - a_min**n)
+
+
 def json_save_povm(povm, path) -> None:
     """Byte reference for ``povm.save_povm``: ``json.dump`` of the document with ``indent=2``."""
     arr = _as_element_stack(povm)

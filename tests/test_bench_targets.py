@@ -1,11 +1,12 @@
 """The benchmark wraps pipeline functions by (module, attribute) name, imports
-package names inside its setup and check paths, and reads solver fields from
-their results and from report.json."""
+package names inside its setup and check paths, reads solver fields from
+their results and from report.json, and checks the outputs of every op."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from povmtomo.tomography import project_onto_povms
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 RUN = SPANS.with_name("run.py")
+WORKLOADS = json.loads(SPANS.with_name("workloads.json").read_text())["workloads"]
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +97,31 @@ def test_traced_scaling_op_counts_its_projections(spans, tmp_path):
     layer = tracer.breakdown()["tomography.project_onto_povms"]
     assert layer["calls"] >= 1 and layer["converged"] == layer["calls"]
     assert layer["iterations"] >= layer["calls"]
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    # run.py pins the BLAS thread variables when it is imported; later tests see them as they were
+    before = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("bench_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for key in module.THREAD_PINS:
+        if key in before:
+            os.environ[key] = before[key]
+        else:
+            del os.environ[key]
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_one_op_of_each_workload_passes_the_benchmarks_check(bench_run, tmp_path, name):
+    # the op and the check of run.py itself, so a change that the benchmark would count as a
+    # failed op fails here first; ingest_dav writes 2 counts files instead of its pool
+    spec = WORKLOADS[name]
+    if "pool_files" in spec["inputs"]:
+        spec = {**spec, "inputs": {**spec["inputs"], "pool_files": 2}}
+    workload = bench_run.WORKLOADS[name](name, spec, 1, tmp_path)
+    workload.setup()
+    ok, _, reason, _ = bench_run.run_op(cli, workload, 0)
+    assert ok, reason

@@ -14,6 +14,9 @@ from povmtomo._schema import dump, integer, real
 from povmtomo.cli import ExperimentConfig, load_config, run_reconstruction, run_scaling
 
 
+ABSENT = object()  # a write_config override that leaves its key out of the config
+
+
 def write_config(tmp_path, **overrides):
     doc = {
         "povm": {"kind": "depolarized", "base": {"kind": "computational", "dim": 2}, "p": 0.1},
@@ -25,7 +28,7 @@ def write_config(tmp_path, **overrides):
         "delta": 0.05,
         "outputs": {"dir": str(tmp_path / "run")},
     }
-    doc.update(overrides)
+    doc = {key: value for key, value in {**doc, **overrides}.items() if value is not ABSENT}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
@@ -41,10 +44,9 @@ def test_config_parsing_strict(tmp_path):
         load_config(bad)
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"povm": {}, "ensemble": {}, "shots": 1})
-    with pytest.raises(ValueError):
-        ExperimentConfig.from_dict(
-            {"povm": {}, "ensemble": {}, "shots": 0, "seed": 0}
-        )
+    # shots is read only where shots are drawn: simulate_shots refuses 0, and an absent value is None
+    assert ExperimentConfig.from_dict({"povm": {}, "ensemble": {}, "shots": 0, "seed": 0}).shots == 0
+    assert ExperimentConfig.from_dict({"povm": {}, "ensemble": {}, "seed": 0}).shots is None
 
 
 def test_config_dimension_consistency(tmp_path):
@@ -298,9 +300,9 @@ def test_seed_and_shot_overrides(tmp_path):
 @pytest.mark.parametrize(
     "argv, config_values, message",
     [
-        (["reconstruct", "--shots", "0"], {}, "shots must be >= 1"),
+        (["reconstruct", "--shots", "0"], {}, "n_shots must be >= 1"),
         (["reconstruct", "--seed", "-1"], {}, "seed must be >= 0"),
-        (["scaling", "--shots", "0", "--n-list", "64,256,1024", "--trials", "5"], {}, "shots must be >= 1"),
+        (["simulate"], {"shots": ABSENT}, "config is missing required key 'shots'"),
         (["reconstruct"], {"seed": -1}, "seed must be >= 0"),
         (["reconstruct"], {"shots": 2.7}, "shots must be an integer, got 2.7"),
         (["reconstruct"], {"seed": True}, "seed must be an integer, got True"),
@@ -366,6 +368,11 @@ def test_seed_and_shot_overrides(tmp_path):
             {"ensemble": {"kind": "explicit", "states": [[1, 0], [0, 1]]}},
             "ensemble states must be a non-empty 2-d (m, q) array, got shape (2,)",
         ),
+        (["reconstruct"], {"shots": ABSENT}, "config is missing required key 'shots'"),
+        (["simulate", "--shots", "0"], {}, "n_shots must be >= 1"),
+        (["simulate"], {"shots": 0}, "n_shots must be >= 1"),
+        (["reconstruct"], {"shots": 0}, "n_shots must be >= 1"),
+        (["simulate"], {"shots": 2.7}, "shots must be an integer, got 2.7"),
     ],
 )
 def test_bad_config_values_fail_before_any_output(tmp_path, capsys, argv, config_values, message):
@@ -447,6 +454,38 @@ def test_scaling_command(tmp_path):
     assert fit["slope_d_op"] < 0  # error decreases with shots
     medians = json.loads((out / "scaling_report.json").read_text())["medians"]
     assert medians["d_op"][-1] < medians["d_op"][0]
+
+
+def test_scaling_reads_no_shots(tmp_path, capsys):
+    # the shot counts come from --n-list: the config's shots may be absent or anything, and there is no --shots
+    argv = ["scaling", "--n-list", "64,256,1024", "--trials", "5", "--config"]
+    outputs = []
+    for shots in (1000, ABSENT, 0, 10**9):
+        path = write_config(tmp_path, shots=shots, outputs={"dir": str(tmp_path / f"scal{len(outputs)}")})
+        assert cli.main([*argv, str(path)]) == 0
+        out = tmp_path / f"scal{len(outputs)}"
+        rows = [line.rsplit(",", 1)[0] for line in (out / "scaling.csv").read_text().splitlines()]  # no runtime_ms
+        outputs.append((capsys.readouterr().out, (out / "scaling_report.json").read_bytes(), rows))
+    assert outputs[1:] == outputs[:1] * 3
+    with pytest.raises(SystemExit) as usage:
+        cli.main([*argv, str(path), "--shots", "5"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --shots 5" in capsys.readouterr().err
+
+
+def test_from_counts_reads_no_shots(tmp_path):
+    # ingested counts bring their own shot total: the config's shots may be absent or 0
+    path = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(path)]) == 0
+    counts = tmp_path / "run" / "counts.csv"
+    written = []
+    for shots in (4000, ABSENT, 0):
+        path = write_config(tmp_path, shots=shots)
+        out = tmp_path / f"ingest{len(written)}"
+        assert cli.main(["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in ("estimated_povm.json", "report.json")])
+        assert sorted(p.name for p in out.iterdir()) == ["estimated_povm.json", "report.json"]
+    assert written[1:] == written[:1] * 2
 
 
 @pytest.mark.parametrize("trials", [5, 6])

@@ -30,6 +30,8 @@ from oracles import (
     dense_newton_map,
     dykstra_projection,
     exact_frequencies,
+    factor_stack_bernstein,
+    haar_unitary,
     random_hermitian,
     simplex_project,
 )
@@ -982,15 +984,18 @@ def test_bernstein_random_draws_within_bounds():
 @pytest.mark.parametrize("ensemble", [
     frames.pauli6_product(1), frames.pauli6_product(3), frames.sic_qubit_product(2),
     frames.sic_qubit_ensemble(), frames.mub_ensemble(3), frames.mub_ensemble(7),
-], ids=["pauli6-1", "pauli6-3", "sic_product-2", "sic_qubit", "mub-3", "mub-7"])
+    frames.explicit_ensemble(frames.mub_states(5) @ haar_unitary(5, 91).T),
+], ids=["pauli6-1", "pauli6-3", "sic_product-2", "sic_qubit", "mub-3", "mub-7", "explicit-5"])
 def test_bernstein_closed_form_matches_the_grouping_of_every_outcome(ensemble):
-    # the closed form from the base factors against the contraction over all M states at F = sum_j E_j
+    # the closed form from the base states against eigensolves of the (m, q, q) dual factor stack,
+    # and against the contraction over all M states at F = sum_j E_j
     report = bernstein_diagnostics(ensemble)
+    assert (report.k_emp, report.sigma2_emp) == pytest.approx(factor_stack_bernstein(ensemble), rel=1e-12, abs=0)
     targets = [povm.computational_povm(ensemble.dim)]
     targets += [povm.random_povm(ensemble.dim, outcomes, (83, outcomes)) for outcomes in (2, 3, 9)]
     for target in targets:
         k_emp, sigma2_emp = bernstein_parameters(target, ensemble, range(target.outcomes))
-        assert report.k_emp == k_emp
+        assert report.k_emp == pytest.approx(k_emp, rel=1e-12, abs=0)
         assert report.sigma2_emp == pytest.approx(sigma2_emp, rel=1e-12, abs=0)
 
 
