@@ -211,8 +211,7 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
     return report, dump(report, _output(config.out_dir, "report.json"))
 
 
-#: Bound on the raw complex entries (trials x L x d^2) and on the count cells (trials x M x L)
-#: of one stack in ``run_scaling``.
+#: Bound on the count cells (trials x M x L) of one stack in ``run_scaling``.
 SCALING_STACK_ELEMENTS = 1 << 18
 
 
@@ -221,9 +220,10 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
 
     Trial t at shot count N uses the derived stream (seed, index(N), t), so
     the study is reproducible and trials are independent. The trials run in
-    consecutive stacks of at most :data:`SCALING_STACK_ELEMENTS` raw entries
-    and as many count cells (at least one trial each): every trial of a stack
-    is simulated on its own, then the stack is estimated by one
+    consecutive stacks of at most :data:`SCALING_STACK_ELEMENTS` count cells
+    (trials x M x L, at least one trial each), which bounds the raw entries
+    (trials x L x d^2) too, as a 2-design has M >= d^2 states: every trial
+    of a stack is simulated on its own, then the stack is estimated by one
     ``lse_estimate`` call, projected by one ``project_onto_povms`` call and
     measured against the target by one ``d_op_exact`` and one ``d_av`` call.
     Stacking changes no estimate and no distance. Medians per N feed a
@@ -254,7 +254,8 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
             f"{distances.MAX_EXACT_OUTCOMES} outcomes; the target has {target.outcomes}"
         )
     jobs = [(n_index, n_shots, trial) for n_index, n_shots in enumerate(n_list) for trial in range(trials)]
-    per_stack = max(1, SCALING_STACK_ELEMENTS // (target.outcomes * max(target.dim**2, ensemble.size)))
+    # a 2-design on C^d has M >= d^2 states, so the count cells bound the raw entries too
+    per_stack = max(1, SCALING_STACK_ELEMENTS // (target.outcomes * ensemble.size))
     rows = []
     for first in range(0, len(jobs), per_stack):
         stack = jobs[first:first + per_stack]

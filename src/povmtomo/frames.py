@@ -179,38 +179,34 @@ def build_ensemble(spec: dict) -> ProbeEnsemble:
     return build("ensemble spec", spec, KINDS)
 
 
-def _mode_products(out: np.ndarray, matrix: np.ndarray, n: int, lead: int) -> np.ndarray:
-    """Contract the n axes after the first ``lead`` of ``out`` with ``matrix``, first axis first.
+def _mode_products(out: np.ndarray, matrix: np.ndarray, n: int) -> np.ndarray:
+    """Contract the n axes after the first of ``out`` with ``matrix``, first axis first.
 
-    Each mode product moves its axis to the end and is one matmul: one GEMM
-    per index of the first ``lead - 1`` axes, over the flattening of all the
-    others. The new axes come out last, in order.
+    Each mode product moves its axis to the end and is one 2-D GEMM over the
+    flattening of all the others. The new axes come out last, in order.
     """
     inner, outer = matrix.shape
     for _ in range(n):
-        out = out.transpose(*range(lead), *range(lead + 1, out.ndim), lead)
-        out = np.matmul(out.reshape(*out.shape[:lead - 1], -1, inner), matrix).reshape(out.shape[:-1] + (outer,))
+        out = out.transpose(0, *range(2, out.ndim), 1)
+        out = (out.reshape(-1, inner) @ matrix).reshape(out.shape[:-1] + (outer,))
     return out
 
 
 def frame_sum(weights, factors: np.ndarray, n: int) -> np.ndarray:
-    """``sum_i w[..., j, i] (x)_k factors[i_k]`` for every row j of an (..., L, m^n) array.
+    """``sum_i w[j, i] (x)_k factors[i_k]`` for every row j of an (L, m^n) array.
 
     The flat index i enumerates multi-indices (i_1, ..., i_n) with the first
     factor most significant, as :func:`numpy.unravel_index` does, and
     the Kronecker product puts the first factor first, as
-    :func:`frame_operator` does. Runs n mode products (:func:`_mode_products`),
-    each one GEMM per (L, m^n) slice of a leading stack, of the shape that
-    slice alone gives: BLAS picks its kernel and threads by shape, so each
-    slice sums as it would alone. Returns (..., L, q^n, q^n).
+    :func:`frame_operator` does. Runs n mode products (:func:`_mode_products`).
+    Returns (L, q^n, q^n).
     """
     m, q, _ = factors.shape
-    *stack, rows, _ = np.shape(weights)
-    lead = len(stack) + 1
-    out = _mode_products(np.reshape(weights, (*stack, rows) + (m,) * n), factors.reshape(m, q * q), n, lead)
-    out = out.reshape(*stack, rows, *(q,) * (2 * n))  # axes (..., rows, a_1, b_1, .., a_n, b_n)
-    order = (*range(lead), *range(lead, lead + 2 * n, 2), *range(lead + 1, lead + 2 * n, 2))
-    return out.transpose(order).reshape(*stack, rows, q**n, q**n)
+    rows = np.shape(weights)[0]
+    out = _mode_products(np.reshape(weights, (rows,) + (m,) * n), factors.reshape(m, q * q), n)
+    out = out.reshape((rows,) + (q,) * (2 * n))  # axes (rows, a_1, b_1, .., a_n, b_n)
+    order = (0, *range(1, 2 * n + 1, 2), *range(2, 2 * n + 1, 2))
+    return out.transpose(order).reshape(rows, q**n, q**n)
 
 
 def frame_traces(operators, factors: np.ndarray, n: int) -> np.ndarray:
@@ -225,7 +221,7 @@ def frame_traces(operators, factors: np.ndarray, n: int) -> np.ndarray:
     rows = operators.shape[0]
     order = (0, *(axis for k in range(1, n + 1) for axis in (k, n + k)))  # axes (rows, a_1, b_1, .., a_n, b_n)
     pairs = np.reshape(operators, (rows,) + (q,) * (2 * n)).transpose(order).reshape((rows,) + (q * q,) * n)
-    out = _mode_products(pairs, factors.transpose(2, 1, 0).reshape(q * q, m), n, 1)
+    out = _mode_products(pairs, factors.transpose(2, 1, 0).reshape(q * q, m), n)
     return out.reshape(rows, m**n).real
 
 

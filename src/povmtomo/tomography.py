@@ -108,21 +108,15 @@ def simulate_shots(povm: Povm, ensemble: ProbeEnsemble, n_shots: int, seed) -> F
     return FrequencyTable(counts, n_shots)
 
 
-#: Frequency entries (trials x M x L) that one ``frame_sum`` of :func:`lse_estimate` contracts at most.
-LSE_STACK_ELEMENTS = 1 << 16
-
-
 def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate | list[RawEstimate]:
     """Closed-form least-squares estimator ``E_hat_j = sum_i f_ij nu_i``.
 
     ``frequencies`` is a :class:`FrequencyTable` or an (M, L) array of
     relative frequencies, giving one :class:`RawEstimate`, or a non-empty
     list of same-shape ones, giving one estimate per entry. All M dual frame
-    operators are contracted at once, for a list by one :func:`frame_sum`
-    per slice of at most :data:`LSE_STACK_ELEMENTS` frequencies (a larger
-    stack contracts more slowly than one table at a time, as its copies
-    outgrow the cache), and the estimates' Hermiticity is checked in one
-    pass; each estimate is bit for bit its solo one.
+    operators are contracted at once by one :func:`frame_sum` per table, and
+    the estimates' Hermiticity is checked in one pass; each estimate is its
+    solo one.
     """
     tables = frequencies if isinstance(frequencies, list) else [frequencies]
     shapes = {(t.counts if isinstance(t, FrequencyTable) else np.asarray(t)).shape for t in tables}
@@ -131,11 +125,8 @@ def lse_estimate(frequencies, ensemble: ProbeEnsemble) -> RawEstimate | list[Raw
     (shape,) = shapes
     if len(shape) != 2 or shape[0] != ensemble.size or shape[1] < 1:
         raise ValueError(f"frequencies have shape {shape}, need (M, L >= 1) with M = {ensemble.size} states")
-    per = max(1, LSE_STACK_ELEMENTS // math.prod(shape))
     dual, n = ensemble.dual_factors(), ensemble.n_factors
-    elements = [frame_sum(np.stack([_frequencies(t).T for t in tables[first:first + per]]), dual, n)
-                for first in range(0, len(tables), per)]
-    estimates = RawEstimate.stack(elements[0] if len(elements) == 1 else np.concatenate(elements))
+    estimates = RawEstimate.stack(np.stack([frame_sum(_frequencies(t).T, dual, n) for t in tables]))
     return estimates if isinstance(frequencies, list) else estimates[0]
 
 

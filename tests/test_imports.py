@@ -11,6 +11,8 @@ is orphaned unless some package module refers to it by name, by attribute or
 by import. A public module-level function or class is held to the same rule,
 with ``__init__.py``'s re-exports left out: code that only tests or a caller
 outside the package run belongs in ``tests/oracles.py``, not in the library.
+A public module-level UPPER_CASE constant must be read by some package
+module, so that removed code leaves no setting behind that nothing reads.
 Each function and class there must in turn be used by a test module or by
 another oracle.
 """
@@ -57,16 +59,21 @@ def test_check_catches_a_leftover_import():
     assert unused_imports("import os.path\nos.getcwd()\n") == []
 
 
-def private_definitions(source: str) -> list[str]:
-    """Module-level ``_``-prefixed function, class and constant names (dunders excluded)."""
+def assigned_names(source: str) -> list[str]:
+    """Names that module-level assignments bind."""
     names = []
     for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [target.id for target in targets if isinstance(target, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+    return names
+
+
+def private_definitions(source: str) -> list[str]:
+    """Module-level ``_``-prefixed function, class and constant names (dunders excluded)."""
+    names = [node.name for node in ast.parse(source).body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [name for name in names + assigned_names(source) if name.startswith("_") and not name.endswith("__")]
 
 
 def referenced_names(source: str) -> set[str]:
@@ -133,6 +140,33 @@ def test_check_catches_an_unreachable_public_name():
     assert unreachable_public_names({"m": module, "n": "from .m import used\n"}) == ["m.left_over", "m.Gone"]
     assert unreachable_public_names({"m": module, "n": "from . import m\nm.left_over(m.used, m.Gone)\n"}) == []
     assert public_definitions("def _private():\n    pass\n\nVALUE = 1\n") == []
+
+
+def public_constants(source: str) -> list[str]:
+    """Module-level UPPER_CASE constant names without a leading ``_``."""
+    return [name for name in assigned_names(source) if name.isupper() and not name.startswith("_")]
+
+
+def unread_public_constants(modules: dict[str, str]) -> list[str]:
+    """``module.NAME`` of each public constant that no module of ``modules`` reads."""
+    used = set().union(*(referenced_names(source) for source in modules.values()))
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name in public_constants(source) if name not in used]
+
+
+def test_every_public_constant_is_read_by_the_package():
+    # a setting that no path reads is a knob left behind by removed code
+    modules = {path.stem: path.read_text() for path in MODULES}
+    assert sum(len(public_constants(source)) for source in modules.values()) > 20  # the check has names to look at
+    assert unread_public_constants(modules) == []
+
+
+def test_check_catches_an_unread_constant():
+    module = "LIMIT = 3\nSPARE: int = 4\n_PRIVATE = 5\nTable = {}\n\ndef f():\n    return LIMIT\n"
+    assert public_constants(module) == ["LIMIT", "SPARE"]
+    assert unread_public_constants({"m": module, "n": "from . import m\n"}) == ["m.SPARE"]
+    assert unread_public_constants({"m": module, "n": "from . import m\nm.SPARE\n"}) == []
+    assert unread_public_constants({"m": module, "n": "from .m import SPARE\n"}) == []
 
 
 def embedded_scripts(source: str) -> list[str]:

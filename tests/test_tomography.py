@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from povmtomo import frames, povm, tomography
+from povmtomo import distances, frames, povm, tomography
 from povmtomo.cli import SCALING_STACK_ELEMENTS
 from povmtomo.tomography import (
+    PROJECTION_METRICS,
     TOL_FEASIBILITY,
     FrequencyTable,
     bernstein_diagnostics,
@@ -199,9 +200,9 @@ STACKED_LSE_ENSEMBLES = [
 
 @pytest.mark.parametrize("ensemble", STACKED_LSE_ENSEMBLES, ids=lambda e: f"{e.kind}-m{len(e.states)}-d{e.dim}")
 def test_stacked_lse_equals_solo_bit_for_bit(ensemble):
-    # frame_sum over (T, L, M) slices of a stack, up to the largest stack scaling forms (in several
-    # slices of LSE_STACK_ELEMENTS for most ensembles): each estimate must sum in its solo order (one
-    # GEMM over the (T L, M) flattening did not, at MUB d = 11 with two BLAS threads)
+    # a list runs one solo frame_sum per table, up to T = 2^18 / (L d^2) tables: each estimate must
+    # sum in its solo order (one GEMM over the (T L, M) flattening of a stack did not, at MUB d = 11
+    # with two BLAS threads)
     rng = np.random.default_rng(ensemble.dim)
     for n_outcomes in (4, 12) if ensemble.dim == 3 else (4,):
         largest = max(1, SCALING_STACK_ELEMENTS // (n_outcomes * ensemble.dim**2))
@@ -209,7 +210,7 @@ def test_stacked_lse_equals_solo_bit_for_bit(ensemble):
         for n_trials in sorted({1, 2, 15, largest}):
             stacked = lse_estimate(list(freqs[:n_trials]), ensemble)
             assert len(stacked) == n_trials
-            for t in {*range(0, n_trials, max(1, n_trials // 64)), n_trials - 1}:  # trials in every slice
+            for t in {*range(0, n_trials, max(1, n_trials // 64)), n_trials - 1}:  # trials across the list
                 assert np.array_equal(stacked[t].elements, lse_estimate(freqs[t], ensemble).elements)
     tables = [simulate_shots(povm.random_povm(ensemble.dim, 3, 1), ensemble, 100, seed) for seed in range(2)]
     for raw, table in zip(lse_estimate(tables, ensemble), tables):
@@ -228,6 +229,27 @@ def test_stacked_lse_rejects_bad_lists_before_any_work(monkeypatch):
         lse_estimate([good[:4], good[:4]], ensemble)
     with pytest.raises(ValueError, match="L >= 1"):
         lse_estimate(np.zeros((6, 0)), ensemble)
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_list_lse_holds_one_tables_intermediates_at_a_time():
+    # beyond the solo peak, a list needs only its T estimates and their checked Hermitian parts,
+    # (T, L, d, d) complex each; contracting the whole stack at once held every table's copies
+    ensemble = frames.pauli6_product(5)
+    target = povm.random_povm(ensemble.dim, 4, 3)
+    tables = [simulate_shots(target, ensemble, 10**4, seed) for seed in range(4)]
+    lse_estimate(tables, ensemble)  # warm
+    solo = _traced_peak(lambda: lse_estimate(tables[0], ensemble))
+    stacked = _traced_peak(lambda: lse_estimate(tables, ensemble))
+    assert stacked <= solo + 2 * len(tables) * target.outcomes * ensemble.dim**2 * 16, (solo, stacked)
 
 
 def test_projection_fixed_point():
@@ -288,6 +310,54 @@ def test_projection_error_contraction():
     for metric_name, metric in (("frobenius", frob_metric), ("dav", dav_metric)):
         projected, _ = project_onto_povms(raw, metric=metric_name)
         assert metric(raw.elements, projected.elements) <= metric(raw.elements, target.elements) + 1e-9
+
+
+def _projection_floor_cases():
+    """(target, raw estimates) pairs: Hermitian perturbations of a random target, free and summing
+    to zero, at four scales; then LSE estimates of shots simulated from a random target."""
+    rng = np.random.default_rng(16)
+    cases = []
+    for d, n_outcomes in itertools.product((2, 3, 4, 6), (2, 3, 5)):
+        target = povm.random_povm(d, n_outcomes, (d, n_outcomes))
+        raws = []
+        for scale in (1e-3, 1e-2, 1e-1, 1.0):
+            deltas = np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])
+            deltas *= scale / np.linalg.norm(deltas, ord=2, axis=(1, 2))[:, None, None]
+            raws += [povm.RawEstimate(target.elements + delta) for delta in (deltas, deltas - deltas.mean(axis=0))]
+        cases.append((target, raws))
+    for ensemble in (frames.pauli6_product(1), frames.mub_ensemble(3), frames.pauli6_product(2)):
+        for n_outcomes in (2, 3, 5):
+            target = povm.random_povm(ensemble.dim, n_outcomes, (ensemble.dim, n_outcomes, 1))
+            tables = [simulate_shots(target, ensemble, n_shots, (n_shots, seed))
+                      for n_shots in (10**2, 10**4) for seed in range(4)]
+            cases.append((target, lse_estimate(tables, ensemble)))
+    return cases
+
+
+@pytest.mark.parametrize("metric", PROJECTION_METRICS)
+def test_projection_keeps_the_proven_d_op_floor(metric):
+    # The projection Pi onto C = {Z_j >= 0, sum_j Z_j = I} in the metric's tuple norm ||.|| (||.||_F,
+    # or ||.||_G with ||X||_G^2 = ||X||_F^2 + tr(X)^2, so ||X||_F <= ||X||_G <= sqrt(d+1) ||X||_F by
+    # tr(X)^2 <= d ||X||_F^2) brings raw no further from any point of C: ||Pi(raw) - Y|| <= ||raw - Y||.
+    # With D = Pi(raw) - E, R = raw - E and singletons among the subsets (||R_j|| <= d_op(raw, E)):
+    #   d_op(Pi(raw), E) = max_S ||sum_{j in S} D_j|| <= max_S sum_{j in S} ||D_j||_F <= sqrt(L) ||D||_F,
+    #   ||R||_F^2 = sum_j ||R_j||_F^2 <= d sum_j ||R_j||^2 <= d L d_op(raw, E)^2,
+    # so d_op(Pi(raw), E) <= c d_op(raw, E), c = L sqrt(d) (frobenius) or L sqrt(d (d+1)) (dav).
+    # Slack: the solver returns the exact Pi_r(raw) onto C_r = {Z_j >= 0, sum_j Z_j = I + r} (its
+    # iterate minimizes the Lagrangian), with ||r||_F <= TOL_FEASIBILITY, and the target E is a POVM
+    # within tau = POVM_TOL: E_j >= -tau, e = sum_j E_j - I, ||e||_F <= tau, so ||E_j||_F <= 2 sqrt(d).
+    # Y_j = (1 - s) E_j + (s I + r - (1 - s) e) / L lies in C_r for s = TOL_FEASIBILITY + (L + 1) tau,
+    # and ||Y_j - E_j||_F <= 2 s sqrt(d) + 2 s sqrt(d) / L <= 3 s sqrt(d), so ||Y - E||_F <= 3 s sqrt(d L).
+    # Then ||D|| <= ||Pi_r(raw) - Y|| + ||Y - E|| <= ||R|| + 2 ||Y - E||, and the floor becomes
+    # d_op(Pi_r(raw), E) <= c (d_op(raw, E) + 6 s). Rounding in Z and in d_op is far below c s, and
+    # d_op_exact of two POVMs reads half the subsets, which can only lower the left side.
+    for target, raws in _projection_floor_cases():
+        d, n_outcomes = target.dim, target.outcomes
+        c = n_outcomes * math.sqrt(d * (d + 1) if metric == "dav" else d)
+        slack = 6 * (TOL_FEASIBILITY + (n_outcomes + 1) * povm.POVM_TOL)
+        projected, _ = project_onto_povms(raws, metric)
+        for before, after in zip(distances.d_op_exact(target, raws), distances.d_op_exact(target, projected)):
+            assert after.value <= c * (before.value + slack), (d, n_outcomes, before.value, after.value)
 
 
 def _cvxpy_projection(raw, metric):
