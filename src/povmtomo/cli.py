@@ -3,7 +3,7 @@
 Every command reads a JSON config (strict schema, unknown keys rejected) or
 explicit flags, and writes deterministic artifacts: POVM files, counts CSVs
 with metadata sidecars, result CSVs, and report JSONs. Identical configs and
-seeds produce byte-identical reconstruction outputs.
+seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import functools
 import json
 import os
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,7 +169,7 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
         meta = load_counts_meta(counts_path)  # checked before the CSV is read into a table
         expected = spec_hash(config.ensemble_spec)
         recorded = meta["ensemble_spec_sha256"]
-        if not isinstance(recorded, str):
+        if recorded is None:
             raise ValueError("counts sidecar has no ensemble_spec_sha256; cannot check the ensemble")
         if recorded != expected:
             raise ValueError(
@@ -234,10 +233,9 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     value bit for bit, without its NaN check, which imports ``numpy.ma``
     (a module nothing else here uses) on the first call in each process and
     raises its peak memory; every error here is finite.
-    Returns the rows (N, trial, d_op, d_av, runtime_ms) of ``scaling.csv``
-    and the ``scaling_report.json`` document. A row's ``runtime_ms`` is its
-    trial's own simulate time plus an equal share of the stacked LSE,
-    projection and distance calls it was part of.
+    Returns the rows (N, trial, d_op, d_av) of ``scaling.csv`` and the
+    ``scaling_report.json`` document, both functions of the config, the
+    shot counts and the trial count alone: nothing here reads a clock.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or sorted(set(n_list)) != n_list:
@@ -259,18 +257,12 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     rows = []
     for first in range(0, len(jobs), per_stack):
         stack = jobs[first:first + per_stack]
-        tables, seconds = [], []
-        for n_index, n_shots, trial in stack:
-            start = time.perf_counter()
-            tables.append(simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial)))
-            seconds.append(time.perf_counter() - start)
-        start = time.perf_counter()
+        tables = [simulate_shots(target, ensemble, n_shots, (config.seed, n_index, trial))
+                  for n_index, n_shots, trial in stack]
         estimates, _ = project_onto_povms(lse_estimate(tables, ensemble), config.metric)
         reports = zip(distances.d_op_exact(target, estimates), distances.d_av(target, estimates))
-        share = (time.perf_counter() - start) / len(stack)
-        for (_, n_shots, trial), (err_op, err_av), own in zip(stack, reports, seconds):
-            rows.append((n_shots, trial, err_op.value, err_av.value, (own + share) * 1000))
-    errors = np.sort(np.array([row[2:4] for row in rows]).reshape(len(n_list), trials, 2), axis=1)
+        rows += [(n_shots, trial, op.value, av.value) for (_, n_shots, trial), (op, av) in zip(stack, reports)]
+    errors = np.sort(np.array([row[2:] for row in rows]).reshape(len(n_list), trials, 2), axis=1)
     middle = errors[:, (trials - 1) // 2 : trials // 2 + 1].mean(axis=1)
     log_n = np.log(np.asarray(n_list, dtype=float))
     medians, fit = {"n_list": n_list}, {}
@@ -312,8 +304,7 @@ def _cmd_distance(args) -> int:
 def _cmd_scaling(args) -> int:
     config = load_config(args.config, vars(args))
     rows, report = run_scaling(config, [int(tok) for tok in args.n_list.split(",")], args.trials)
-    _write_csv(_output(config.out_dir, "scaling.csv"), ["N", "trial", "d_op", "d_av", "runtime_ms"],
-               ((*row[:4], f"{row[4]:.3f}") for row in rows))
+    _write_csv(_output(config.out_dir, "scaling.csv"), ["N", "trial", "d_op", "d_av"], rows)
     dump(report, _output(config.out_dir, "scaling_report.json"))
     fit = report["fit"]
     summary = {"slope_d_op": fit["slope_d_op"], "slope_d_av": fit["slope_d_av"], "medians": report["medians"]}

@@ -704,9 +704,17 @@ def _size(key: str, value) -> int:
     return int(value)
 
 
+def _typed(cls: type, what: str):
+    def parse(key: str, value):
+        if not isinstance(value, cls):
+            raise ValueError(f"{key} must be {what}, got {value!r}")
+        return value
+    return parse
+
+
 #: Parser of each counts sidecar key; only the ensemble spec and its hash may be absent.
 _SIDECAR_SCHEMA = {"n_states": _size, "n_outcomes": _size, "n_shots": _size,
-                   "ensemble_spec": lambda key, spec: spec, "ensemble_spec_sha256": lambda key, digest: digest}
+                   "ensemble_spec": _typed(dict, "a JSON object"), "ensemble_spec_sha256": _typed(str, "a string")}
 _SIDECAR_DEFAULTS = {"ensemble_spec": None, "ensemble_spec_sha256": None}
 
 

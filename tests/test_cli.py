@@ -135,17 +135,28 @@ def _assert_rejected_before_work(code, capsys, out_dir):
 
 
 def test_from_counts_requires_sidecar_hash(tmp_path, capsys):
+    # an absent hash is refused as absent; a present hash must be a string and a present spec a JSON object
     path = write_config(tmp_path)
     assert cli.main(["simulate", "--config", str(path)]) == 0
     counts = tmp_path / "run" / "counts.csv"
     sidecar = counts.parent / "counts.csv.meta.json"
     meta = json.loads(sidecar.read_text())
-    del meta["ensemble_spec"], meta["ensemble_spec_sha256"]
-    sidecar.write_text(json.dumps(meta))
-    capsys.readouterr()
+    absent = {key: value for key, value in meta.items() if key not in ("ensemble_spec", "ensemble_spec_sha256")}
+    cases = [
+        (absent, "counts sidecar has no ensemble_spec_sha256"),
+        ({**meta, "ensemble_spec_sha256": 123}, "ensemble_spec_sha256 must be a string, got 123"),
+        ({**meta, "ensemble_spec_sha256": None}, "ensemble_spec_sha256 must be a string, got None"),
+        ({**meta, "ensemble_spec": 5}, "ensemble_spec must be a JSON object, got 5"),
+        ({**meta, "ensemble_spec": None}, "ensemble_spec must be a JSON object, got None"),
+        ({**absent, "ensemble_spec": 5}, "ensemble_spec must be a JSON object, got 5"),
+    ]
     out = tmp_path / "ingest"
-    code = cli.main(["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out", str(out)])
-    assert "ensemble_spec_sha256" in _assert_rejected_before_work(code, capsys, out)
+    for doc, message in cases:
+        sidecar.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = cli.main(["reconstruct", "--config", str(path), "--from-counts", str(counts), "--out", str(out)])
+        assert message in _assert_rejected_before_work(code, capsys, out)
+        assert not out.exists()
 
 
 def test_from_counts_rejects_a_sidecar_shape_before_allocating_the_table(tmp_path, capsys):
@@ -260,7 +271,7 @@ def test_scaling_reports_a_projection_at_its_cap(tmp_path, capsys, monkeypatch):
 ])
 def test_stacked_scaling_equals_one_trial_per_stack(tmp_path, monkeypatch, metric, target):
     # scaling projects its trials as stacks; with one trial per stack every
-    # output except the wall-clock runtime_ms column is the same, byte for byte
+    # output is the same, byte for byte
     path = write_config(tmp_path, seed=9, projection={"metric": metric}, **target)
     calls, project = [], cli.project_onto_povms
     monkeypatch.setattr(cli, "project_onto_povms", lambda raws, *args: calls.append(len(raws)) or project(raws, *args))
@@ -270,8 +281,7 @@ def test_stacked_scaling_equals_one_trial_per_stack(tmp_path, monkeypatch, metri
         out = tmp_path / name
         argv = ["scaling", "--config", str(path), "--n-list", "500,2000,8000", "--trials", "5", "--out", str(out)]
         assert cli.main(argv) == 0
-        rows = [line.rsplit(",", 1)[0] for line in (out / "scaling.csv").read_text().splitlines()]
-        outputs[name] = rows, (out / "scaling_report.json").read_bytes()
+        outputs[name] = (out / "scaling.csv").read_bytes(), (out / "scaling_report.json").read_bytes()
     assert calls == [15] + [1] * 15
     assert outputs["stacked"] == outputs["one"]
 
@@ -448,7 +458,7 @@ def test_scaling_command(tmp_path):
     )
     assert code == 0
     lines = (out / "scaling.csv").read_text().strip().splitlines()
-    assert lines[0] == "N,trial,d_op,d_av,runtime_ms"
+    assert lines[0] == "N,trial,d_op,d_av"
     assert len(lines) == 1 + 3 * 5
     fit = json.loads((out / "scaling_report.json").read_text())["fit"]
     assert fit["slope_d_op"] < 0  # error decreases with shots
@@ -464,8 +474,8 @@ def test_scaling_reads_no_shots(tmp_path, capsys):
         path = write_config(tmp_path, shots=shots, outputs={"dir": str(tmp_path / f"scal{len(outputs)}")})
         assert cli.main([*argv, str(path)]) == 0
         out = tmp_path / f"scal{len(outputs)}"
-        rows = [line.rsplit(",", 1)[0] for line in (out / "scaling.csv").read_text().splitlines()]  # no runtime_ms
-        outputs.append((capsys.readouterr().out, (out / "scaling_report.json").read_bytes(), rows))
+        files = [(out / name).read_bytes() for name in ("scaling.csv", "scaling_report.json")]
+        outputs.append((capsys.readouterr().out, *files))
     assert outputs[1:] == outputs[:1] * 3
     with pytest.raises(SystemExit) as usage:
         cli.main([*argv, str(path), "--shots", "5"])
@@ -694,7 +704,7 @@ _OUTPUT_FORMATS = [
     (
         ["scaling", "--config", "{config}", "--n-list", "64,256,1024", "--trials", "5"],
         {"medians": ["d_av", "d_op", "n_list"], "slope_d_av": None, "slope_d_op": None},
-        {"scaling.csv": "N,trial,d_op,d_av,runtime_ms",
+        {"scaling.csv": "N,trial,d_op,d_av",
          "scaling_report.json": {"fit": ["intercept_d_av", "intercept_d_op", "slope_d_av", "slope_d_op"],
                                  "medians": ["d_av", "d_op", "n_list"]}},
     ),
@@ -748,51 +758,77 @@ def test_every_command_pins_its_output_format(tmp_path, capsys, argv, stdout, fi
 
 
 # Runs each (name, argv) pair of the JSON list in argv[1] through cli.main and prints, as JSON, each
-# name with its exit code and whether numpy.ma has been imported by then.
+# name with its exit code, whether numpy.ma has been imported by then, and what it printed.
 EVERY_COMMAND_IN_ONE_PROCESS = """
 import contextlib, io, json, sys
 from povmtomo import cli
 
-loaded = [["import", None, "numpy.ma" in sys.modules]]
+loaded = [["import", None, "numpy.ma" in sys.modules, ""]]
 for name, argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = cli.main(argv)
-    loaded.append([name, code, "numpy.ma" in sys.modules])
+    loaded.append([name, code, "numpy.ma" in sys.modules, stdout.getvalue()])
 print(json.dumps(loaded))
 """
+
+
+def _run_every_command(folder, **env) -> list:
+    """Writes a config (output directory ``run``) and two POVM files into ``folder``, then runs every
+    command path on them, with paths relative to ``folder``, through :data:`EVERY_COMMAND_IN_ONE_PROCESS`
+    in a fresh interpreter started in ``folder`` with ``env`` added to its environment; returns the
+    printed list."""
+    write_config(folder, shots=300, outputs={"dir": "run"})
+    povm.save_povm(povm.computational_povm(2), folder / "a.json")
+    povm.save_povm(povm.depolarized(povm.computational_povm(2), 0.2), folder / "b.json")
+    commands = [
+        ("simulate", ["simulate", "--config", "config.json"]),
+        ("reconstruct", ["reconstruct", "--config", "config.json"]),
+        ("reconstruct --from-counts", ["reconstruct", "--config", "config.json", "--from-counts", "run/counts.csv",
+                                       "--out", "ingest"]),
+        ("scaling", ["scaling", "--config", "config.json", "--n-list", "64,256,1024", "--trials", "5"]),
+        ("distance", ["distance", "--povm-a", "a.json", "--povm-b", "b.json"]),
+        ("bounds", ["bounds", "--dim", "2", "--outcomes", "2", "--epsilon", "0.1", "--delta", "0.01"]),
+        ("packing", ["packing", "--kind", "av", "--dim", "2", "--outcomes", "2", "--epsilon", "0.3",
+                     "--members", "2", "--seeds", "1", "--out", "packing"]),
+        ("channel", ["channel", "--ideal", "a.json", "--estimated", "b.json", "--out", "channel"]),
+        ("validate", ["validate", "--povm", "a.json"]),
+    ]
+    source = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", EVERY_COMMAND_IN_ONE_PROCESS, json.dumps(commands)],
+                            cwd=folder, env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert [name for name, *_ in loaded] == ["import", *(name for name, _ in commands)]
+    codes = {name: code for name, code, *_ in loaded[1:]}
+    assert codes.pop("packing") in (0, 1)  # packing may miss its separation
+    assert set(codes.values()) == {0}, result.stderr
+    return loaded
 
 
 def test_no_command_imports_numpy_ma(tmp_path):
     # np.median's NaN check imports numpy.ma, which raises a fresh process's peak memory; no
     # command needs masked arrays, so a fresh interpreter must never load them
-    config = str(write_config(tmp_path, shots=300))
-    povm.save_povm(povm.computational_povm(2), tmp_path / "a.json")
-    povm.save_povm(povm.depolarized(povm.computational_povm(2), 0.2), tmp_path / "b.json")
-    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    commands = [
-        ("simulate", ["simulate", "--config", config]),
-        ("reconstruct", ["reconstruct", "--config", config]),
-        ("reconstruct --from-counts", ["reconstruct", "--config", config, "--from-counts",
-                                       str(tmp_path / "run" / "counts.csv"), "--out", str(tmp_path / "ingest")]),
-        ("scaling", ["scaling", "--config", config, "--n-list", "64,256,1024", "--trials", "5"]),
-        ("distance", ["distance", "--povm-a", a, "--povm-b", b]),
-        ("bounds", ["bounds", "--dim", "2", "--outcomes", "2", "--epsilon", "0.1", "--delta", "0.01"]),
-        ("packing", ["packing", "--kind", "av", "--dim", "2", "--outcomes", "2", "--epsilon", "0.3",
-                     "--members", "2", "--seeds", "1", "--out", str(tmp_path / "packing")]),
-        ("channel", ["channel", "--ideal", a, "--estimated", b, "--out", str(tmp_path / "channel")]),
-        ("validate", ["validate", "--povm", a]),
-    ]
-    source = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH", "")]))}
-    result = subprocess.run([sys.executable, "-c", EVERY_COMMAND_IN_ONE_PROCESS, json.dumps(commands)],
-                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert result.returncode == 0, result.stderr
-    loaded = json.loads(result.stdout)
-    assert [name for name, _, _ in loaded] == ["import", *(name for name, _ in commands)]
-    codes = {name: code for name, code, _ in loaded[1:]}
-    assert codes.pop("packing") in (0, 1)  # packing may miss its separation
-    assert set(codes.values()) == {0}, result.stderr
-    assert [name for name, _, ma in loaded if ma] == []
+    loaded = _run_every_command(tmp_path)
+    assert [name for name, _, ma, _ in loaded if ma] == []
+
+
+def test_every_command_reruns_byte_for_byte(tmp_path):
+    # no output depends on a clock, the hash seed or the working directory: two fresh interpreters, with
+    # PYTHONHASHSEED 0 and 1, each running every command path from its own directory with the same
+    # relative paths, print the same text, exit with the same codes and write the same bytes
+    runs = []
+    for name, hash_seed in (("first", "0"), ("second", "1")):
+        folder = tmp_path / name
+        folder.mkdir()
+        loaded = _run_every_command(folder, PYTHONHASHSEED=hash_seed)
+        files = {str(path.relative_to(folder)): path.read_bytes() for path in folder.rglob("*") if path.is_file()}
+        runs.append((loaded, files))
+    written = {"run/counts.csv", "run/estimated_povm.json", "run/report.json", "run/scaling.csv",
+               "run/scaling_report.json", "ingest/report.json", "packing/packing.csv", "channel/channel.json"}
+    assert written <= set(runs[0][1])
+    assert runs[0] == runs[1]
 
 
 def test_reconstruct_iteration_cap_is_an_error(tmp_path, capsys, monkeypatch):
