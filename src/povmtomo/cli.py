@@ -157,11 +157,6 @@ def run_reconstruction(config: ExperimentConfig, counts_path: str | None = None)
     report dict. Ingested counts must carry the config's ensemble hash and
     match the ensemble and the target in shape; both are checked before any work.
     """
-    return _reconstruct(config, counts_path)[0]
-
-
-def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dict, str]:
-    """:func:`run_reconstruction`'s report and the JSON text of ``report.json``."""
     target, ensemble = config.build()
     if counts_path is None:
         table = _simulate_counts(config, target, ensemble)
@@ -207,7 +202,8 @@ def _reconstruct(config: ExperimentConfig, counts_path: str | None) -> tuple[dic
             target.dim, target.outcomes, config.epsilon, config.delta, ensemble.n_qubits
         ),
     }
-    return report, dump(report, _output(config.out_dir, "report.json"))
+    dump(report, _output(config.out_dir, "report.json"))
+    return report
 
 
 #: Bound on the count cells (trials x M x L) of one stack in ``run_scaling``.
@@ -237,7 +233,9 @@ def run_scaling(config: ExperimentConfig, n_list, trials: int) -> tuple[list, di
     ``scaling_report.json`` document, both functions of the config, the
     shot counts and the trial count alone: nothing here reads a clock.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [integer("n_list", n) for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise ValueError(f"n_list entries must be >= 1, got {n_list}")
     if len(n_list) < 3 or sorted(set(n_list)) != n_list:
         raise ValueError("need >= 3 strictly increasing shot counts")
     if trials < 5:
@@ -282,7 +280,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     config = load_config(args.config, vars(args))
-    sys.stdout.write(_reconstruct(config, args.from_counts)[1])
+    sys.stdout.write(dump(run_reconstruction(config, args.from_counts)))
     return 0
 
 

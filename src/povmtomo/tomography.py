@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import le, truediv
+from operator import le
 
 import numpy as np
 
@@ -209,14 +209,12 @@ def _scales(values: list):
     return np.array(values, dtype=complex).reshape(-1, 1, 1)
 
 
-def _take(stack, keep):
-    """A copy of a :class:`_DualPoint` or :class:`_HessianGroup` with the trials a boolean mask
-    keeps: its lists compressed and its arrays masked, anything else (``top``, ``k``, ``metric``, a
-    float ``mu``) shared."""
-    taken = object.__new__(type(stack))
-    taken.__dict__ = {name: list(compress(value, keep)) if isinstance(value, list)
-                      else value[keep] if isinstance(value, np.ndarray) else value
-                      for name, value in vars(stack).items()}
+def _take(point, keep):
+    """A copy of a :class:`_DualPoint` with the trials a boolean mask keeps: its lists compressed
+    and its arrays masked. Trials leave a stack only between Newton steps."""
+    taken = object.__new__(type(point))
+    taken.__dict__ = {name: list(compress(value, keep)) if isinstance(value, list) else value[keep]
+                      for name, value in vars(point).items()}
     return taken
 
 
@@ -331,29 +329,27 @@ class _HessianGroup:
 def _conjugate_gradient(apply, rhs: np.ndarray, tol: list) -> np.ndarray:
     """Solve apply(x) = rhs for each trial of a (T, d, d) stack, to ||residual_t||_F <= tol_t.
 
-    ``apply`` is positive definite on every trial. A trial that meets its
-    tolerance leaves the stack, and the map with it; a trial that meets it
-    on entry gets x = 0, and a stack that meets it on entry gets no product.
-    The stack gets at most ``_CG_MAX_ITERATIONS`` products.
+    ``apply`` is positive definite on every trial. The stack stays whole
+    until every trial meets its tolerance: from the iteration a trial meets
+    it, its alpha and beta are 0 and nothing is divided by its p.Ap, so its
+    row of x, which starts at +0 and so never holds -0.0, is final
+    (x + 0 p = x) and bit for bit its solo solve. A trial that meets its
+    tolerance on entry gets x = 0, and a stack that meets it on entry gets
+    no product. The stack gets at most ``_CG_MAX_ITERATIONS`` products.
     """
     x, r, p = np.zeros_like(rhs), rhs.copy(), rhs.copy()
     rr = _dots(r, r)
     tol2 = [t * t for t in tol]
-    rows = slice(None)  # the rows of x still iterating
     for _ in range(_CG_MAX_ITERATIONS):
-        if any(map(le, rr, tol2)):
-            done = list(map(le, rr, tol2))
-            if all(done):
-                break
-            keep = np.logical_not(done)
-            r, p, rows, apply = r[keep], p[keep], np.arange(len(x))[rows][keep], _take(apply, keep)
-            rr, tol2 = list(compress(rr, keep)), list(compress(tol2, keep))
+        done = list(map(le, rr, tol2))
+        if all(done):
+            break
         ap = apply(p)
-        alpha = _scales(list(map(truediv, rr, _dots(p, ap))))
-        x[rows] += alpha * p
+        alpha = _scales([0.0 if met else a / b for met, a, b in zip(done, rr, _dots(p, ap))])
+        x += alpha * p
         r -= alpha * ap
         rr, rr_old = _dots(r, r), rr
-        p = r + _scales(list(map(truediv, rr, rr_old))) * p
+        p = r + _scales([0.0 if met else a / b for met, a, b in zip(done, rr, rr_old)]) * p
     return x
 
 
@@ -416,13 +412,15 @@ def project_onto_povms(raw, metric: str = "frobenius"):
     array), or a list of same-shape estimates, solved as one (T, L, d, d)
     stack; one estimate is a stack of one. Each Newton step makes one
     stacked ``eigh``, one CG solve per group of trials that share a branch
-    and a k (each CG iteration one Hessian product over the group's trials
-    still iterating), and one evaluation of the whole stack per line-search
-    halving, a trial that has accepted at its accepted step. Every trial
-    keeps its own dual, CG scalars, step size and stopping test and leaves
-    the stack once it stops, so its result is bit for bit its solo one. A
-    trial whose ||grad||^2 <= cg_tol^2, CG's entry test, which only
-    ||grad|| <= 1e-2 TOL_FEASIBILITY passes, stops at the start of its step.
+    and a k (each CG iteration one Hessian product over the whole group, a
+    trial that has met its tolerance at a zero step), and one evaluation of
+    the whole stack per line-search halving, a trial that has accepted at
+    its accepted step. So the stack stays whole within a Newton step. Every
+    trial keeps its own dual, CG scalars, step size and stopping test and
+    leaves the stack between Newton steps once it stops, so its result is
+    bit for bit its solo one. A trial whose ||grad||^2 <= cg_tol^2, CG's
+    entry test, which only ||grad|| <= 1e-2 TOL_FEASIBILITY passes, stops
+    at the start of its step.
 
     Returns ``(Povm, ProjectionDiagnostics)`` for one estimate and
     ``(list of Povm, ProjectionDiagnostics)`` for a list, each Povm

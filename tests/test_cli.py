@@ -432,12 +432,22 @@ def test_reconstruct_reports_the_ensembles_bernstein_block_for_every_target(tmp_
     assert blocks[0] == json.dumps(vars(tomography.bernstein_diagnostics(ensemble)), sort_keys=True)
 
 
-def test_scaling_requires_enough_points(tmp_path):
+def test_scaling_requires_enough_points(tmp_path, monkeypatch):
     config = load_config(write_config(tmp_path))
     with pytest.raises(ValueError):
         run_scaling(config, [1024], 5)
     with pytest.raises(ValueError):
         run_scaling(config, [256, 512, 1024], 2)
+
+    def no_draw(*args):
+        raise AssertionError("a shot count outside [1, 2**63) reached simulate_shots")
+
+    # every shot count is an int64 >= 1, refused by name before any trial is drawn
+    monkeypatch.setattr(cli, "simulate_shots", no_draw)
+    for n_list, message in (([256, 512, 2**63], "n_list lies outside the int64 range"),
+                            ([0, 512, 1024], r"n_list entries must be >= 1, got \[0, 512, 1024\]")):
+        with pytest.raises(ValueError, match=message):
+            run_scaling(config, n_list, 5)
 
 
 def test_scaling_command(tmp_path):

@@ -107,12 +107,6 @@ def test_check_catches_an_orphaned_helper():
     assert private_definitions("__all__ = []\n_x: int = 1\n") == ["_x"]
 
 
-# Public names that no package module refers to, each with the reason it stays.
-ENTRY_POINTS = {
-    "cli.run_reconstruction": "the documented library entry point: one reconstruction from a config, without argparse",
-}
-
-
 def public_definitions(source: str) -> list[str]:
     """Module-level function and class names without a leading ``_``."""
     return [
@@ -131,8 +125,8 @@ def unreachable_public_names(modules: dict[str, str]) -> list[str]:
 
 def test_every_public_definition_is_used_by_the_package():
     modules = {path.stem: path.read_text() for path in MODULES}
-    assert sum(len(public_definitions(source)) for source in modules.values()) > len(ENTRY_POINTS)
-    assert sorted(unreachable_public_names(modules)) == sorted(ENTRY_POINTS)
+    assert any(public_definitions(source) for source in modules.values())  # the check has names to look at
+    assert unreachable_public_names(modules) == []
 
 
 def test_check_catches_an_unreachable_public_name():

@@ -572,6 +572,7 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
     # it gets alone. The d = 7 inputs mix top and bottom branches and ranks, so their Hessian
     # products come in several groups; the one-shot Pauli-6 inputs backtrack in dav where their
     # 1000-shot neighbours take the full step, and some effects of scale 10 backtrack in frobenius.
+    # Trials leave a stack only between Newton steps, so _take copies dual points and nothing else.
     pauli6, rng = frames.pauli6_product(2), np.random.default_rng(0)
     backtracking = [_lse(povm.random_povm(4, 4, seed), pauli6, shots, seed) for seed in range(3) for shots in (1, 1000)]
     backtracking += [povm.RawEstimate([random_hermitian(4, rng, 10) for _ in range(4)]) for _ in range(3)]
@@ -580,7 +581,8 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
         stacks.setdefault(raw.elements.shape, []).append(raw)
     grouped = []  # per Newton step, the groups that hessian returned
     duals, searches = [], []  # the dual of every evaluated point; per line search, those it evaluated
-    hessian, line_search = tomography._DualPoint.hessian, tomography._line_search
+    taken = []  # the type of every stack that _take copied
+    hessian, line_search, take = tomography._DualPoint.hessian, tomography._line_search, tomography._take
 
     def counting_hessian(self, *args):
         grouped.append(hessian(self, *args))
@@ -597,9 +599,14 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
         searches.append(duals[first:])
         return result
 
+    def recording_take(stack, keep):
+        taken.append(type(stack))
+        return take(stack, keep)
+
     monkeypatch.setattr(tomography._DualPoint, "hessian", counting_hessian)
     monkeypatch.setattr(tomography, "_DualPoint", RecordingPoint)
     monkeypatch.setattr(tomography, "_line_search", recording_line_search)
+    monkeypatch.setattr(tomography, "_take", recording_take)
     for raws in stacks.values():
         solo = [project_onto_povms(raw, metric=metric) for raw in raws]
         povms, diagnostics = project_onto_povms(raws, metric=metric)
@@ -611,6 +618,7 @@ def test_stacked_projection_equals_solo_bit_for_bit(metric, monkeypatch):
         assert diagnostics.final_residual == max(alone.final_residual for _, alone in solo) <= TOL_FEASIBILITY
         assert diagnostics.converged is True
     assert max(map(len, grouped)) >= 2  # a Newton step with Hessian products over several (branch, k) groups
+    assert taken and set(taken) == {RecordingPoint}
     # a halving that evaluated a stack holding both accepted trials, each at the dual it accepted
     # (so unchanged since the evaluation before), and searching ones, each at a halved step
     assert any(0 < np.all(before == after, axis=(1, 2)).sum() < len(after)
@@ -848,8 +856,8 @@ def test_conjugate_gradient_makes_no_product_for_a_stack_solved_on_entry():
 @pytest.mark.parametrize("metric", ["frobenius", "dav"])
 def test_conjugate_gradient_gives_a_zero_row_exactly_where_the_rhs_meets_its_tolerance(metric):
     # the projection stops a trial that passes CG's entry test before its Newton step; CG gives a
-    # zero row exactly to a trial whose ||rhs||^2 <= tol^2 on entry. Every other trial leaves the
-    # stack at its own iteration with the bits of its solo solve.
+    # zero row exactly to a trial whose ||rhs||^2 <= tol^2 on entry. Every other trial steps by 0 once
+    # it meets its tolerance, while the rest of the stack iterates, and keeps the bits of its solo solve.
     rng = np.random.default_rng(53)
     d, n_outcomes = 4, 3
     raw = np.array([random_hermitian(d, rng) for _ in range(n_outcomes)])
